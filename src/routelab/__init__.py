@@ -25,6 +25,7 @@ from .network import (
     Scenario,
     TravelTimeVector,
     simulate,
+    simulate_batch,
     simulate_without,
 )
 from .rewards import (

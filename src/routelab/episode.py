@@ -50,6 +50,13 @@ class EpisodeLog:
     seed: int
 
 
+def episode_seed(run_seed: int, episode_index: int, stochastic: bool) -> int:
+    """Simulation seed of one day: the run seed itself unless noise is on."""
+    if not stochastic:
+        return run_seed
+    return run_seed * 1_000_003 + episode_index + 1
+
+
 def build_observation(
     scenario: Scenario,
     partial_choices: Mapping[int, int],

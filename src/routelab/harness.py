@@ -83,6 +83,8 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be >= 0")
         if not self.seeds:
             raise ConfigurationError("seed list must be non-empty")
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         self.out_dir = Path(self.out_dir)
 
     @property

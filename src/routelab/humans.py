@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .episode import EpisodeLog, run_episode
+from .episode import EpisodeLog, episode_seed, run_episode
 from .network import ConfigurationError, Scenario
 from .rewards import RewardConfig, RewardEngine
 
@@ -121,9 +121,9 @@ def run_warmup(
         policies = {
             i: (lambda obs, s=humans[i], r=rngs[i]: s.choose(r)) for i in humans
         }
-        sim_seed = seed * 1_000_003 + episode_offset + day + 1 if stochastic else seed
+        index = episode_offset + day
         log = run_episode(
-            scenario, policies, config, episode_offset + day, sim_seed, engine
+            scenario, policies, config, index, episode_seed(seed, index, stochastic), engine
         )
         for i, state in humans.items():
             state.update(log.action[i], log.times[i])

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .episode import EpisodeLog, run_episode
+from .episode import EpisodeLog, episode_seed, run_episode
 from .network import ConfigurationError, Scenario
 from .rewards import RewardConfig, RewardEngine
 
@@ -253,12 +253,6 @@ class TrainResult:
     simulations_run: int
 
 
-def _episode_seed(run_seed: int, episode_index: int, stochastic: bool) -> int:
-    if not stochastic:
-        return run_seed
-    return run_seed * 1_000_003 + episode_index + 1
-
-
 def train(
     scenario: Scenario,
     learner_specs: Mapping[int, Mapping],
@@ -358,7 +352,7 @@ def _train_one(
             training_policies,
             reward_config,
             episode_index,
-            _episode_seed(seed, episode_index, stochastic),
+            episode_seed(seed, episode_index, stochastic),
             engine,
         )
         for av in av_ids:
@@ -379,7 +373,7 @@ def _train_one(
             eval_policies,
             reward_config,
             episode_index,
-            _episode_seed(seed, episode_index, stochastic),
+            episode_seed(seed, episode_index, stochastic),
             engine,
         )
         eval_logs.append(log)

@@ -18,11 +18,34 @@ Ties in passage time are broken by ``(departure_time, agent id)`` ascending.
 With ``noise_sigma == 0`` the simulation is a pure function of its inputs;
 with noise, each merge arrival is jittered by Uniform(-sigma, +sigma) drawn
 from a generator sub-seeded by ``(seed, agent id)`` so runs are reproducible
-per seed and unaffected by which other agents are present.
+per seed and unaffected by which other agents are present. ``Scenario``
+rejects a sigma at or above the shortest pre-merge time, since such jitter
+could put a merge arrival before its departure.
+
+One kernel, ``simulate_batch``, resolves the merge for the full roster and
+for each roster without one AV (the counterfactuals of the shaped reward);
+``simulate`` and ``simulate_without`` are thin wrappers over it. It draws
+each agent's noise once per call and resolves the merge in one ordered
+event pass, O(n log n), relying on at most one yielding route per merge:
+
+* a vehicle that reached the merge by the time it is next free waits, and
+  waiting vehicles of one class pass in (departure, id) order;
+* a waiting priority vehicle always passes first;
+* otherwise waiting yielding vehicles pass unless the next priority arrival
+  falls inside the window;
+* otherwise the earliest yielding arrival passes if the next priority
+  arrival falls beyond its window, else that priority vehicle passes.
+
+Every passage is still ``arrival`` or ``last_passage + g``, so results are
+bit-for-bit those of the rules above. A counterfactual takes the same steps
+as the full run until the removed vehicle's turn, so it resumes from the
+full run's state there and stops once both runs have passed the same
+vehicles with the merge free at the same time again.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -130,6 +153,12 @@ class Scenario:
             previous = agent.departure_time
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be finite and >= 0")
+        shortest = min(route.pre_merge_time for route in self.network.routes)
+        if self.noise_sigma >= shortest:
+            raise ConfigurationError(
+                f"noise_sigma {self.noise_sigma} could put a merge arrival before "
+                f"departure; it must stay below the shortest pre_merge_time {shortest}"
+            )
 
     @property
     def av_ids(self) -> tuple[int, ...]:
@@ -175,37 +204,61 @@ def _arrival_noise(seed: int, agent_id: int, sigma: float) -> float:
     return rng.uniform(-sigma, sigma)
 
 
-def _merge_passages(
-    vehicles: list[tuple[float, float, int, bool]],
-    gap: float,
-    window: float,
-) -> dict[int, float]:
-    """Resolve merge passage times for (arrival, departure, id, priority) rows."""
-    remaining = list(vehicles)
-    passages: dict[int, float] = {}
-    last: float | None = None
-    while remaining:
-        min_priority_arrival = math.inf
-        for arrival, _, _, priority in remaining:
-            if priority and arrival < min_priority_arrival:
-                min_priority_arrival = arrival
-        best = None
-        best_key = None
-        for vehicle in remaining:
-            arrival, dep, vid, priority = vehicle
-            t = arrival if last is None else max(arrival, last + gap)
-            if not priority and min_priority_arrival <= t + window:
-                continue  # must yield until that priority vehicle clears
-            key = (t, dep, vid)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = vehicle
-        if best is None:  # cannot happen: a priority vehicle is never blocked
-            raise RuntimeError("merge deadlock")
-        passages[best[2]] = best_key[0]
-        last = best_key[0]
-        remaining.remove(best)
-    return passages
+class _MergeState:
+    """Ordered event pass over one roster's merge arrivals.
+
+    Vehicles not yet at the merge sit in two lists, one per class, sorted
+    by (arrival, departure, id); ``pi`` and ``yi`` point at their heads.
+    Vehicles that arrived by ``ready``, the earliest time the merge can
+    serve again (last passage + gap), wait in a (departure, id) heap per
+    class. The state is a pure function of the vehicles not yet passed and
+    of ``ready``, so a copy taken before one vehicle passes, minus that
+    vehicle, is the state of the run without it.
+    """
+
+    __slots__ = ("prio", "yld", "gap", "window", "pi", "yi", "wp", "wy", "ready")
+
+    def __init__(self, prio, yld, gap, window):
+        self.prio, self.yld = prio, yld  # (arrival, departure, id), sorted
+        self.gap, self.window = gap, window
+        self.pi = self.yi = 0
+        self.wp: list[tuple[float, int]] = []
+        self.wy: list[tuple[float, int]] = []
+        self.ready = -math.inf
+
+    def fork(self, ready: float) -> "_MergeState":
+        twin = _MergeState(self.prio, self.yld, self.gap, self.window)
+        twin.pi, twin.yi = self.pi, self.yi
+        twin.wp, twin.wy = self.wp[:], self.wy[:]
+        twin.ready = ready
+        return twin
+
+    def step(self) -> tuple[int, float]:
+        """Pass the next vehicle; returns (id, passage time)."""
+        prio, yld, ready = self.prio, self.yld, self.ready
+        pi, yi = self.pi, self.yi
+        while pi < len(prio) and prio[pi][0] <= ready:
+            heapq.heappush(self.wp, prio[pi][1:])
+            pi += 1
+        while yi < len(yld) and yld[yi][0] <= ready:
+            heapq.heappush(self.wy, yld[yi][1:])
+            yi += 1
+        # A yielding vehicle passing at t is blocked by the next priority
+        # arrival if that falls at or before t + window.
+        next_priority = prio[pi][0] if pi < len(prio) else math.inf
+        if self.wp:  # a waiting priority vehicle always wins
+            t, (_, vid) = ready, heapq.heappop(self.wp)
+        elif self.wy and next_priority > ready + self.window:
+            t, (_, vid) = ready, heapq.heappop(self.wy)
+        elif not self.wy and yi < len(yld) and next_priority > yld[yi][0] + self.window:
+            t, _, vid = yld[yi]
+            yi += 1
+        else:
+            t, _, vid = prio[pi]
+            pi += 1
+        self.pi, self.yi = pi, yi
+        self.ready = t + self.gap
+        return vid, t
 
 
 def _check_action(scenario: Scenario, action: Mapping[int, int]) -> None:
@@ -222,33 +275,78 @@ def _check_action(scenario: Scenario, action: Mapping[int, int]) -> None:
             )
 
 
-def _simulate_subset(
+def simulate_batch(
     scenario: Scenario,
-    agents: Iterable[AgentSpec],
     action: Mapping[int, int],
-    seed: int,
-) -> dict[int, float]:
+    removed_ids: Iterable[int] = (),
+    seed: int = 0,
+) -> list[TravelTimeVector]:
+    """The full run plus one leave-one-out run per AV in ``removed_ids``.
+
+    Every run shares the seed and the per-agent noise draws, so each
+    counterfactual differs from the full run only by the missing vehicle.
+    """
+    _check_action(scenario, action)
+    removed_ids = tuple(removed_ids)
+    wanted = set(removed_ids)
+    if not wanted <= set(scenario.av_ids):
+        raise ConfigurationError(
+            f"agents {sorted(wanted - set(scenario.av_ids))} are not AVs of this "
+            "scenario; only AVs may be removed"
+        )
     net = scenario.network
     sigma = scenario.noise_sigma
-    vehicles = []
-    for agent in agents:
+    prio, yld, departures = [], [], {}
+    for agent in scenario.agents:
         route = net.routes[action[agent.id]]
         arrival = agent.departure_time + route.pre_merge_time
         if sigma > 0:
             arrival += _arrival_noise(seed, agent.id, sigma)
-        vehicles.append((arrival, agent.departure_time, agent.id, route.has_priority))
-    passages = _merge_passages(vehicles, net.merge_gap_g, net.yield_window_w)
-    return {
-        vid: passages[vid] + net.post_merge_time - dep
-        for (_, dep, vid, _) in vehicles
-    }
+        (prio if route.has_priority else yld).append(
+            (arrival, agent.departure_time, agent.id)
+        )
+        departures[agent.id] = agent.departure_time
+    prio.sort()
+    yld.sort()
+
+    def travel_time(vid: int, passage: float) -> float:
+        return passage + net.post_merge_time - departures[vid]
+
+    merge = _MergeState(prio, yld, net.merge_gap_g, net.yield_window_w)
+    order: list[tuple[int, float]] = []
+    forks: dict[int, tuple[int, _MergeState]] = {}
+    for _ in departures:
+        ready = merge.ready
+        vid, t = merge.step()
+        if vid in wanted:
+            forks[vid] = (len(order), merge.fork(ready))
+        order.append((vid, t))
+    passages = dict(order)
+    base = {vid: travel_time(vid, passages[vid]) for vid in departures}
+
+    runs = [TravelTimeVector(times=base, seed=seed)]
+    for removed in removed_ids:
+        position, snapshot = forks[removed]
+        merge = snapshot.fork(snapshot.ready)  # the snapshot may serve a repeated id
+        times = dict(base)
+        del times[removed]
+        unmatched: set[int] = set()
+        for full_vid, full_t in order[position + 1 :]:
+            vid, t = merge.step()
+            times[vid] = travel_time(vid, t)
+            if vid != full_vid:
+                unmatched ^= {vid, full_vid}
+            if not unmatched and t == full_t:
+                # Same vehicles passed, merge free at the same time: from here
+                # on the full run's times hold.
+                break
+        runs.append(TravelTimeVector(times=times, seed=seed))
+    return runs
 
 
 def simulate(scenario: Scenario, action: Mapping[int, int], seed: int = 0) -> TravelTimeVector:
     """Run one episode of the merge simulation for a full joint action."""
-    _check_action(scenario, action)
-    times = _simulate_subset(scenario, scenario.agents, action, seed)
-    return TravelTimeVector(times=times, seed=seed)
+    return simulate_batch(scenario, action, (), seed)[0]
 
 
 def simulate_without(
@@ -262,12 +360,4 @@ def simulate_without(
     Uses the same seed, and noise draws are keyed per agent id, so the
     remaining agents see exactly the jitter they saw in the full run.
     """
-    _check_action(scenario, action)
-    spec = scenario.agent(removed_agent)
-    if spec.kind != "av":
-        raise ConfigurationError(
-            f"agent {removed_agent} is a human; only AVs may be removed"
-        )
-    rest = [a for a in scenario.agents if a.id != removed_agent]
-    times = _simulate_subset(scenario, rest, action, seed)
-    return TravelTimeVector(times=times, seed=seed)
+    return simulate_batch(scenario, action, (removed_agent,), seed)[1]

@@ -6,10 +6,14 @@ else (actions, seed) is held fixed:
 
     M[i, j] = travel_time_i(u without j) - travel_time_i(u)
 
-Entries are <= 0 in deterministic mode (an absent vehicle delays nobody),
-the diagonal is 0 by convention, and agents missing from either run
+The diagonal is 0 by convention, and agents missing from either run
 contribute 0. Columns always range over AVs; rows span every driver so one
-matrix serves both externality scopes.
+matrix serves both externality scopes. In deterministic
+mode on a two-route yield network whose yield window is at least the merge
+gap (the default calibration), entries are <= 0: an absent vehicle delays
+nobody. Elsewhere the merge is not monotone: where vehicles on priority
+routes overtake one another, or the window is shorter than the gap, removing
+a vehicle can reorder the merge and delay someone, so entries can be > 0.
 
 AV j's intrinsic reward squashes its column through tanh, entry by entry,
 which bounds each term to (-1, 1) while preserving its sign:
@@ -21,27 +25,30 @@ shaped reward is then ``alpha * extrinsic + beta * m_j`` with extrinsic the
 negative travel time. A ``raw_sum`` switch replaces the tanh squash with the
 plain column sum for sensitivity studies.
 
-Building one matrix costs one counterfactual run per AV, so an LRU cache
-keyed by (active agents with routes, seed) memoises every simulation; for a
-deterministic 10-AV binary-route scenario a full sweep of the 1024 joint
-actions never needs more than 1024 + 10 * 1024 distinct runs.
+One matrix needs the full run plus one counterfactual run per AV. They come
+from one call of the batched kernel ``simulate_batch``, which draws each
+agent's noise once and derives every counterfactual from the full run. An
+LRU cache keyed by (active agents with routes, seed) still holds each roster
+as its own entry, so ``simulations_run`` counts distinct rosters, and a
+deterministic 10-AV binary-route sweep of the 1024 joint actions never needs
+more than 1024 + 10 * 1024 of them.
 """
-
 from __future__ import annotations
 
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .network import (
+from .network import (  # simulate, simulate_without: re-exported for callers here
     ConfigurationError,
     Scenario,
     TravelTimeVector,
     simulate,
+    simulate_batch,
     simulate_without,
 )
 
@@ -107,12 +114,35 @@ class MarginalCostMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _matrix_from_runs(
+    scenario: Scenario,
+    action: Mapping[int, int],
+    seed: int,
+    base: Mapping[int, float],
+    withouts: Sequence[Mapping[int, float]],
+) -> MarginalCostMatrix:
+    """Stack the counterfactual columns and subtract the full run once."""
+    row_ids = tuple(a.id for a in scenario.agents)
+    full = np.array([base.get(i, np.nan) for i in row_ids])
+    without = np.array([[w.get(i, np.nan) for w in withouts] for i in row_ids])
+    values = without - full[:, None]
+    # An agent missing from either run (the removed AV in its own column
+    # included) contributes 0.
+    values[np.isnan(values)] = 0.0
+    return MarginalCostMatrix(
+        row_ids=row_ids,
+        col_ids=scenario.av_ids,
+        values=values,
+        action=dict(action),
+        seed=seed,
+    )
+
+
 def compute_marginal_matrix(
     scenario: Scenario,
     action: Mapping[int, int],
     base_times: TravelTimeVector,
     seed: int,
-    counterfactual_runner: Callable[[int], TravelTimeVector] | None = None,
 ) -> MarginalCostMatrix:
     """Run one counterfactual per AV and collect the column of differences.
 
@@ -123,26 +153,9 @@ def compute_marginal_matrix(
         raise ConfigurationError(
             f"base run used seed {base_times.seed}, counterfactuals requested seed {seed}"
         )
-    runner = counterfactual_runner or (
-        lambda removed: simulate_without(scenario, action, removed, seed)
-    )
-    row_ids = tuple(a.id for a in scenario.agents)
-    col_ids = scenario.av_ids
-    values = np.zeros((len(row_ids), len(col_ids)))
-    for c, j in enumerate(col_ids):
-        without = runner(j)
-        for r, i in enumerate(row_ids):
-            if i == j:
-                continue  # removed agent has no entry in its own column
-            if i not in base_times or i not in without:
-                continue  # missing traveller convention: contribute 0
-            values[r, c] = without[i] - base_times[i]
-    return MarginalCostMatrix(
-        row_ids=row_ids,
-        col_ids=col_ids,
-        values=values,
-        action=dict(action),
-        seed=seed,
+    runs = simulate_batch(scenario, action, scenario.av_ids, seed)
+    return _matrix_from_runs(
+        scenario, action, seed, base_times.times, [run.times for run in runs[1:]]
     )
 
 
@@ -206,6 +219,10 @@ class SimulationCache:
                     self.stats.evictions += 1
         return value
 
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._entries
+
     def flush(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -226,7 +243,6 @@ class RewardEngine:
         self.scenario = scenario
         self.config = config
         self.cache = SimulationCache(cache_size)
-        self._av_set = frozenset(scenario.av_ids)
 
     def _key(self, action: Mapping[int, int], removed: int | None, seed: int):
         active = tuple(
@@ -234,35 +250,34 @@ class RewardEngine:
         )
         return (active, seed)
 
-    def travel_times(self, action: Mapping[int, int], seed: int) -> TravelTimeVector:
-        times = self.cache.get_or_compute(
-            self._key(action, None, seed),
-            lambda: simulate(self.scenario, action, seed).times,
-        )
-        return TravelTimeVector(times=times, seed=seed)
+    def _runs(
+        self, action: Mapping[int, int], seed: int, removed_ids: tuple[int, ...]
+    ) -> list[dict[int, float]]:
+        """Cached travel times of the full roster, then of each roster without an AV.
 
-    def counterfactual(
-        self, action: Mapping[int, int], removed: int, seed: int
-    ) -> TravelTimeVector:
-        if removed not in self._av_set:
-            raise ConfigurationError(
-                f"agent {removed} is a human; only AVs may be removed"
-            )
-        times = self.cache.get_or_compute(
-            self._key(action, removed, seed),
-            lambda: simulate_without(self.scenario, action, removed, seed).times,
-        )
-        return TravelTimeVector(times=times, seed=seed)
+        Every roster is its own cache entry. The first miss runs one batch:
+        the full roster plus each roster in ``removed_ids`` not cached yet.
+        Later misses of the same call are served from that batch's rows, even
+        ones the cache evicted meanwhile.
+        """
+        keys = {r: self._key(action, r, seed) for r in (None, *removed_ids)}
+        fresh: dict[int | None, dict[int, float]] = {}
+
+        def compute(removed: int | None) -> dict[int, float]:
+            if removed not in fresh:
+                todo = [j for j in removed_ids if j == removed or keys[j] not in self.cache]
+                runs = simulate_batch(self.scenario, action, todo, seed)
+                fresh.update(zip((None, *todo), (run.times for run in runs)))
+            return fresh[removed]
+
+        return [self.cache.get_or_compute(k, lambda r=r: compute(r)) for r, k in keys.items()]
+
+    def travel_times(self, action: Mapping[int, int], seed: int) -> TravelTimeVector:
+        return TravelTimeVector(times=self._runs(action, seed, ())[0], seed=seed)
 
     def marginal_matrix(self, action: Mapping[int, int], seed: int) -> MarginalCostMatrix:
-        base = self.travel_times(action, seed)
-        return compute_marginal_matrix(
-            self.scenario,
-            action,
-            base,
-            seed,
-            counterfactual_runner=lambda j: self.counterfactual(action, j, seed),
-        )
+        base, *withouts = self._runs(action, seed, self.scenario.av_ids)
+        return _matrix_from_runs(self.scenario, action, seed, base, withouts)
 
     def evaluate(
         self, action: Mapping[int, int], seed: int
@@ -271,16 +286,16 @@ class RewardEngine:
 
         Skips the counterfactual fan-out entirely when the config gives the
         intrinsic term zero weight, so selfish baselines cost one run per
-        episode.
+        episode. Otherwise the full run and every counterfactual the matrix
+        needs come from one lookup, simulated together in one batch on a miss.
         """
-        times = self.travel_times(action, seed)
+        avs = self.scenario.av_ids
         if not self.config.needs_intrinsic:
-            return times, {j: 0.0 for j in self.scenario.av_ids}
-        matrix = self.marginal_matrix(action, seed)
-        scores = {
-            j: intrinsic_reward(matrix, j, self.config) for j in self.scenario.av_ids
-        }
-        return times, scores
+            return self.travel_times(action, seed), {j: 0.0 for j in avs}
+        base, *withouts = self._runs(action, seed, avs)
+        matrix = _matrix_from_runs(self.scenario, action, seed, base, withouts)
+        scores = {j: intrinsic_reward(matrix, j, self.config) for j in avs}
+        return TravelTimeVector(times=base, seed=seed), scores
 
     @property
     def simulations_run(self) -> int:

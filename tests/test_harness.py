@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from routelab import simulate
+from routelab import ConfigurationError, simulate
 from routelab.cli import main
 from routelab.harness import (
     BETA_SUMMARY_CSV_HEADER,
@@ -135,6 +135,31 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "missing.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_noise_beyond_pre_merge_time(tmp_path, capsys):
+    scenario_path = write_default_scenario(tmp_path)
+    code = main(
+        [
+            "simulate",
+            "--scenario",
+            str(scenario_path),
+            "--mode",
+            "stochastic",
+            "--noise-sigma",
+            "100",
+            "--route",
+            "0",
+        ]
+    )
+    assert code == 2
+    assert "noise_sigma" in capsys.readouterr().err
+
+
+def test_jobs_below_one_rejected(tmp_path):
+    for jobs in (0, -1):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            small_config(tmp_path, jobs=jobs)
 
 
 def test_cli_action_wrong_length(tmp_path, capsys):

@@ -14,6 +14,7 @@ from routelab import (
     simulate,
     simulate_without,
 )
+from routelab.scenarios import two_route_yield_scenario
 from conftest import make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
 
@@ -239,6 +240,16 @@ def test_scenario_validation():
         ).validate()  # two yielding routes
     with pytest.raises(ConfigurationError):
         Scenario(agents=(agent,), network=net, noise_sigma=-1.0)
+
+
+def test_noise_that_could_precede_departure_is_rejected():
+    # Route 0 reaches the merge after 40 s: jitter of 40 s or more could put
+    # the merge arrival at or before the departure.
+    with pytest.raises(ConfigurationError, match="noise_sigma"):
+        make_scenario([0.0, 4.0], noise_sigma=40.0)
+    with pytest.raises(ConfigurationError):
+        two_route_yield_scenario().with_noise(100.0)
+    assert make_scenario([0.0, 4.0], noise_sigma=39.9).noise_sigma == 39.9
 
 
 def test_default_scenario_roster(default_scenario):

@@ -102,6 +102,18 @@ def test_seed_mismatch_rejected(default_scenario):
         compute_marginal_matrix(default_scenario, action, base, seed=2)
 
 
+def test_agent_missing_from_base_run_contributes_zero(default_scenario):
+    action = full_action(default_scenario, {1: 1})
+    base = simulate(default_scenario, action, seed=0)
+    partial = type(base)(times={i: t for i, t in base.times.items() if i != 3}, seed=0)
+    full = compute_marginal_matrix(default_scenario, action, base, seed=0)
+    matrix = compute_marginal_matrix(default_scenario, action, partial, seed=0)
+    assert full.entry(3, 1) == -6.0
+    assert np.all(matrix.values[matrix.row_ids.index(3)] == 0.0)
+    others = [r for r, i in enumerate(matrix.row_ids) if i != 3]
+    assert np.array_equal(matrix.values[others], full.values[others])
+
+
 def zero_matrix(row_ids, col_ids):
     return MarginalCostMatrix(
         row_ids=tuple(row_ids),
@@ -198,7 +210,7 @@ def test_cache_off_matches_cache_on(default_scenario):
     cached = RewardEngine(default_scenario, config)
     uncached = RewardEngine(default_scenario, config, cache_size=0)
     action = full_action(default_scenario, {3: 1, 7: 1})
-    for seed in (0, 1):
+    for seed in (0, 1, 0):  # the repeat is served from the cache only when it is on
         t1, m1 = cached.evaluate(action, seed)
         t2, m2 = uncached.evaluate(action, seed)
         assert t1.times == t2.times
