@@ -59,8 +59,9 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seeds", None):
         seeds = tuple(_parse_list(args.seeds, int))
     learner = config.learner
-    if getattr(args, "algorithm", None):
-        learner = {**learner, "algorithm": args.algorithm}
+    if getattr(args, "algorithm", None) and args.algorithm != learner.get("algorithm"):
+        # The old algorithm's hyperparameters would be unknown keys to the new one.
+        learner = {"algorithm": args.algorithm}
 
     updates = {"reward": reward, "seeds": seeds, "learner": learner}
     for field, attr in (

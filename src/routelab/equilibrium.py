@@ -13,6 +13,14 @@ the sign of a deviation's value over a range [0, B] is settled at the
 endpoints, and when ``delta_e`` and ``delta_m`` disagree in sign there is a
 largest coefficient preserving the unshaped preference:
 ``beta = -alpha * delta_e / delta_m``. ``beta_max`` computes that threshold.
+
+The analyzer exploits the same affinity. It scores every profile once: an
+extrinsic table ``E`` (profiles x AVs, minus travel time), the total travel
+times, and per externality scope an intrinsic table ``M`` of the same shape.
+The rewards at any grid point are then ``alpha * E + beta * M``. The Nash test
+compares each profile's row with the rows of its single-AV neighbours, and
+the deviation terms are differences of two rows. A selfish setting (beta = 0
+or scope "none") never builds ``M``, so it costs one simulation per profile.
 """
 
 from __future__ import annotations
@@ -22,13 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .network import ConfigurationError, Scenario
-from .rewards import (
-    MarginalCostMatrix,
-    RewardConfig,
-    RewardEngine,
-    intrinsic_reward,
-)
+from .rewards import RewardConfig, RewardEngine, intrinsic_reward
 
 DEFAULT_ENUMERATION_BOUND = 2**20
 STRICTNESS_TOLERANCE = 1e-9
@@ -91,14 +96,27 @@ def encode_action(action: tuple[int, ...]) -> str:
 
 
 class EquilibriumAnalyzer:
-    """Shared-cache evaluator over the full AV joint-action space."""
+    """Exhaustive analysis of the AV joint-action space over reward tables.
+
+    Profile ``p`` is the ``p``-th joint action in ``itertools.product``
+    order: a mixed-radix number whose digit for AV slot ``k`` is the position
+    of its route in ``spaces[k]`` and whose last slot varies fastest. Every
+    table has one row per profile and one column per AV slot:
+
+    - ``E``: the extrinsic reward, minus each AV's travel time;
+    - the totals: total travel time of all drivers and of the AVs only;
+    - ``M``: each AV's intrinsic score, one table per (scope, tanh_scale,
+      raw_sum), since only those settings change it.
+
+    Each table is filled once, on first use. The shaped rewards for any
+    (alpha, beta) are then ``alpha * E + beta * M``.
+    """
 
     def __init__(
         self,
         scenario: Scenario,
         humans_profile: Mapping[int, int],
         bound: int = DEFAULT_ENUMERATION_BOUND,
-        cache_size: int | None = None,
         seed: int = 0,
     ):
         if scenario.noise_sigma != 0:
@@ -112,8 +130,10 @@ class EquilibriumAnalyzer:
                 raise ConfigurationError(f"no frozen route for human {human}")
         self.av_ids = scenario.av_ids
         self.spaces = [scenario.agent(av).action_space for av in self.av_ids]
+        self._strides = []
         size = 1
-        for space in self.spaces:
+        for space in reversed(self.spaces):
+            self._strides.insert(0, size)
             size *= len(space)
         if size > bound:
             raise ConfigurationError(
@@ -122,14 +142,12 @@ class EquilibriumAnalyzer:
             )
         self.space_size = size
         self.seed = seed
-        neutral = RewardConfig(alpha=1.0, beta=1.0, scope="system")
-        if cache_size is None:
-            self.engine = RewardEngine(scenario, neutral)
-        else:
-            self.engine = RewardEngine(scenario, neutral, cache_size=cache_size)
-        self._extrinsic: dict[tuple[int, ...], dict[int, float]] = {}
-        self._totals: dict[tuple[int, ...], tuple[float, float]] = {}
-        self._matrices: dict[tuple[int, ...], MarginalCostMatrix] = {}
+        self.engine = RewardEngine(
+            scenario, RewardConfig(alpha=1.0, beta=1.0, scope="system")
+        )
+        self._e: np.ndarray | None = None
+        self._total_times: np.ndarray | None = None
+        self._m: dict[tuple[str, float, bool], np.ndarray] = {}
 
     # -- joint-action plumbing -------------------------------------------
 
@@ -141,34 +159,74 @@ class EquilibriumAnalyzer:
         joint.update(zip(self.av_ids, action))
         return joint
 
-    def _evaluate_base(self, action: tuple[int, ...]) -> dict[int, float]:
-        cached = self._extrinsic.get(action)
-        if cached is not None:
-            return cached
-        times = self.engine.travel_times(self.full_action(action), self.seed)
-        extrinsic = {av: -times[av] for av in self.av_ids}
-        self._extrinsic[action] = extrinsic
-        self._totals[action] = (
-            times.total(),
-            times.total(self.av_ids),
+    def profile_index(self, action: tuple[int, ...]) -> int:
+        """Row of ``action`` in every table."""
+        return sum(
+            space.index(route) * stride
+            for space, route, stride in zip(self.spaces, action, self._strides)
         )
-        return extrinsic
 
-    def _matrix(self, action: tuple[int, ...]) -> MarginalCostMatrix:
-        matrix = self._matrices.get(action)
-        if matrix is None:
-            matrix = self.engine.marginal_matrix(self.full_action(action), self.seed)
-            self._matrices[action] = matrix
-        return matrix
+    def profile_at(self, index: int) -> tuple[int, ...]:
+        """Joint action of table row ``index``."""
+        return tuple(
+            space[index // stride % len(space)]
+            for space, stride in zip(self.spaces, self._strides)
+        )
+
+    def _neighbours(self, slot: int, position: int) -> np.ndarray:
+        """Row of each profile with AV ``slot`` moved to route ``position``."""
+        stride = self._strides[slot]
+        rows = np.arange(self.space_size)
+        return rows + (position - rows // stride % len(self.spaces[slot])) * stride
+
+    # -- reward tables -----------------------------------------------------
+
+    def _base_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``E`` (minus each AV's travel time) and the totals, one row per profile."""
+        if self._e is None:
+            e = np.empty((self.space_size, len(self.av_ids)))
+            totals = np.empty((self.space_size, 2))
+            for p, action in enumerate(self.profiles()):
+                times = self.engine.travel_times(self.full_action(action), self.seed)
+                e[p] = [-times[av] for av in self.av_ids]
+                totals[p] = times.total(), times.total(self.av_ids)
+            self._e, self._total_times = e, totals
+        return self._e, self._total_times
+
+    def _intrinsic_table(self, config: RewardConfig) -> np.ndarray:
+        """``M``: each AV's intrinsic score under ``config``, one row per profile."""
+        key = (config.scope, config.tanh_scale, config.raw_sum)
+        if key not in self._m:
+            m = np.empty((self.space_size, len(self.av_ids)))
+            for p, action in enumerate(self.profiles()):
+                matrix = self.engine.marginal_matrix(self.full_action(action), self.seed)
+                m[p] = [intrinsic_reward(matrix, av, config) for av in self.av_ids]
+            self._m[key] = m
+        return self._m[key]
+
+    def reward_table(self, config: RewardConfig) -> np.ndarray:
+        """Shaped reward of every AV in every profile: ``alpha * E + beta * M``.
+
+        ``M`` is built only when the intrinsic term has weight, so selfish
+        settings cost one simulation per profile.
+        """
+        rewards = config.alpha * self._base_tables()[0]
+        if config.needs_intrinsic:
+            rewards += config.beta * self._intrinsic_table(config)
+        return rewards
 
     def rewards(self, action: tuple[int, ...], config: RewardConfig) -> dict[int, float]:
-        """Shaped reward per AV under one (alpha, beta, scope) setting."""
-        extrinsic = self._evaluate_base(action)
+        """Shaped reward per AV in one profile, straight from the engine.
+
+        Builds no table, so it checks the tables independently.
+        """
+        joint = self.full_action(action)
+        times = self.engine.travel_times(joint, self.seed)
         if not config.needs_intrinsic:
-            return {av: config.alpha * extrinsic[av] for av in self.av_ids}
-        matrix = self._matrix(action)
+            return {av: config.alpha * -times[av] for av in self.av_ids}
+        matrix = self.engine.marginal_matrix(joint, self.seed)
         return {
-            av: config.alpha * extrinsic[av]
+            av: config.alpha * -times[av]
             + config.beta * intrinsic_reward(matrix, av, config)
             for av in self.av_ids
         }
@@ -181,23 +239,21 @@ class EquilibriumAnalyzer:
         tolerance: float = STRICTNESS_TOLERANCE,
         include_deviations: bool = True,
     ) -> EquilibriumReport:
-        """Test every AV joint action for unilateral-deviation stability."""
-        equilibria = []
-        for action in self.profiles():
-            own = self.rewards(action, config)
-            stable = True
-            for slot, av in enumerate(self.av_ids):
-                for alternative in self.spaces[slot]:
-                    if alternative == action[slot]:
-                        continue
-                    switched = action[:slot] + (alternative,) + action[slot + 1 :]
-                    if self.rewards(switched, config)[av] > own[av] + tolerance:
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if stable:
-                equilibria.append(action)
+        """Test every AV joint action for unilateral-deviation stability.
+
+        A profile is unstable when some AV gains more than ``tolerance`` by
+        switching alone to another route. Equilibria come in enumeration
+        order.
+        """
+        rewards = self.reward_table(config)
+        rows = np.arange(self.space_size)
+        stable = np.ones(self.space_size, dtype=bool)
+        for slot, space in enumerate(self.spaces):
+            own = rewards[:, slot] + tolerance
+            for position in range(len(space)):
+                neighbours = self._neighbours(slot, position)
+                stable &= (neighbours == rows) | ~(rewards[neighbours, slot] > own)
+        equilibria = [self.profile_at(int(p)) for p in np.flatnonzero(stable)]
         optima, best_total = self.system_optimum("system")
         deviations = (
             self.deviation_records(config) if include_deviations else []
@@ -214,21 +270,24 @@ class EquilibriumAnalyzer:
         )
 
     def system_optimum(self, scope: str = "system") -> tuple[list[tuple[int, ...]], float]:
-        """All joint actions minimising total travel time over the scope."""
+        """All joint actions minimising total travel time over the scope.
+
+        The scan keeps a running best in enumeration order: a total more than
+        the tolerance below it starts a new optimum set, one within the
+        tolerance of it joins the set.
+        """
         if scope not in ("system", "av-group"):
             raise ConfigurationError(f"unknown optimisation scope {scope!r}")
+        totals = self._base_tables()[1][:, 0 if scope == "system" else 1]
         best_total = math.inf
-        optima: list[tuple[int, ...]] = []
-        for action in self.profiles():
-            self._evaluate_base(action)
-            total_all, total_avs = self._totals[action]
-            total = total_all if scope == "system" else total_avs
+        optima: list[int] = []
+        for p, total in enumerate(totals.tolist()):
             if total < best_total - STRICTNESS_TOLERANCE:
                 best_total = total
-                optima = [action]
+                optima = [p]
             elif total <= best_total + STRICTNESS_TOLERANCE:
-                optima.append(action)
-        return optima, best_total
+                optima.append(p)
+        return [self.profile_at(p) for p in optima], best_total
 
     def deviation_terms(
         self, action: tuple[int, ...], av_id: int, config: RewardConfig
@@ -244,38 +303,44 @@ class EquilibriumAnalyzer:
             raise ConfigurationError(
                 f"deviation terms need a binary action space, AV {av_id} has {space}"
             )
-        low, high = sorted(space)
-        action_low = action[:slot] + (low,) + action[slot + 1 :]
-        action_high = action[:slot] + (high,) + action[slot + 1 :]
-        self._evaluate_base(action_low)
-        self._evaluate_base(action_high)
-        tt_low = -self._extrinsic[action_low][av_id]
-        tt_high = -self._extrinsic[action_high][av_id]
+        low, high = (
+            self.profile_index(action[:slot] + (route,) + action[slot + 1 :])
+            for route in sorted(space)
+        )
+        e = self._base_tables()[0]
+        delta_seconds = float(-e[high, slot] - -e[low, slot])
         if config.scope == "none":
-            delta_score = 0.0
-        else:
-            m_low = intrinsic_reward(self._matrix(action_low), av_id, config)
-            m_high = intrinsic_reward(self._matrix(action_high), av_id, config)
-            delta_score = m_high - m_low
-        return tt_high - tt_low, delta_score
+            return delta_seconds, 0.0
+        m = self._intrinsic_table(config)
+        return delta_seconds, float(m[high, slot] - m[low, slot])
 
     def deviation_records(self, config: RewardConfig) -> list[DeviationRecord]:
         """One record per (joint action, AV), when action spaces are binary."""
         if any(len(space) != 2 for space in self.spaces):
             return []
+        times = -self._base_tables()[0]
+        scores = None if config.scope == "none" else self._intrinsic_table(config)
+        delta_seconds = np.empty_like(times)
+        delta_score = np.zeros_like(times)
+        for slot, space in enumerate(self.spaces):
+            low, high = (
+                self._neighbours(slot, space.index(route)) for route in sorted(space)
+            )
+            delta_seconds[:, slot] = times[high, slot] - times[low, slot]
+            if scores is not None:
+                delta_score[:, slot] = scores[high, slot] - scores[low, slot]
         records = []
-        for action in self.profiles():
-            for av in self.av_ids:
-                delta_seconds, delta_score = self.deviation_terms(action, av, config)
+        for action, seconds_row, score_row in zip(
+            self.profiles(), delta_seconds.tolist(), delta_score.tolist()
+        ):
+            for av, seconds, score in zip(self.av_ids, seconds_row, score_row):
                 records.append(
                     DeviationRecord(
                         action=action,
                         av_id=av,
-                        delta_seconds=delta_seconds,
-                        delta_score=delta_score,
-                        beta_threshold=beta_max(
-                            config.alpha * (-delta_seconds), delta_score
-                        ),
+                        delta_seconds=seconds,
+                        delta_score=score,
+                        beta_threshold=beta_max(config.alpha * (-seconds), score),
                     )
                 )
         return records

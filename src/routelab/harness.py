@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_rows
 from .equilibrium import EquilibriumAnalyzer, encode_action
 from .humans import freeze_all, run_warmup
 from .learners import TrainResult, train
-from .network import ConfigurationError, Scenario
+from .network import ConfigurationError, Scenario, reject_unknown_keys
 from .plots import Series, bar_plot, line_plot
 from .rewards import RewardConfig
 from .scenarios import (
@@ -130,7 +132,25 @@ class RunConfig:
         }
 
 
+RUN_CONFIG_KEYS = (
+    "scenario",
+    "learner",
+    "learners",
+    "reward",
+    "warmup_days",
+    "train_episodes",
+    "eval_episodes",
+    "seeds",
+    "mode",
+    "noise_sigma",
+    "out_dir",
+    "jobs",
+)
+REWARD_KEYS = ("alpha", "beta", "scope", "tanh_scale", "raw_sum")
+
+
 def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
+    reject_unknown_keys(doc, RUN_CONFIG_KEYS, "run config")
     scenario_field = doc.get("scenario")
     if scenario_field is None:
         scenario = two_route_yield_scenario()
@@ -143,6 +163,7 @@ def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
     else:
         scenario = scenario_from_dict(scenario_field)
     reward_doc = doc.get("reward", {})
+    reject_unknown_keys(reward_doc, REWARD_KEYS, "reward")
     reward = RewardConfig(
         alpha=float(reward_doc.get("alpha", 1.0)),
         beta=float(reward_doc.get("beta", 0.0)),
@@ -210,8 +231,11 @@ def _optimal_actions(
 ) -> dict[int, int]:
     """Per-AV route in the system optimum of the noise-free game.
 
-    Falls back to each AV's free-flow fastest route when the joint-action
-    space is too large to enumerate.
+    When several joint actions tie for the optimum, the first of them in
+    enumeration order (``itertools.product`` over the AV action spaces, the
+    last AV varying fastest) is the target. Falls back to each AV's
+    free-flow fastest route when the joint-action space is too large to
+    enumerate.
     """
     try:
         analyzer = EquilibriumAnalyzer(scenario.with_noise(0.0), frozen_profile)
@@ -325,13 +349,23 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
 # -- artifact writers ---------------------------------------------------------
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _csv_lines(rows: Iterable[Sequence]) -> Iterator[str]:
+    """One CSV line per row, each cell formatted by ``_cell``."""
+    line: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=line.append))
+    for row in rows:
+        writer.writerow([_cell(value) for value in row])
+        yield line.pop()
+
+
+def _open_csv(path: Path) -> TextIO:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(value) for value in row])
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _open_csv(path) as handle:
+        handle.writelines(_csv_lines(itertools.chain([header], rows)))
 
 
 def _cell(value) -> str:
@@ -342,12 +376,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _episode_rows(logs: list[EpisodeLog], scenario: Scenario) -> list[list]:
-    rows = []
+def _episode_rows(logs: list[EpisodeLog], scenario: Scenario) -> Iterator[list]:
     for log in logs:
         for record in episode_csv_rows(log, scenario):
-            rows.append([record[key] for key in EPISODE_CSV_HEADER])
-    return rows
+            yield [record[key] for key in EPISODE_CSV_HEADER]
 
 
 def summary_from_times(times_by_kind: Mapping[str, Sequence[float]]) -> list[list]:
@@ -397,12 +429,16 @@ def write_experiment(result: ExperimentResult) -> None:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    all_rows = []
-    for run in result.seed_runs:
-        rows = _episode_rows(run.all_logs, result.scenario)
-        _write_csv(out / f"seed_{run.seed}" / "episodes.csv", EPISODE_CSV_HEADER, rows)
-        all_rows.extend(rows)
-    _write_csv(out / "episodes.csv", EPISODE_CSV_HEADER, all_rows)
+    # Each episode row is formatted once and written to both episode files.
+    header = next(_csv_lines([EPISODE_CSV_HEADER]))
+    with _open_csv(out / "episodes.csv") as combined:
+        combined.write(header)
+        for run in result.seed_runs:
+            with _open_csv(out / f"seed_{run.seed}" / "episodes.csv") as per_seed:
+                per_seed.write(header)
+                for line in _csv_lines(_episode_rows(run.all_logs, result.scenario)):
+                    per_seed.write(line)
+                    combined.write(line)
 
     _write_csv(
         out / "summary.csv",

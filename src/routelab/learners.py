@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .episode import EpisodeLog, episode_seed, run_episode
-from .network import ConfigurationError, Scenario
+from .network import ConfigurationError, Scenario, reject_unknown_keys
 from .rewards import RewardConfig, RewardEngine
 
 ObsKey = tuple[int, ...]
@@ -216,12 +216,22 @@ class FixedLearner:
         pass
 
 
-ALGORITHMS = ("ucb", "q", "pg", "fixed")
+# Hyperparameters each algorithm reads from its spec, besides "algorithm".
+LEARNER_KEYS = {
+    "ucb": ("c",),
+    "q": ("learning_rate", "epsilon_start", "epsilon_end"),
+    "pg": ("learning_rate", "temperature"),
+    "fixed": ("route",),
+}
+ALGORITHMS = tuple(LEARNER_KEYS)
 
 
 def make_learner(spec: Mapping, n_actions: int):
     """Build a learner from its config-JSON spec: {"algorithm": ..., hyperparameters...}."""
     algorithm = spec.get("algorithm")
+    if algorithm not in LEARNER_KEYS:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
+    reject_unknown_keys(spec, ("algorithm", *LEARNER_KEYS[algorithm]), f"{algorithm} learner")
     if algorithm == "ucb":
         return UcbLearner(n_actions, c=float(spec.get("c", UcbLearner.DEFAULT_C)))
     if algorithm == "q":
@@ -237,9 +247,7 @@ def make_learner(spec: Mapping, n_actions: int):
             learning_rate=float(spec.get("learning_rate", 0.01)),
             temperature=float(spec.get("temperature", 1.0)),
         )
-    if algorithm == "fixed":
-        return FixedLearner(n_actions, route=int(spec.get("route", 0)))
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
+    return FixedLearner(n_actions, route=int(spec.get("route", 0)))
 
 
 @dataclass

@@ -56,6 +56,14 @@ class ConfigurationError(ValueError):
     """A scenario, action, or runtime parameter violates its contract."""
 
 
+def reject_unknown_keys(doc: Mapping, known: Iterable[str], what: str) -> None:
+    """Fail on keys of a config document that nothing reads, such as typos."""
+    known = sorted(known)
+    unknown = sorted(set(doc).difference(known))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key(s) {unknown}; known keys are {known}")
+
+
 @dataclass(frozen=True)
 class RouteSpec:
     """One origin->merge route: free-flow time and merge priority."""

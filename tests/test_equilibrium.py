@@ -289,3 +289,81 @@ def test_deviation_records_and_encoding():
     flat = by_key[((0, 0), scenario.av_ids[0])]
     # switching to the priority route costs the deviator ten seconds
     assert flat.delta_seconds >= 10.0
+
+
+def mixed_radix_game():
+    """Three routes; AV action spaces of sizes 3, 2 and 2, one with a gap."""
+    from routelab import AgentSpec, NetworkConfig, RouteSpec, Scenario
+
+    network = NetworkConfig(
+        routes=(
+            RouteSpec(40.0, False),
+            RouteSpec(42.0, True),
+            RouteSpec(44.0, True),
+        ),
+        merge_gap_g=2.0,
+        yield_window_w=6.0,
+        post_merge_time=10.0,
+    )
+    spaces = ((0, 1, 2), (0, 1, 2), (0, 1), (0, 2), (0, 1, 2))
+    kinds = ("human", "av", "av", "av", "human")
+    agents = tuple(
+        AgentSpec(id=i, kind=kinds[i], departure_time=float(i), action_space=spaces[i])
+        for i in range(5)
+    )
+    return Scenario(agents=agents, network=network), {0: 0, 4: 1}
+
+
+BRUTE_FORCE_CONFIGS = (
+    RewardConfig(alpha=1.0, beta=0.0, scope="none"),
+    RewardConfig(alpha=1.0, beta=1.0, scope="system"),
+    RewardConfig(alpha=1.0, beta=-40.0, scope="system"),
+    RewardConfig(alpha=0.0, beta=1.0, scope="system"),
+    RewardConfig(alpha=1.0, beta=-1.0, scope="av-group"),
+    RewardConfig(alpha=0.1, beta=10.0, scope="av-group"),
+)
+
+
+@pytest.mark.parametrize("game", ["binary-3av", "three-route"])
+def test_vectorised_nash_matches_brute_force(game):
+    scenario, humans = small_game(n_av=3) if game == "binary-3av" else mixed_radix_game()
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    profiles = list(analyzer.profiles())
+    assert [analyzer.profile_index(a) for a in profiles] == list(range(len(profiles)))
+    assert [analyzer.profile_at(p) for p in range(len(profiles))] == profiles
+    found = set()
+    for config in BRUTE_FORCE_CONFIGS:
+        # A negative tolerance counts ties as gains; staying put is no switch.
+        for tolerance in (1e-9, -1e-9):
+            report = analyzer.enumerate_nash(config, tolerance, include_deviations=False)
+            brute = [a for a in profiles if analyzer.verify_equilibrium(a, config, tolerance)]
+            assert report.equilibria == brute
+            found.add(tuple(report.equilibria))
+    assert len(found) > 1  # the configs do not all agree, so the check bites
+
+
+@pytest.mark.parametrize("scope", ["av-group", "system"])
+def test_reward_table_rows_equal_per_profile_rewards(scope):
+    scenario, humans = small_game()
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    for alpha, beta in ((1.0, 0.0), (1.0, 0.3), (1.0, 1.0), (0.5, 10.0), (1.0, -2.0)):
+        config = RewardConfig(alpha=alpha, beta=beta, scope=scope)
+        table = analyzer.reward_table(config)
+        for p, action in enumerate(analyzer.profiles()):
+            per_profile = analyzer.rewards(action, config)
+            assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
+
+
+def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("selfish analysis scored an intrinsic reward")
+
+    monkeypatch.setattr("routelab.equilibrium.intrinsic_reward", forbidden)
+    scenario, humans = small_game()
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    for config in (
+        RewardConfig(alpha=1.0, beta=0.0, scope="av-group"),
+        RewardConfig(alpha=1.0, beta=5.0, scope="none"),
+    ):
+        analyzer.enumerate_nash(config, include_deviations=config.scope == "none")
+    assert analyzer.engine.simulations_run == analyzer.space_size

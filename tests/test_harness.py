@@ -8,6 +8,7 @@ import pytest
 
 from routelab import ConfigurationError, simulate
 from routelab.cli import main
+from routelab.equilibrium import EquilibriumAnalyzer
 from routelab.harness import (
     BETA_SUMMARY_CSV_HEADER,
     CONVERGENCE_CSV_HEADER,
@@ -162,6 +163,49 @@ def test_jobs_below_one_rejected(tmp_path):
             small_config(tmp_path, jobs=jobs)
 
 
+def test_cli_rejects_unknown_run_config_key(tmp_path, capsys):
+    doc = {"scenario": scenario_to_dict(small_scenario()), "train_epsiodes": 5}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "train_epsiodes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_algorithm_override_drops_other_hyperparameters(tmp_path):
+    doc = {
+        "scenario": scenario_to_dict(small_scenario()),
+        "learner": {"algorithm": "ucb", "c": 9.0},
+        "warmup_days": 3,
+        "train_episodes": 2,
+        "eval_episodes": 1,
+        "seeds": [0],
+        "mode": "deterministic",
+    }
+    path = tmp_path / "ucb.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--algorithm", "q", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["learner"] == {"algorithm": "q"}
+
+
+def test_unknown_reward_key_rejected():
+    with pytest.raises(ConfigurationError, match="unknown reward key.*'betta'"):
+        config_from_dict({"reward": {"alpha": 1.0, "betta": 200.0}})
+
+
+def test_optimal_actions_take_first_tied_optimum():
+    from routelab.harness import _optimal_actions
+
+    # Three AVs 1 s apart, the priority route 2 s shorter: three joint
+    # actions tie for the least total time.
+    scenario = make_scenario([0.0, 1.0, 2.0], pre_merge=(42.0, 40.0))
+    optima, _ = EquilibriumAnalyzer(scenario, {}).system_optimum("system")
+    assert optima == [(1, 0, 1), (1, 1, 0), (1, 1, 1)]
+    assert _optimal_actions(scenario, {}) == {0: 1, 1: 0, 2: 1}
+
+
 def test_cli_action_wrong_length(tmp_path, capsys):
     scenario_path = write_default_scenario(tmp_path)
     code = main(["simulate", "--scenario", str(scenario_path), "--action", "0,1"])
@@ -201,6 +245,16 @@ def test_episode_csv_schema_and_row_count(train_run):
     assert tuple(rows[0]) == EPISODE_CSV_HEADER
     episodes = config.warmup_days + config.train_episodes + config.eval_episodes
     assert len(rows) == 1 + len(config.seeds) * episodes * 6
+
+
+def test_combined_episodes_csv_concatenates_seed_files(train_run):
+    config, _ = train_run
+    out = config.out_dir
+    per_seed = [(out / f"seed_{s}" / "episodes.csv").read_bytes() for s in config.seeds]
+    header = per_seed[0].split(b"\r\n", 1)[0] + b"\r\n"
+    assert all(text.startswith(header) for text in per_seed)
+    combined = header + b"".join(text[len(header) :] for text in per_seed)
+    assert (out / "episodes.csv").read_bytes() == combined
 
 
 def test_summary_csv_schema(train_run):

@@ -144,6 +144,21 @@ def test_make_learner_dispatch():
         make_learner({"algorithm": "dqn"}, 2)
 
 
+@pytest.mark.parametrize(
+    "spec, typo",
+    [
+        ({"algorithm": "ucb", "c": 3.0}, "C"),
+        ({"algorithm": "q", "learning_rate": 0.2, "epsilon_start": 0.3, "epsilon_end": 0.1}, "epsilon"),
+        ({"algorithm": "pg", "learning_rate": 0.05, "temperature": 2.0}, "learningrate"),
+        ({"algorithm": "fixed", "route": 1}, "c"),
+    ],
+)
+def test_make_learner_rejects_unknown_keys(spec, typo):
+    make_learner(spec, 2)  # every key the algorithm reads is accepted
+    with pytest.raises(ConfigurationError, match=f"unknown {spec['algorithm']} learner key"):
+        make_learner({**spec, typo: 1.0}, 2)
+
+
 # -- training loop ------------------------------------------------------------
 
 
