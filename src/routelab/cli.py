@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
 
-from .episode import EPISODE_CSV_HEADER, episode_csv_rows, run_episode
+from .episode import EPISODE_CSV_HEADER, run_episode
 from .harness import (
     RunConfig,
+    _cell,
+    _episode_rows,
     equilibrium_grid,
     load_config,
     regenerate_report,
@@ -90,6 +93,15 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return _apply_overrides(config, args)
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout and, when ``out`` is given, to that file too."""
+    sys.stdout.write(text)
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
     scenario = config.effective_scenario()
@@ -106,20 +118,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = config.seeds[0]
     engine = RewardEngine(scenario, config.reward)
     log = run_episode(scenario, policies, config.reward, 0, seed, engine)
-    lines = [",".join(EPISODE_CSV_HEADER)]
-    for row in episode_csv_rows(log, scenario):
-        lines.append(
-            ",".join(
-                repr(row[k]) if isinstance(row[k], float) else str(row[k])
-                for k in EPISODE_CSV_HEADER
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+    rows = itertools.chain([EPISODE_CSV_HEADER], _episode_rows([log], scenario))
+    _emit("".join(",".join(_cell(value) for value in row) + "\n" for row in rows), args.out)
     return 0
 
 
@@ -174,12 +174,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
     action.update(zip(scenario.av_ids, routes))
     engine = RewardEngine(scenario, config.reward)
     matrix = engine.marginal_matrix(action, config.seeds[0])
-    text = matrix.to_csv(av_rows_only=(config.reward.scope != "system"))
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+    _emit(matrix.to_csv(av_rows_only=(config.reward.scope != "system")), args.out)
     return 0
 
 

@@ -212,18 +212,19 @@ class SeedRun:
 
     def proportions(self) -> list[tuple[int, str, float]]:
         """(episode, phase, fraction of AVs on their optimal action) rows."""
-        av_ids = list(self.optimal_actions)
-        rows = []
-        for phase, logs in (
-            ("train", self.result.train_logs),
-            ("eval", self.result.eval_logs),
-        ):
-            for log in logs:
-                on_target = sum(
-                    1 for av in av_ids if log.action[av] == self.optimal_actions[av]
-                )
-                rows.append((log.episode, phase, on_target / len(av_ids)))
-        return rows
+        return [
+            (log.episode, phase, proportion_optimal(log.action, self.optimal_actions))
+            for phase, logs in (
+                ("train", self.result.train_logs),
+                ("eval", self.result.eval_logs),
+            )
+            for log in logs
+        ]
+
+
+def proportion_optimal(action: Mapping[int, int], optimal: Mapping[int, int]) -> float:
+    """Fraction of the AVs in ``optimal`` whose route in ``action`` is their optimal one."""
+    return sum(1 for av, route in optimal.items() if action[av] == route) / len(optimal)
 
 
 def _optimal_actions(
@@ -261,13 +262,13 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
     )
     profile = freeze_all(humans)
     frozen_humans = {i: profile[i] for i in scenario.human_ids}
-    results = train(
+    result = train(
         scenario,
         config.learner_specs(scenario),
         config.reward,
         config.train_episodes,
         config.eval_episodes,
-        [seed],
+        seed,
         frozen_humans,
         stochastic=config.stochastic,
         episode_offset=config.warmup_days,
@@ -275,7 +276,7 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
     return SeedRun(
         seed=seed,
         warmup_logs=warmup_logs,
-        result=results[0],
+        result=result,
         frozen_profile=frozen_humans,
         optimal_actions=_optimal_actions(scenario, frozen_humans),
     )
@@ -655,18 +656,16 @@ def regenerate_report(run_dir: str | Path) -> None:
     """Rebuild summary.csv and convergence.csv from episodes.csv.
 
     The aggregate episodes file holds one block per seed, in the order the
-    seeds appear in run_meta.json; each block covers every episode once.
+    seeds appear in run_meta.json; each block covers every day of the
+    run_meta.json phases once, one row per agent. A file that does not (say
+    a truncated or padded one) raises ``ConfigurationError``.
     """
     run_dir = Path(run_dir)
     with open(run_dir / "run_meta.json", encoding="utf-8") as handle:
         meta = json.load(handle)
-    eval_start, eval_end = meta["phases"]["eval"]
     train_start, _ = meta["phases"]["train"]
+    eval_start, days = meta["phases"]["eval"]
     seeds = [int(s) for s in meta["seed_order"]]
-    optimal_by_seed = {
-        int(seed): {int(k): v for k, v in info["optimal_actions"].items()}
-        for seed, info in meta["seeds"].items()
-    }
 
     with open(run_dir / "episodes.csv", newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -675,29 +674,31 @@ def regenerate_report(run_dir: str | Path) -> None:
         rows = list(reader)
 
     times_by_kind: dict[str, list[float]] = {"av": [], "human": []}
-    for row in rows:
-        if eval_start <= int(row["episode"]) < eval_end:
-            times_by_kind[row["kind"]].append(float(row["travel_time"]))
-
     convergence_rows = []
-    if rows and seeds:
-        block = len(rows) // len(seeds)
-        for index, seed in enumerate(seeds):
-            chunk = rows[index * block : (index + 1) * block]
-            actions: dict[int, dict[int, int]] = {}
-            for row in chunk:
-                episode = int(row["episode"])
-                if episode < train_start:
-                    continue
-                actions.setdefault(episode, {})[int(row["agent_id"])] = int(row["action"])
-            optimal = optimal_by_seed[seed]
-            for episode in sorted(actions):
-                phase = "eval" if episode >= eval_start else "train"
-                chosen = actions[episode]
-                on_target = sum(
-                    1 for av, route in optimal.items() if chosen[av] == route
+    start = 0
+    for seed in seeds:
+        info = meta["seeds"][str(seed)]
+        optimal = {int(k): v for k, v in info["optimal_actions"].items()}
+        agent_ids = sorted(int(i) for i in (*info["frozen_profile"], *optimal))
+        for day in range(days):
+            day_rows = rows[start : start + len(agent_ids)]
+            start += len(agent_ids)
+            chosen = {int(row["agent_id"]): int(row["action"]) for row in day_rows}
+            if sorted(chosen) != agent_ids or any(int(row["episode"]) != day for row in day_rows):
+                raise ConfigurationError(
+                    f"episodes.csv: the block of seed {seed} lacks one row per agent "
+                    f"for day {day} of the run_meta.json phases"
                 )
-                convergence_rows.append([episode, seed, phase, on_target / len(optimal)])
+            if day >= eval_start:
+                for row in day_rows:
+                    times_by_kind[row["kind"]].append(float(row["travel_time"]))
+            if day >= train_start:
+                phase = "eval" if day >= eval_start else "train"
+                convergence_rows.append([day, seed, phase, proportion_optimal(chosen, optimal)])
+    if start != len(rows):
+        raise ConfigurationError(
+            f"episodes.csv has {len(rows) - start} rows beyond the run_meta.json phases"
+        )
 
     _write_csv(run_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_from_times(times_by_kind))
     _write_csv(run_dir / "convergence.csv", CONVERGENCE_CSV_HEADER, convergence_rows)

@@ -267,49 +267,17 @@ def train(
     reward_config: RewardConfig,
     train_episodes: int,
     eval_episodes: int,
-    seeds: Sequence[int],
+    seed: int,
     frozen_humans: Mapping[int, int],
     stochastic: bool = False,
     episode_offset: int = 0,
-    cache_size: int | None = None,
-) -> list[TrainResult]:
-    """Train AV learners against frozen humans, then evaluate greedily.
+) -> TrainResult:
+    """Train AV learners against frozen humans for one seed, then evaluate greedily.
 
     Training queries ``select`` (with exploration) and updates each learner
     from its shaped reward; evaluation freezes the learners and replays the
-    greedy policy with no updates. The whole procedure is repeated per seed.
+    greedy policy with no updates.
     """
-    results = []
-    for seed in seeds:
-        results.append(
-            _train_one(
-                scenario,
-                learner_specs,
-                reward_config,
-                train_episodes,
-                eval_episodes,
-                seed,
-                frozen_humans,
-                stochastic,
-                episode_offset,
-                cache_size,
-            )
-        )
-    return results
-
-
-def _train_one(
-    scenario: Scenario,
-    learner_specs: Mapping[int, Mapping],
-    reward_config: RewardConfig,
-    train_episodes: int,
-    eval_episodes: int,
-    seed: int,
-    frozen_humans: Mapping[int, int],
-    stochastic: bool,
-    episode_offset: int,
-    cache_size: int | None,
-) -> TrainResult:
     av_ids = scenario.av_ids
     for av in av_ids:
         if av not in learner_specs:
@@ -318,10 +286,7 @@ def _train_one(
         if human not in frozen_humans:
             raise ConfigurationError(f"no frozen route for human {human}")
 
-    if cache_size is None:
-        engine = RewardEngine(scenario, reward_config)
-    else:
-        engine = RewardEngine(scenario, reward_config, cache_size=cache_size)
+    engine = RewardEngine(scenario, reward_config)
     learners = {
         av: make_learner(learner_specs[av], len(scenario.agent(av).action_space))
         for av in av_ids

@@ -27,17 +27,17 @@ plain column sum for sensitivity studies.
 
 One matrix needs the full run plus one counterfactual run per AV. They come
 from one call of the batched kernel ``simulate_batch``, which draws each
-agent's noise once and derives every counterfactual from the full run. An
-LRU cache keyed by (active agents with routes, seed) still holds each roster
-as its own entry, so ``simulations_run`` counts distinct rosters, and a
-deterministic 10-AV binary-route sweep of the 1024 joint actions never needs
-more than 1024 + 10 * 1024 of them.
+agent's noise once and derives every counterfactual from the full run.
+Only noise-free rosters repeat, so only a deterministic engine memoises: a
+plain dict keyed by (active agents with routes, seed) holds each roster as
+its own entry, and a deterministic 10-AV binary-route sweep of the 1024
+joint actions never simulates more than 1024 + 10 * 1024 rosters. A noisy
+day has its own seed and is one batch that nothing keeps. Either way
+``simulations_run`` counts the distinct rosters simulated.
 """
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -53,7 +53,6 @@ from .network import (  # simulate, simulate_without: re-exported for callers he
 )
 
 SCOPES = ("av-group", "system", "none")
-DEFAULT_CACHE_SIZE = 200_000
 
 
 @dataclass(frozen=True)
@@ -185,64 +184,47 @@ def shaped_reward(extrinsic: float, intrinsic: float, config: RewardConfig) -> f
 class CacheStats:
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
+    evictions: int = 0  # the memo never drops an entry
 
 
 class SimulationCache:
-    """Thread-safe LRU memo of simulation outputs.
+    """Plain memo of noise-free simulation outputs, one entry per roster.
 
-    A hit returns the complete stored value or nothing: entries are inserted
-    only after the simulation finished, under the lock. Capacity 0 disables
-    memoisation (every lookup recomputes) without changing any result.
+    Entries are never evicted, and each is inserted whole once its
+    simulation finished, so a lookup sees a complete value or none.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CACHE_SIZE):
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        self._entries: dict = {}
         self.stats = CacheStats()
 
-    def get_or_compute(self, key, compute: Callable[[], dict]) -> dict:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
-            self.stats.misses += 1
-        value = compute()
-        if self.capacity > 0:
-            with self._lock:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-        return value
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def flush(self) -> None:
-        with self._lock:
-            self._entries.clear()
+    def get_or_compute(self, keys: Sequence, compute: Callable[[list], list]) -> list:
+        """Values of ``keys``; ``compute(missing)`` returns the missing ones in order."""
+        missing = [key for key in keys if key not in self._entries]
+        self.stats.hits += len(keys) - len(missing)
+        self.stats.misses += len(missing)
+        if missing:
+            self._entries.update(zip(missing, compute(missing)))
+        return [self._entries[key] for key in keys]
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
 class RewardEngine:
-    """Travel times and per-AV intrinsic rewards behind one shared cache."""
+    """Travel times and per-AV intrinsic rewards for one scenario.
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        config: RewardConfig,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-    ):
+    A deterministic engine memoises every roster it simulates; a noisy one
+    keeps nothing. It takes no lock, as each run, analyzer and CLI call
+    builds its own engine; threads sharing one still see whole entries, but
+    may simulate a roster twice and miscount ``simulations_run``.
+    """
+
+    def __init__(self, scenario: Scenario, config: RewardConfig):
         self.scenario = scenario
         self.config = config
-        self.cache = SimulationCache(cache_size)
+        self.cache = SimulationCache() if scenario.noise_sigma == 0 else None
+        self.simulations_run = 0
 
     def _key(self, action: Mapping[int, int], removed: int | None, seed: int):
         active = tuple(
@@ -250,27 +232,32 @@ class RewardEngine:
         )
         return (active, seed)
 
+    def _simulate(
+        self, action: Mapping[int, int], seed: int, rosters: Sequence[int | None]
+    ) -> list[dict[int, float]]:
+        """Travel times of each roster (None: everyone; j: everyone but AV j), one batch."""
+        removed = [r for r in rosters if r is not None]
+        runs = simulate_batch(self.scenario, action, removed, seed)
+        self.simulations_run += len(rosters)
+        rows = dict(zip((None, *removed), (run.times for run in runs)))
+        return [rows[r] for r in rosters]
+
     def _runs(
         self, action: Mapping[int, int], seed: int, removed_ids: tuple[int, ...]
     ) -> list[dict[int, float]]:
-        """Cached travel times of the full roster, then of each roster without an AV.
+        """Travel times of the full roster, then of each roster without an AV.
 
-        Every roster is its own cache entry. The first miss runs one batch:
-        the full roster plus each roster in ``removed_ids`` not cached yet.
-        Later misses of the same call are served from that batch's rows, even
-        ones the cache evicted meanwhile.
+        Deterministic rosters come from the memo; those not in it yet are
+        simulated together in one batch.
         """
-        keys = {r: self._key(action, r, seed) for r in (None, *removed_ids)}
-        fresh: dict[int | None, dict[int, float]] = {}
-
-        def compute(removed: int | None) -> dict[int, float]:
-            if removed not in fresh:
-                todo = [j for j in removed_ids if j == removed or keys[j] not in self.cache]
-                runs = simulate_batch(self.scenario, action, todo, seed)
-                fresh.update(zip((None, *todo), (run.times for run in runs)))
-            return fresh[removed]
-
-        return [self.cache.get_or_compute(k, lambda r=r: compute(r)) for r, k in keys.items()]
+        rosters = (None, *removed_ids)
+        if self.cache is None:
+            return self._simulate(action, seed, rosters)
+        by_key = {self._key(action, r, seed): r for r in rosters}
+        return self.cache.get_or_compute(
+            list(by_key),
+            lambda missing: self._simulate(action, seed, [by_key[k] for k in missing]),
+        )
 
     def travel_times(self, action: Mapping[int, int], seed: int) -> TravelTimeVector:
         return TravelTimeVector(times=self._runs(action, seed, ())[0], seed=seed)
@@ -287,7 +274,7 @@ class RewardEngine:
         Skips the counterfactual fan-out entirely when the config gives the
         intrinsic term zero weight, so selfish baselines cost one run per
         episode. Otherwise the full run and every counterfactual the matrix
-        needs come from one lookup, simulated together in one batch on a miss.
+        needs come from one lookup, simulated together in one batch.
         """
         avs = self.scenario.av_ids
         if not self.config.needs_intrinsic:
@@ -296,7 +283,3 @@ class RewardEngine:
         matrix = _matrix_from_runs(self.scenario, action, seed, base, withouts)
         scores = {j: intrinsic_reward(matrix, j, self.config) for j in avs}
         return TravelTimeVector(times=base, seed=seed), scores
-
-    @property
-    def simulations_run(self) -> int:
-        return self.cache.stats.misses

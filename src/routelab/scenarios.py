@@ -22,7 +22,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .network import AgentSpec, ConfigurationError, NetworkConfig, RouteSpec, Scenario
+from .network import (
+    AgentSpec,
+    ConfigurationError,
+    NetworkConfig,
+    RouteSpec,
+    Scenario,
+    reject_unknown_keys,
+)
 
 # Calibrated defaults for the two-route yield world: Route 0 is shorter but
 # must yield at the merge, Route 1 is longer with priority. Verified by
@@ -106,8 +113,17 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """Build a scenario from its JSON document; unknown keys at any level are errors."""
     try:
+        reject_unknown_keys(doc, ("network", "agents", "noise_sigma"), "scenario")
         net_doc = doc["network"]
+        reject_unknown_keys(
+            net_doc, ("routes", "merge_gap_g", "yield_window_w", "post_merge_time"), "network"
+        )
+        for r in net_doc["routes"]:
+            reject_unknown_keys(r, ("pre_merge_time", "has_priority"), "route")
+        for a in doc["agents"]:
+            reject_unknown_keys(a, ("id", "kind", "departure_time", "action_space"), "agent")
         network = NetworkConfig(
             routes=tuple(
                 RouteSpec(

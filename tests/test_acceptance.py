@@ -27,7 +27,7 @@ from routelab import (
 from routelab.equilibrium import EquilibriumAnalyzer
 from routelab.harness import RunConfig, run_experiment
 from routelab.episode import run_episode
-from routelab.rewards import MarginalCostMatrix, intrinsic_reward
+from routelab.rewards import MarginalCostMatrix, compute_marginal_matrix, intrinsic_reward
 from routelab.scenarios import two_route_yield_scenario
 
 from conftest import make_scenario
@@ -364,18 +364,25 @@ def test_criterion_8_determinism_and_cache(tmp_path, world):
         for name in ("episodes.csv", "summary.csv", "convergence.csv", "convergence.svg")
     )
 
-    # (b) cache on/off equivalence on a shaped episode
+    # (b) a memoised shaped episode equals one built directly from the kernel,
+    # and so does its repeat, which the memo serves without simulating
     config = RewardConfig(alpha=1.0, beta=200.0, scope="system")
     action_policy = {a.id: (lambda obs, r=(1 if a.id in (1, 9) else 0): r) for a in scenario.agents}
-    log_cached = run_episode(
-        scenario, action_policy, config, 0, 0, RewardEngine(scenario, config)
-    )
-    log_uncached = run_episode(
-        scenario, action_policy, config, 0, 0, RewardEngine(scenario, config, cache_size=0)
-    )
+    engine = RewardEngine(scenario, config)
+    log_cached = run_episode(scenario, action_policy, config, 0, 0, engine)
+    simulated = engine.simulations_run
+    log_repeat = run_episode(scenario, action_policy, config, 0, 0, engine)
+    base = simulate(scenario, log_cached.action, 0)
+    matrix = compute_marginal_matrix(scenario, log_cached.action, base, 0)
+    direct_shaped = {
+        i: config.alpha * -t
+        + config.beta * (intrinsic_reward(matrix, i, config) if i in scenario.av_ids else 0.0)
+        for i, t in base.times.items()
+    }
     cache_equiv = (
-        log_cached.times.times == log_uncached.times.times
-        and log_cached.shaped == log_uncached.shaped
+        log_cached.times.times == base.times == log_repeat.times.times
+        and log_cached.shaped == direct_shaped == log_repeat.shaped
+        and engine.simulations_run == simulated
     )
 
     # (c) distinct-simulation budget for a full shaped enumeration

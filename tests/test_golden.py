@@ -1,0 +1,72 @@
+"""Golden digests of deterministic artifacts.
+
+Each run below writes its artifacts to a fresh directory; every file except
+``config.json`` (which embeds the output directory) must hash to the value
+recorded here. A refactor that claims "same results" keeps these unchanged;
+a change that alters results on purpose must say so and record new digests.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+from routelab.harness import RunConfig, equilibrium_grid, run_experiment
+from routelab.rewards import RewardConfig
+from routelab.scenarios import two_route_yield_scenario
+
+EXPERIMENT_DIGESTS = {
+    "convergence.csv": "51ee3cc3c49285de59e6f4c3e1f7a65c816d50bf166762f0b52220fc8d3c5142",
+    "convergence.svg": "4cb54d636799851300299590cd14c643a5ec6ec576cda35b43dbd3de852c0761",
+    "episodes.csv": "83a096092d1c32a6d07d6d7cb3a3c9f584c28f9c69391ddaa2957f391e429122",
+    "run_meta.json": "e682724c97867e362a50bba099db0919d3d2755efe17e92ab4590c59e71721dc",
+    "seed_0/episodes.csv": "010e86201b78b33d895bd8627cc0fa68fcebb418c96978b50bdab63d6c33c049",
+    "seed_1/episodes.csv": "3b2791b40891b6b4df2d28eb0d72442b6706f9e36bcb2f3642a63a7b56277976",
+    "summary.csv": "96a94efc5a05050d4022126a82c57bb0ed471e54e6f6164ea351ceba70f2235f",
+}
+
+GRID_DIGESTS = {
+    "av-group/deviations.csv": "1fe25e5122c8f5eae3a8b7e9954d0d9254cffdf31a51644f3e31497aabc5ea50",
+    "av-group/equilibria.csv": "580c23a5ac8fd2be2430415f1d1c5d8b39ee4d31b9c11a5319503b51a9149874",
+    "av-group/equilibria.svg": "77a07cc771fdd432e0a41ad470aca4b8abe888bcd31a5857913beb32f6487b66",
+    "system/deviations.csv": "b6b171f8f32f7c0e5b6b342391f4f5a2cf9c4f7d3d7cdbcd6056e10b8c7cc3f3",
+    "system/equilibria.csv": "71e79d24b86c5db8d2c65324d62708c755f24840a66cec3ec9dc07f22db25d48",
+    "system/equilibria.svg": "77a07cc771fdd432e0a41ad470aca4b8abe888bcd31a5857913beb32f6487b66",
+}
+
+
+def digests(out_dir):
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and path.name != "config.json"
+    }
+
+
+def test_shaped_deterministic_experiment_digests(tmp_path):
+    config = RunConfig(
+        scenario=two_route_yield_scenario(),
+        learner={"algorithm": "ucb"},
+        reward=RewardConfig(alpha=1.0, beta=200.0, scope="av-group"),
+        warmup_days=30,
+        train_episodes=80,
+        eval_episodes=10,
+        seeds=(0, 1),
+        mode="deterministic",
+        out_dir=tmp_path / "run",
+    )
+    run_experiment(config)
+    assert digests(config.out_dir) == EXPERIMENT_DIGESTS
+
+
+def test_three_av_shaped_grid_digests(tmp_path):
+    config = RunConfig(
+        scenario=two_route_yield_scenario(av_ids=(1, 3, 5)),
+        warmup_days=30,
+        seeds=(0,),
+        out_dir=tmp_path / "grid",
+    )
+    for scope in ("av-group", "system"):
+        scoped = dataclasses.replace(config, out_dir=config.out_dir / scope)
+        equilibrium_grid(scoped, (1.0,), (0.0, 0.3, 1.0, 10.0, 100.0), scope)
+    assert digests(config.out_dir) == GRID_DIGESTS

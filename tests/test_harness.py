@@ -24,6 +24,7 @@ from routelab.harness import (
 from routelab.episode import EPISODE_CSV_HEADER
 from routelab.rewards import RewardConfig
 from routelab.scenarios import (
+    scenario_from_dict,
     scenario_to_dict,
     two_route_yield_scenario,
 )
@@ -327,6 +328,66 @@ def test_report_regenerates_stochastic_run(tmp_path):
     regenerate_report(out)
     assert (out / "summary.csv").read_bytes() == summary_before
     assert (out / "convergence.csv").read_bytes() == convergence_before
+
+
+@pytest.mark.parametrize("edit", ["truncate", "pad"])
+def test_report_rejects_episodes_that_miss_the_phases(tmp_path, capsys, edit):
+    config = small_config(tmp_path, seeds=(0, 1))
+    run_experiment(config)
+    out = config.out_dir
+    path = out / "episodes.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    # Dropping the last row leaves seed 1's final day short; repeating it
+    # leaves a row that no day of the phases accounts for.
+    edited = lines[:-1] if edit == "truncate" else lines + lines[-1:]
+    path.write_bytes(b"".join(edited))
+    convergence_before = (out / "convergence.csv").read_bytes()
+    with pytest.raises(ConfigurationError, match="episodes.csv"):
+        regenerate_report(out)
+    assert main(["report", "--out", str(out)]) == 2
+    assert "episodes.csv" in capsys.readouterr().err
+    assert (out / "convergence.csv").read_bytes() == convergence_before
+
+
+def test_report_rejects_a_seed_block_missing_a_day(tmp_path):
+    # Same row count as a complete file, but seed 0's block lacks its last
+    # day and seed 1's block holds one day twice.
+    config = small_config(tmp_path, seeds=(0, 1))
+    run_experiment(config)
+    path = config.out_dir / "episodes.csv"
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    agents = len(config.scenario.agents)
+    half = len(rows) // 2
+    rows = rows[: half - agents] + rows[half:] + rows[-agents:]
+    path.write_bytes(header + b"".join(rows))
+    with pytest.raises(ConfigurationError, match="seed 0"):
+        regenerate_report(config.out_dir)
+
+
+def test_cli_rejects_unknown_scenario_key(tmp_path, capsys):
+    doc = scenario_to_dict(two_route_yield_scenario())
+    doc["noise_sigam"] = 2.0
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["simulate", "--scenario", str(path), "--route", "0"])
+    assert code == 2
+    assert "noise_sigam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [("network", "merge_gap"), ("route", "priority"), ("agent", "departure")],
+)
+def test_unknown_nested_scenario_keys_rejected(where, key):
+    doc = scenario_to_dict(two_route_yield_scenario())
+    target = {
+        "network": doc["network"],
+        "route": doc["network"]["routes"][1],
+        "agent": doc["agents"][3],
+    }[where]
+    target[key] = 1.0
+    with pytest.raises(ConfigurationError, match=key):
+        scenario_from_dict(doc)
 
 
 def test_jobs_parallel_matches_serial(tmp_path):

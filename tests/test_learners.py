@@ -176,8 +176,8 @@ def test_zero_training_fixed_learners_reproduce_constant_action():
     specs = {av: {"algorithm": "fixed", "route": 1} for av in scenario.av_ids}
     from routelab.rewards import RewardConfig
 
-    results = train(scenario, specs, RewardConfig(), 0, 5, [0], frozen)
-    for log in results[0].eval_logs:
+    result = train(scenario, specs, RewardConfig(), 0, 5, 0, frozen)
+    for log in result.eval_logs:
         assert all(log.action[av] == 1 for av in scenario.av_ids)
 
 
@@ -186,8 +186,8 @@ def test_eval_phase_is_exploration_free_and_constant():
     specs = {av: {"algorithm": "q"} for av in scenario.av_ids}
     from routelab.rewards import RewardConfig
 
-    results = train(scenario, specs, RewardConfig(), 30, 10, [0], frozen)
-    actions = [tuple(log.action[av] for av in scenario.av_ids) for log in results[0].eval_logs]
+    result = train(scenario, specs, RewardConfig(), 30, 10, 0, frozen)
+    actions = [tuple(log.action[av] for av in scenario.av_ids) for log in result.eval_logs]
     assert len(set(actions)) == 1
 
 
@@ -222,11 +222,11 @@ def test_training_reproducible_per_seed():
     from routelab.rewards import RewardConfig
 
     config = RewardConfig(beta=10.0, scope="av-group")
-    a = train(scenario, specs, config, 40, 5, [3], frozen)[0]
-    b = train(scenario, specs, config, 40, 5, [3], frozen)[0]
+    a = train(scenario, specs, config, 40, 5, 3, frozen)
+    b = train(scenario, specs, config, 40, 5, 3, frozen)
     assert [l.action for l in a.train_logs] == [l.action for l in b.train_logs]
     assert [l.shaped for l in a.eval_logs] == [l.shaped for l in b.eval_logs]
-    c = train(scenario, specs, config, 40, 5, [4], frozen)[0]
+    c = train(scenario, specs, config, 40, 5, 4, frozen)
     assert [l.action for l in a.train_logs] != [l.action for l in c.train_logs]
 
 
@@ -236,8 +236,8 @@ def test_policy_gradient_trains_and_evaluates_reproducibly():
     from routelab.rewards import RewardConfig
 
     config = RewardConfig(alpha=1.0, beta=200.0, scope="av-group")
-    a = train(scenario, specs, config, 60, 5, [2], frozen)[0]
-    b = train(scenario, specs, config, 60, 5, [2], frozen)[0]
+    a = train(scenario, specs, config, 60, 5, 2, frozen)
+    b = train(scenario, specs, config, 60, 5, 2, frozen)
     assert [l.action for l in a.eval_logs] == [l.action for l in b.eval_logs]
     eval_actions = {tuple(l.action[av] for av in scenario.av_ids) for l in a.eval_logs}
     assert len(eval_actions) == 1  # greedy softmax mode is constant
@@ -248,7 +248,7 @@ def test_train_requires_specs_and_frozen_routes():
     from routelab.rewards import RewardConfig
 
     with pytest.raises(ConfigurationError):
-        train(scenario, {}, RewardConfig(), 1, 1, [0], frozen)
+        train(scenario, {}, RewardConfig(), 1, 1, 0, frozen)
     specs = {av: {"algorithm": "ucb"} for av in scenario.av_ids}
     with pytest.raises(ConfigurationError):
-        train(scenario, specs, RewardConfig(), 1, 1, [0], {})
+        train(scenario, specs, RewardConfig(), 1, 1, 0, {})

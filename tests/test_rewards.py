@@ -208,30 +208,52 @@ def test_cache_hit_avoids_simulation(default_scenario):
 def test_cache_off_matches_cache_on(default_scenario):
     config = RewardConfig(beta=200.0, scope="system")
     cached = RewardEngine(default_scenario, config)
-    uncached = RewardEngine(default_scenario, config, cache_size=0)
     action = full_action(default_scenario, {3: 1, 7: 1})
-    for seed in (0, 1, 0):  # the repeat is served from the cache only when it is on
+    uncached_runs = 0
+    for seed in (0, 1, 0):  # the repeat is served from the memo of the shared engine only
+        uncached = RewardEngine(default_scenario, config)
         t1, m1 = cached.evaluate(action, seed)
         t2, m2 = uncached.evaluate(action, seed)
         assert t1.times == t2.times
         assert m1 == m2
-    assert uncached.simulations_run > cached.simulations_run
+        uncached_runs += uncached.simulations_run
+    assert uncached_runs > cached.simulations_run
 
 
-def test_tiny_cache_evicts_but_stays_correct(default_scenario):
+def test_memo_matches_fresh_engine_per_action(default_scenario):
+    # One memoising engine against a fresh engine per call, on first sight of
+    # an action (simulated) and on its repeat (served from the memo).
     config = RewardConfig(beta=1.0, scope="av-group")
-    tiny = RewardEngine(default_scenario, config, cache_size=3)
-    reference = RewardEngine(default_scenario, config)
+    engine = RewardEngine(default_scenario, config)
     rng = random.Random(11)
     for _ in range(10):
         action = full_action(
             default_scenario, {av: rng.randint(0, 1) for av in default_scenario.av_ids}
         )
-        t1, m1 = tiny.evaluate(action, 0)
-        t2, m2 = reference.evaluate(action, 0)
-        assert t1.times == t2.times
-        assert m1 == m2
-    assert tiny.cache.stats.evictions > 0
+        for _repeat in range(2):
+            t1, m1 = engine.evaluate(action, 0)
+            t2, m2 = RewardEngine(default_scenario, config).evaluate(action, 0)
+            assert t1.times == t2.times
+            assert m1 == m2
+    stats = engine.cache.stats
+    assert len(engine.cache) == engine.simulations_run == stats.misses
+    assert stats.hits >= 10 * (1 + len(default_scenario.av_ids))
+    assert stats.evictions == 0
+
+
+def test_stochastic_engine_keeps_nothing_and_counts_every_roster(default_scenario):
+    noisy = default_scenario.with_noise(2.0)
+    action = full_action(noisy, {1: 1, 13: 1})
+    shaped = RewardEngine(noisy, RewardConfig(beta=200.0, scope="av-group"))
+    selfish = RewardEngine(noisy, RewardConfig())
+    seeds = (5, 6, 5)  # a repeated day is simulated again
+    for seed in seeds:
+        times, _ = shaped.evaluate(action, seed)
+        assert times.times == simulate(noisy, action, seed).times
+        assert selfish.evaluate(action, seed)[0].times == times.times
+    assert shaped.cache is None and selfish.cache is None
+    assert shaped.simulations_run == len(seeds) * (1 + len(noisy.av_ids))
+    assert selfish.simulations_run == len(seeds)
 
 
 def test_enumeration_budget_small_scenario():
@@ -270,17 +292,6 @@ def test_cache_safe_under_concurrent_evaluation(default_scenario):
         for index, (times, scores) in pool.map(worker, range(96)):
             assert times.times == expected[index][0].times
             assert scores == expected[index][1]
-
-
-def test_cache_flush_then_recompute_is_identical(default_scenario):
-    config = RewardConfig(beta=200.0, scope="av-group")
-    engine = RewardEngine(default_scenario, config)
-    action = full_action(default_scenario, {1: 1, 13: 1})
-    before_times, before_scores = engine.evaluate(action, seed=4)
-    engine.cache.flush()
-    after_times, after_scores = engine.evaluate(action, seed=4)
-    assert before_times.times == after_times.times
-    assert before_scores == after_scores
 
 
 def test_counterfactual_consistency_through_engine(default_scenario):
