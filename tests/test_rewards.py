@@ -18,6 +18,7 @@ from routelab import (
     simulate,
     simulate_without,
 )
+from routelab.rewards import SimulationCache
 
 from conftest import make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
@@ -241,6 +242,41 @@ def test_memo_matches_fresh_engine_per_action(default_scenario):
     assert stats.evictions == 0
 
 
+class _TinyMemo(SimulationCache):
+    """A memo that keeps only its newest ``capacity`` entries after each lookup."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+
+    def get_or_compute(self, keys, compute):
+        values = super().get_or_compute(keys, compute)
+        while len(self._entries) > self.capacity:
+            del self._entries[next(iter(self._entries))]
+            self.stats.evictions += 1
+        return values
+
+
+def test_tiny_cache_evicts_but_stays_correct(default_scenario):
+    # The engine must not rely on a roster staying in its memo after the
+    # lookup that returned it.
+    config = RewardConfig(beta=1.0, scope="av-group")
+    tiny = RewardEngine(default_scenario, config)
+    tiny.cache = _TinyMemo(capacity=3)
+    reference = RewardEngine(default_scenario, config)
+    rng = random.Random(11)
+    for _ in range(10):
+        action = full_action(
+            default_scenario, {av: rng.randint(0, 1) for av in default_scenario.av_ids}
+        )
+        t1, m1 = tiny.evaluate(action, 0)
+        t2, m2 = reference.evaluate(action, 0)
+        assert t1.times == t2.times
+        assert m1 == m2
+    assert tiny.cache.stats.evictions > 0
+    assert len(tiny.cache) == 3
+
+
 def test_stochastic_engine_keeps_nothing_and_counts_every_roster(default_scenario):
     noisy = default_scenario.with_noise(2.0)
     action = full_action(noisy, {1: 1, 13: 1})
@@ -292,6 +328,19 @@ def test_cache_safe_under_concurrent_evaluation(default_scenario):
         for index, (times, scores) in pool.map(worker, range(96)):
             assert times.times == expected[index][0].times
             assert scores == expected[index][1]
+
+
+def test_cache_flush_then_recompute_is_identical(default_scenario):
+    config = RewardConfig(beta=200.0, scope="av-group")
+    engine = RewardEngine(default_scenario, config)
+    action = full_action(default_scenario, {1: 1, 13: 1})
+    before_times, before_scores = engine.evaluate(action, seed=4)
+    first = engine.simulations_run
+    engine.cache = SimulationCache()  # an emptied memo
+    after_times, after_scores = engine.evaluate(action, seed=4)
+    assert before_times.times == after_times.times
+    assert before_scores == after_scores
+    assert engine.simulations_run == 2 * first
 
 
 def test_counterfactual_consistency_through_engine(default_scenario):
