@@ -35,6 +35,7 @@ from .rewards import (
     SimulationCache,
     compute_marginal_matrix,
     intrinsic_reward,
+    intrinsic_scores,
     shaped_reward,
 )
 from .scenarios import (

@@ -93,6 +93,17 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return _apply_overrides(config, args)
 
 
+def _warn_unless_monotone(config: RunConfig) -> None:
+    """One stderr warning when removing a vehicle can delay another."""
+    if not config.scenario.monotone:
+        print(
+            "warning: the scenario is outside the monotone regime (two routes, exactly "
+            "one yielding, yield_window_w >= merge_gap_g); marginal-cost entries can be "
+            "positive and intrinsic scores need not preserve their sign",
+            file=sys.stderr,
+        )
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to stdout and, when ``out`` is given, to that file too."""
     sys.stdout.write(text)
@@ -125,6 +136,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load(args)
+    _warn_unless_monotone(config)
     result = run_experiment(config)
     for run in result.seed_runs:
         routes = sorted(set(run.frozen_profile.values()))
@@ -147,6 +159,7 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
     config = _load(args)
+    _warn_unless_monotone(config)
     alphas = _parse_list(args.alpha, float) if args.alpha else [1.0]
     betas = _parse_list(args.beta, float) if args.beta else [0.0]
     scope = args.scope or config.reward.scope
@@ -162,6 +175,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
 
 def cmd_marginal(args: argparse.Namespace) -> int:
     config = _load(args)
+    _warn_unless_monotone(config)
     scenario = config.scenario.with_noise(0.0)
     routes = _parse_list(args.action, int)
     if len(routes) != len(scenario.av_ids):

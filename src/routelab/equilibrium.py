@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .network import ConfigurationError, Scenario
-from .rewards import RewardConfig, RewardEngine, intrinsic_reward
+from .rewards import RewardConfig, RewardEngine, intrinsic_reward, intrinsic_scores
 
 DEFAULT_ENUMERATION_BOUND = 2**20
 STRICTNESS_TOLERANCE = 1e-9
@@ -200,7 +200,8 @@ class EquilibriumAnalyzer:
             m = np.empty((self.space_size, len(self.av_ids)))
             for p, action in enumerate(self.profiles()):
                 matrix = self.engine.marginal_matrix(self.full_action(action), self.seed)
-                m[p] = [intrinsic_reward(matrix, av, config) for av in self.av_ids]
+                scores = intrinsic_scores(matrix, config)
+                m[p] = [scores[av] for av in self.av_ids]
             self._m[key] = m
         return self._m[key]
 

@@ -176,6 +176,21 @@ class Scenario:
     def human_ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.agents if a.kind == "human")
 
+    @property
+    def monotone(self) -> bool:
+        """Whether removing a vehicle can never delay another in noise-free mode.
+
+        That holds on two routes, exactly one of them yielding, with a yield
+        window at least the merge gap (the default calibration). Outside it,
+        marginal-cost entries can be positive.
+        """
+        net = self.network
+        return (
+            len(net.routes) == 2
+            and sum(not route.has_priority for route in net.routes) == 1
+            and net.yield_window_w >= net.merge_gap_g
+        )
+
     def agent(self, agent_id: int) -> AgentSpec:
         for a in self.agents:
             if a.id == agent_id:

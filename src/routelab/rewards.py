@@ -8,12 +8,13 @@ else (actions, seed) is held fixed:
 
 The diagonal is 0 by convention, and agents missing from either run
 contribute 0. Columns always range over AVs; rows span every driver so one
-matrix serves both externality scopes. In deterministic
-mode on a two-route yield network whose yield window is at least the merge
-gap (the default calibration), entries are <= 0: an absent vehicle delays
-nobody. Elsewhere the merge is not monotone: where vehicles on priority
-routes overtake one another, or the window is shorter than the gap, removing
-a vehicle can reorder the merge and delay someone, so entries can be > 0.
+matrix serves both externality scopes. In deterministic mode on a two-route
+yield network whose yield window is at least the merge gap
+(``Scenario.monotone``, as in the default calibration), entries are <= 0:
+an absent vehicle delays nobody. Elsewhere the merge is not monotone: where
+vehicles on priority routes overtake one another, or the window is shorter
+than the gap, removing a vehicle can reorder the merge and delay someone, so
+entries can be > 0.
 
 AV j's intrinsic reward squashes its column through tanh, entry by entry,
 which bounds each term to (-1, 1) while preserving its sign:
@@ -28,22 +29,34 @@ plain column sum for sensitivity studies.
 One matrix needs the full run plus one counterfactual run per AV. They come
 from one call of the batched kernel ``simulate_batch``, which draws each
 agent's noise once and derives every counterfactual from the full run.
-Only noise-free rosters repeat, so only a deterministic engine memoises: a
-plain dict keyed by (active agents with routes, seed) holds each roster as
-its own entry, and a deterministic 10-AV binary-route sweep of the 1024
-joint actions never simulates more than 1024 + 10 * 1024 rosters. A noisy
-day has its own seed and is one batch that nothing keeps. Either way
-``simulations_run`` counts the distinct rosters simulated.
+Only noise-free days repeat, so only a deterministic engine memoises, at two
+levels held in one ``SimulationCache``:
+
+* rosters: a day's routes form one tuple, agents in departure order, and a
+  roster is keyed by ``(routes, seed)`` with the removed AV's slot replaced
+  by a marker, so rosters differing only in the removed AV's route share an
+  entry. A deterministic 10-AV binary-route sweep of the 1024 joint actions
+  never simulates more than 1024 + 10 * 1024 rosters;
+* days: ``evaluate`` keeps its (travel times, scores) per ``(routes, seed)``,
+  so a repeated day costs one lookup. A day hit counts as a hit for each
+  roster it stands for.
+
+A noisy day has its own seed and is one batch that nothing keeps. Either
+way ``simulations_run`` counts the distinct rosters simulated.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .network import (  # simulate, simulate_without: re-exported for callers here
+# simulate and simulate_without are unused here. They stay bound in this
+# module because the benchmark's traced pass (perfbench/worker.py) wraps
+# rewards.simulate and rewards.simulate_without; without them --trace 1 fails.
+from .network import (
     ConfigurationError,
     Scenario,
     TravelTimeVector,
@@ -98,10 +111,6 @@ class MarginalCostMatrix:
     def entry(self, row_id: int, col_id: int) -> float:
         return float(self.values[self._row_index[row_id], self._col_index[col_id]])
 
-    def column(self, col_id: int) -> dict[int, float]:
-        c = self._col_index[col_id]
-        return {i: float(self.values[r, c]) for i, r in self._row_index.items()}
-
     def to_csv(self, av_rows_only: bool = True) -> str:
         """Render as CSV with agent ids as row/column headers."""
         lines = ["id," + ",".join(str(j) for j in self.col_ids)]
@@ -122,9 +131,10 @@ def _matrix_from_runs(
 ) -> MarginalCostMatrix:
     """Stack the counterfactual columns and subtract the full run once."""
     row_ids = tuple(a.id for a in scenario.agents)
-    full = np.array([base.get(i, np.nan) for i in row_ids])
-    without = np.array([[w.get(i, np.nan) for w in withouts] for i in row_ids])
-    values = without - full[:, None]
+    nans = itertools.repeat(math.nan)
+    full = np.array(list(map(base.get, row_ids, nans)))
+    without = np.array([list(map(w.get, row_ids, nans)) for w in withouts])
+    values = without.reshape(len(withouts), len(row_ids)).T - full[:, None]
     # An agent missing from either run (the removed AV in its own column
     # included) contributes 0.
     values[np.isnan(values)] = 0.0
@@ -158,22 +168,42 @@ def compute_marginal_matrix(
     )
 
 
-def intrinsic_reward(matrix: MarginalCostMatrix, av_id: int, config: RewardConfig) -> float:
-    """Bounded, sign-preserving externality score for one AV column."""
+def _column_scores(
+    matrix: MarginalCostMatrix, av_ids: Sequence[int], config: RewardConfig
+) -> dict[int, float]:
+    """Intrinsic reward of each AV in ``av_ids``, from one pass over the columns.
+
+    Each column is summed in row order, ``math.tanh`` applied entry by entry.
+    """
     if config.scope == "av-group":
-        in_scope = matrix._col_index
+        in_scope = matrix.col_ids
     elif config.scope == "system":
-        in_scope = matrix._row_index
+        in_scope = matrix.row_ids
     else:
         raise ConfigurationError(f"scope {config.scope!r} has no externality rows")
-    column = matrix.column(av_id)
-    total = 0.0
-    for i in in_scope:
-        if i == av_id:
-            continue
-        value = column[i]
-        total += value if config.raw_sum else math.tanh(value / config.tanh_scale)
-    return total
+    rows = [matrix._row_index[i] for i in in_scope]
+    columns = matrix.values.T.tolist()
+    scale, raw_sum = config.tanh_scale, config.raw_sum
+    scores = {}
+    for j in av_ids:
+        column = columns[matrix._col_index[j]]
+        own = matrix._row_index.get(j)
+        total = 0.0
+        for r in rows:
+            if r != own:
+                total += column[r] if raw_sum else math.tanh(column[r] / scale)
+        scores[j] = total
+    return scores
+
+
+def intrinsic_scores(matrix: MarginalCostMatrix, config: RewardConfig) -> dict[int, float]:
+    """Bounded, sign-preserving externality score of every AV column."""
+    return _column_scores(matrix, matrix.col_ids, config)
+
+
+def intrinsic_reward(matrix: MarginalCostMatrix, av_id: int, config: RewardConfig) -> float:
+    """Bounded, sign-preserving externality score for one AV column."""
+    return _column_scores(matrix, (av_id,), config)[av_id]
 
 
 def shaped_reward(extrinsic: float, intrinsic: float, config: RewardConfig) -> float:
@@ -188,14 +218,15 @@ class CacheStats:
 
 
 class SimulationCache:
-    """Plain memo of noise-free simulation outputs, one entry per roster.
+    """Plain memo of noise-free results: one entry per roster and per day.
 
-    Entries are never evicted, and each is inserted whole once its
-    simulation finished, so a lookup sees a complete value or none.
+    Entries are never evicted, and each is inserted whole once computed, so
+    a lookup sees a complete value or none. ``len`` counts rosters.
     """
 
     def __init__(self) -> None:
         self._entries: dict = {}
+        self._days: dict = {}
         self.stats = CacheStats()
 
     def get_or_compute(self, keys: Sequence, compute: Callable[[list], list]) -> list:
@@ -207,17 +238,30 @@ class SimulationCache:
             self._entries.update(zip(missing, compute(missing)))
         return [self._entries[key] for key in keys]
 
+    def day(self, key: tuple, rosters: int, compute: Callable[[], tuple]) -> tuple:
+        """Memoised result of one day; a hit counts as ``rosters`` roster hits."""
+        result = self._days.get(key)
+        if result is None:
+            result = self._days[key] = compute()
+        else:
+            self.stats.hits += rosters
+        return result
+
     def __len__(self) -> int:
         return len(self._entries)
+
+
+_REMOVED = object()  # fills the removed AV's slot in a roster key
 
 
 class RewardEngine:
     """Travel times and per-AV intrinsic rewards for one scenario.
 
-    A deterministic engine memoises every roster it simulates; a noisy one
-    keeps nothing. It takes no lock, as each run, analyzer and CLI call
-    builds its own engine; threads sharing one still see whole entries, but
-    may simulate a roster twice and miscount ``simulations_run``.
+    A deterministic engine memoises every roster it simulates and every day
+    it evaluates; a noisy one keeps nothing. It takes no lock, as each run,
+    analyzer and CLI call builds its own engine; threads sharing one still
+    see whole entries, but may simulate a roster twice and miscount
+    ``simulations_run``.
     """
 
     def __init__(self, scenario: Scenario, config: RewardConfig):
@@ -225,12 +269,19 @@ class RewardEngine:
         self.config = config
         self.cache = SimulationCache() if scenario.noise_sigma == 0 else None
         self.simulations_run = 0
+        self._ids = tuple(a.id for a in scenario.agents)
+        self._slots = {i: k for k, i in enumerate(self._ids)}
+        self._avs = scenario.av_ids
 
-    def _key(self, action: Mapping[int, int], removed: int | None, seed: int):
-        active = tuple(
-            (a.id, action[a.id]) for a in self.scenario.agents if a.id != removed
-        )
-        return (active, seed)
+    def _routes(self, action: Mapping[int, int]) -> tuple:
+        """The day's routes, agents in departure order."""
+        return tuple(map(action.__getitem__, self._ids))
+
+    def _key(self, routes: tuple, removed: int | None, seed: int) -> tuple:
+        if removed is None:
+            return routes, seed
+        k = self._slots[removed]
+        return routes[:k] + (_REMOVED,) + routes[k + 1 :], seed
 
     def _simulate(
         self, action: Mapping[int, int], seed: int, rosters: Sequence[int | None]
@@ -253,7 +304,8 @@ class RewardEngine:
         rosters = (None, *removed_ids)
         if self.cache is None:
             return self._simulate(action, seed, rosters)
-        by_key = {self._key(action, r, seed): r for r in rosters}
+        routes = self._routes(action)
+        by_key = {self._key(routes, r, seed): r for r in rosters}
         return self.cache.get_or_compute(
             list(by_key),
             lambda missing: self._simulate(action, seed, [by_key[k] for k in missing]),
@@ -263,7 +315,7 @@ class RewardEngine:
         return TravelTimeVector(times=self._runs(action, seed, ())[0], seed=seed)
 
     def marginal_matrix(self, action: Mapping[int, int], seed: int) -> MarginalCostMatrix:
-        base, *withouts = self._runs(action, seed, self.scenario.av_ids)
+        base, *withouts = self._runs(action, seed, self._avs)
         return _matrix_from_runs(self.scenario, action, seed, base, withouts)
 
     def evaluate(
@@ -275,11 +327,23 @@ class RewardEngine:
         intrinsic term zero weight, so selfish baselines cost one run per
         episode. Otherwise the full run and every counterfactual the matrix
         needs come from one lookup, simulated together in one batch.
+
+        A deterministic engine memoises the result per (routes, seed), so a
+        repeated day is one lookup. Memoised results are shared between
+        callers: do not mutate the returned times or scores.
         """
-        avs = self.scenario.av_ids
+        if self.cache is None:
+            return self._evaluate(action, seed)
+        rosters = 1 + len(self._avs) if self.config.needs_intrinsic else 1
+        return self.cache.day(
+            (self._routes(action), seed), rosters, lambda: self._evaluate(action, seed)
+        )
+
+    def _evaluate(
+        self, action: Mapping[int, int], seed: int
+    ) -> tuple[TravelTimeVector, dict[int, float]]:
         if not self.config.needs_intrinsic:
-            return self.travel_times(action, seed), {j: 0.0 for j in avs}
-        base, *withouts = self._runs(action, seed, avs)
+            return self.travel_times(action, seed), {j: 0.0 for j in self._avs}
+        base, *withouts = self._runs(action, seed, self._avs)
         matrix = _matrix_from_runs(self.scenario, action, seed, base, withouts)
-        scores = {j: intrinsic_reward(matrix, j, self.config) for j in avs}
-        return TravelTimeVector(times=base, seed=seed), scores
+        return TravelTimeVector(times=base, seed=seed), intrinsic_scores(matrix, self.config)

@@ -359,6 +359,7 @@ def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):
         raise AssertionError("selfish analysis scored an intrinsic reward")
 
     monkeypatch.setattr("routelab.equilibrium.intrinsic_reward", forbidden)
+    monkeypatch.setattr("routelab.equilibrium.intrinsic_scores", forbidden)
     scenario, humans = small_game()
     analyzer = EquilibriumAnalyzer(scenario, humans)
     for config in (

@@ -523,6 +523,34 @@ def test_cli_marginal_accepts_bracketed_action(tmp_path, capsys):
     assert len(lines) == 11
 
 
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["marginal", "--action", "0,1"],
+        ["equilibria", "--beta", "0,1"],
+        ["train", "--episodes", "4", "--eval-episodes", "2", "--seed", "0"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_cli_warns_once_outside_the_monotone_regime(tmp_path, capsys, command):
+    shapes = {"monotone": 6.0, "window-below-gap": 1.0}
+    for label, window in shapes.items():
+        scenario = make_scenario([0.0, 4.0, 8.0], av_flags=[True, False, True], window=window)
+        assert scenario.monotone == (label == "monotone")
+        scenario_path = tmp_path / f"{label}.json"
+        scenario_path.write_text(json.dumps(scenario_to_dict(scenario)))
+        out = tmp_path / label / "out"
+        code = main(
+            command
+            + ["--scenario", str(scenario_path), "--warmup-days", "5", "--out", str(out)]
+        )
+        assert code == 0
+        assert out.exists()
+        warnings = capsys.readouterr().err.count("warning:")
+        assert warnings == (0 if scenario.monotone else 1)
+
+
 # -- config loading ------------------------------------------------------------------
 
 

@@ -8,7 +8,10 @@ independent oracle in ``oracle_sim.py``, and the batched leave-one-out runs
 with runs of the reduced roster simulated from scratch.
 
 Marginal-cost entries are <= 0 only in the two-route yield regime with a
-window at least the gap; the last test pins a counterexample outside it.
+window at least the gap (``Scenario.monotone``); a pinned test shows a
+counterexample outside it. The reward engine's memoised scores must equal
+the matrix scored column by column, on first sight of a day and on its
+repeat.
 """
 
 from __future__ import annotations
@@ -19,12 +22,16 @@ from hypothesis import strategies as st
 from routelab import (
     AgentSpec,
     NetworkConfig,
+    RewardConfig,
+    RewardEngine,
     RouteSpec,
     Scenario,
     compute_marginal_matrix,
+    intrinsic_reward,
     simulate,
     simulate_batch,
     simulate_without,
+    two_route_yield_scenario,
 )
 from conftest import make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
@@ -144,9 +151,43 @@ def test_batch_rows_match_single_runs(case):
 @given(cases(yield_regime=True))
 def test_deterministic_marginal_entries_nonpositive(case):
     scenario, action, seed = case
+    assert scenario.monotone
     base = simulate(scenario, action, seed)
     matrix = compute_marginal_matrix(scenario, action, base, seed)
     assert (matrix.values <= 0.0).all(), matrix.values
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(cases(), cases(noisy=True)),
+    st.sampled_from(("av-group", "system")),
+    st.booleans(),
+    st.floats(0.1, 20.0),
+)
+def test_engine_scores_equal_column_scores(case, scope, raw_sum, tanh_scale):
+    scenario, action, seed = case
+    config = RewardConfig(beta=1.0, scope=scope, tanh_scale=tanh_scale, raw_sum=raw_sum)
+    base = simulate(scenario, action, seed)
+    matrix = compute_marginal_matrix(scenario, action, base, seed)
+    expected = {j: intrinsic_reward(matrix, j, config) for j in scenario.av_ids}
+    engine = RewardEngine(scenario, config)
+    for repeat in range(2):
+        simulated = engine.simulations_run
+        times, scores = engine.evaluate(action, seed)
+        assert times.times == base.times
+        assert scores == expected
+        if repeat and scenario.noise_sigma == 0:
+            assert engine.simulations_run == simulated
+
+
+def window_shorter_than_gap_scenario() -> Scenario:
+    return make_scenario(
+        [0.0, 1.0, 2.0],
+        av_flags=[True, False, False],
+        pre_merge=(10.0, 10.0),
+        gap=4.0,
+        window=0.0,
+    )
 
 
 def test_window_shorter_than_gap_lets_a_removal_delay_someone():
@@ -155,14 +196,13 @@ def test_window_shorter_than_gap_lets_a_removal_delay_someone():
     # so agent 2 passes first. Without agent 0, agent 1 passes at 11 because
     # the window (0 s) ends before agent 2 arrives, and agent 2 must then
     # wait out the 4 s gap: removing agent 0 delays agent 2 by one second.
-    scenario = make_scenario(
-        [0.0, 1.0, 2.0],
-        av_flags=[True, False, False],
-        pre_merge=(10.0, 10.0),
-        gap=4.0,
-        window=0.0,
-    )
+    scenario = window_shorter_than_gap_scenario()
     action = {0: 0, 1: 0, 2: 1}
     base = simulate(scenario, action)
     assert simulate_without(scenario, action, 0)[2] - base[2] == 1.0
     assert compute_marginal_matrix(scenario, action, base, 0).entry(2, 0) == 1.0
+
+
+def test_monotone_marks_the_two_route_yield_regime():
+    assert two_route_yield_scenario().monotone
+    assert not window_shorter_than_gap_scenario().monotone

@@ -14,6 +14,7 @@ from routelab import (
     RewardEngine,
     compute_marginal_matrix,
     intrinsic_reward,
+    intrinsic_scores,
     shaped_reward,
     simulate,
     simulate_without,
@@ -392,3 +393,81 @@ def test_matrix_csv_layout(default_scenario):
     assert len(lines) == 1 + len(default_scenario.av_ids)
     full = matrix.to_csv(av_rows_only=False)
     assert len(full.strip().split("\n")) == 1 + len(default_scenario.agents)
+
+
+def test_intrinsic_scores_match_entrywise_reference():
+    # One pass over all columns must give, bit for bit, the per-entry sum in
+    # row order, skipping the AV's own row even where its entry is nonzero.
+    rng = np.random.default_rng(3)
+    row_ids = (4, 0, 7, 2, 9, 5)
+    col_ids = (0, 2, 5)
+    for _ in range(50):
+        matrix = zero_matrix(row_ids, col_ids)
+        matrix.values[:] = rng.normal(0.0, 30.0, size=matrix.values.shape)
+        for config in (
+            RewardConfig(scope="system", tanh_scale=3.0),
+            RewardConfig(scope="av-group", tanh_scale=0.5),
+            RewardConfig(scope="system", raw_sum=True),
+        ):
+            scope = row_ids if config.scope == "system" else col_ids
+            expected = {}
+            for j in col_ids:
+                total = 0.0
+                for i in scope:
+                    if i != j:
+                        value = matrix.entry(i, j)
+                        total += value if config.raw_sum else math.tanh(value / config.tanh_scale)
+                expected[j] = total
+            assert intrinsic_scores(matrix, config) == expected
+            assert {j: intrinsic_reward(matrix, j, config) for j in col_ids} == expected
+
+
+# -- day memo ------------------------------------------------------------------------
+
+
+def test_repeated_day_is_one_lookup(default_scenario):
+    action = full_action(default_scenario, {3: 1, 9: 1})
+    for config, rosters in (
+        (RewardConfig(beta=200.0, scope="av-group"), 1 + len(default_scenario.av_ids)),
+        (RewardConfig(), 1),
+    ):
+        engine = RewardEngine(default_scenario, config)
+        first = engine.evaluate(action, seed=0)
+        stats = engine.cache.stats
+        hits, misses, simulated = stats.hits, stats.misses, engine.simulations_run
+        again = engine.evaluate(action, seed=0)
+        assert again[0] is first[0] and again[1] is first[1]  # served from the day memo
+        assert stats.hits == hits + rosters
+        assert stats.misses == misses
+        assert engine.simulations_run == simulated
+        assert len(engine.cache) == simulated
+        assert engine.evaluate(action, seed=1)[0].seed == 1  # another seed, another day
+
+
+def test_rosters_differing_only_in_the_removed_route_share_an_entry(default_scenario):
+    engine = RewardEngine(default_scenario, RewardConfig(beta=1.0, scope="system"))
+    n_avs = len(default_scenario.av_ids)
+    engine.evaluate(full_action(default_scenario, {5: 0}), seed=0)
+    engine.evaluate(full_action(default_scenario, {5: 1}), seed=0)
+    # Only the roster without AV 5 is the same on both days.
+    assert engine.cache.stats.hits == 1
+    assert engine.simulations_run == 2 * (1 + n_avs) - 1
+
+
+def test_mutating_an_episode_log_leaves_the_memo_intact(default_scenario):
+    from routelab.episode import run_episode
+
+    config = RewardConfig(beta=200.0, scope="system")
+    engine = RewardEngine(default_scenario, config)
+    routes = {a.id: a.id % 4 // 2 for a in default_scenario.agents}
+    policies = {i: (lambda obs, r=r: r) for i, r in routes.items()}
+    first = run_episode(default_scenario, policies, config, 0, 0, engine)
+    for values in (first.intrinsic, first.shaped):
+        for i in values:
+            values[i] = 123.0
+    later = run_episode(default_scenario, policies, config, 1, 0, engine)
+    fresh = run_episode(default_scenario, policies, config, 1, 0)
+    assert later.times.times == fresh.times.times
+    assert later.intrinsic == fresh.intrinsic
+    assert later.shaped == fresh.shaped
+    assert later.extrinsic == fresh.extrinsic
