@@ -18,16 +18,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 from pathlib import Path
 
-from .episode import EPISODE_CSV_HEADER, run_episode
+from .episode import EPISODE_CSV_HEADER, episode_csv_lines, run_episode
 from .harness import (
     RunConfig,
-    _cell,
-    _episode_rows,
     equilibrium_grid,
     load_config,
     regenerate_report,
@@ -129,8 +126,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = config.seeds[0]
     engine = RewardEngine(scenario, config.reward)
     log = run_episode(scenario, policies, config.reward, 0, seed, engine)
-    rows = itertools.chain([EPISODE_CSV_HEADER], _episode_rows([log], scenario))
-    _emit("".join(",".join(_cell(value) for value in row) + "\n" for row in rows), args.out)
+    lines = episode_csv_lines([log], scenario, "\n")
+    _emit(",".join(EPISODE_CSV_HEADER) + "\n" + "".join(lines), args.out)
     return 0
 
 

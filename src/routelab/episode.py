@@ -1,16 +1,17 @@
 """One-day sequential episode: agents pick routes in departure order.
 
 Each agent is queried exactly once per episode with an observation built
-from the choices of everyone who departed earlier, the simulator resolves
-the merge, and rewards are attached per agent. Humans always log
+from the choices of everyone who departed earlier (a running route
+histogram, kept as the day goes), the simulator resolves the merge, and
+rewards are attached per agent. Humans always log
 ``shaped = alpha * extrinsic`` (their intrinsic term is zero); AVs get the
-full shaped reward.
+full shaped reward. ``episode_csv_lines`` streams the logs as CSV lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .network import ConfigurationError, Scenario, TravelTimeVector
 from .rewards import RewardConfig, RewardEngine
@@ -63,7 +64,11 @@ def build_observation(
     agent_id: int,
     episode: int = 0,
 ) -> Observation:
-    """Histogram of the routes chosen by agents that already departed."""
+    """Histogram of the routes chosen by agents that already departed.
+
+    ``run_episode`` keeps the same histogram as a running count instead of
+    recounting it for every agent.
+    """
     counts = [0] * len(scenario.network.routes)
     for route in partial_choices.values():
         counts[route] += 1
@@ -81,18 +86,17 @@ def run_episode(
     """Play one day: sequential choices, one simulation, per-agent rewards."""
     if engine is None:
         engine = RewardEngine(scenario, reward_config)
-    partial: dict[int, int] = {}
+    counts = [0] * len(scenario.network.routes)
     action: dict[int, int] = {}
     for agent in scenario.agents:  # departure order by construction
-        observation = build_observation(scenario, partial, agent.id, episode_index)
-        route = policies[agent.id](observation)
+        route = policies[agent.id](Observation(tuple(counts), agent.id, episode_index))
         if route not in agent.action_space:
             raise ConfigurationError(
                 f"policy for agent {agent.id} returned route {route}, "
                 f"outside its action space {agent.action_space}"
             )
         action[agent.id] = route
-        partial[agent.id] = route
+        counts[route] += 1
 
     times, scores = engine.evaluate(action, seed)
     extrinsic = {i: -t for i, t in times.times.items()}
@@ -112,21 +116,23 @@ def run_episode(
     )
 
 
-def episode_csv_rows(log: EpisodeLog, scenario: Scenario) -> list[dict]:
-    """One CSV row per agent, departure order, fields per EPISODE_CSV_HEADER."""
-    rows = []
-    for agent in scenario.agents:
-        rows.append(
-            {
-                "episode": log.episode,
-                "agent_id": agent.id,
-                "kind": agent.kind,
-                "action": log.action[agent.id],
-                "travel_time": log.times[agent.id],
-                "extrinsic": log.extrinsic[agent.id],
-                "intrinsic": log.intrinsic[agent.id],
-                "shaped": log.shaped[agent.id],
-                "seed": log.seed,
-            }
-        )
-    return rows
+def episode_csv_lines(
+    logs: Iterable[EpisodeLog], scenario: Scenario, end: str
+) -> Iterator[str]:
+    """One CSV line per agent per log, departure order, fields per
+    EPISODE_CSV_HEADER, each line ending in ``end``.
+
+    Floats are written as their shortest round-trip ``repr``, ints with
+    ``str``. No cell needs quoting: ``kind`` is ``human`` or ``av`` and
+    every other cell is a number.
+    """
+    agents = [(agent.id, f",{agent.id},{agent.kind},") for agent in scenario.agents]
+    for log in logs:
+        episode, seed = log.episode, f",{log.seed}{end}"
+        action, times = log.action, log.times.times
+        extrinsic, intrinsic, shaped = log.extrinsic, log.intrinsic, log.shaped
+        for i, cells in agents:
+            yield (
+                f"{episode}{cells}{action[i]},{times[i]!r},{extrinsic[i]!r},"
+                f"{intrinsic[i]!r},{shaped[i]!r}{seed}"
+            )

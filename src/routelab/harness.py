@@ -11,7 +11,8 @@ Every run writes a self-describing directory:
       convergence.csv    per-episode proportion of AVs on the optimal action
       convergence.svg
 
-Deterministic runs are byte-reproducible: same config, same files.
+Deterministic runs are byte-reproducible: same config, same files. CSV
+lines end in CRLF; floats are written as their shortest round-trip ``repr``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_rows
+from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_lines
 from .equilibrium import EquilibriumAnalyzer, encode_action
 from .humans import freeze_all, run_warmup
 from .learners import TrainResult, train
@@ -377,12 +378,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _episode_rows(logs: list[EpisodeLog], scenario: Scenario) -> Iterator[list]:
-    for log in logs:
-        for record in episode_csv_rows(log, scenario):
-            yield [record[key] for key in EPISODE_CSV_HEADER]
-
-
 def summary_from_times(times_by_kind: Mapping[str, Sequence[float]]) -> list[list]:
     rows = []
     for group, key in (("avs", "av"), ("humans", "human")):
@@ -437,7 +432,7 @@ def write_experiment(result: ExperimentResult) -> None:
         for run in result.seed_runs:
             with _open_csv(out / f"seed_{run.seed}" / "episodes.csv") as per_seed:
                 per_seed.write(header)
-                for line in _csv_lines(_episode_rows(run.all_logs, result.scenario)):
+                for line in episode_csv_lines(run.all_logs, result.scenario, "\r\n"):
                     per_seed.write(line)
                     combined.write(line)
 
@@ -447,20 +442,21 @@ def write_experiment(result: ExperimentResult) -> None:
         summary_from_times(result.eval_times_by_kind()),
     )
 
+    proportions = [run.proportions() for run in result.seed_runs]
     convergence_rows = []
-    for run in result.seed_runs:
-        for episode, phase, proportion in run.proportions():
+    for run, points in zip(result.seed_runs, proportions):
+        for episode, phase, proportion in points:
             convergence_rows.append([episode, run.seed, phase, proportion])
     _write_csv(out / "convergence.csv", CONVERGENCE_CSV_HEADER, convergence_rows)
 
     with open(out / "convergence.svg", "w", encoding="utf-8") as handle:
-        handle.write(convergence_svg(result))
+        handle.write(convergence_svg(proportions))
 
 
-def convergence_svg(result: ExperimentResult) -> str:
+def convergence_svg(proportions: Sequence[list[tuple[int, str, float]]]) -> str:
+    """Per-seed proportion curves plus their mean, from ``SeedRun.proportions`` rows."""
     series = []
-    for run in result.seed_runs:
-        points = run.proportions()
+    for points in proportions:
         series.append(
             Series(
                 label="",
@@ -472,8 +468,8 @@ def convergence_svg(result: ExperimentResult) -> str:
             )
         )
     per_episode: dict[int, list[float]] = {}
-    for run in result.seed_runs:
-        for episode, _, proportion in run.proportions():
+    for points in proportions:
+        for episode, _, proportion in points:
             per_episode.setdefault(episode, []).append(proportion)
     episodes = sorted(per_episode)
     series.append(

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import csv
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routelab import (
+    AgentSpec,
     ConfigurationError,
+    NetworkConfig,
     RewardConfig,
+    RouteSpec,
+    Scenario,
     build_observation,
     run_episode,
 )
-from routelab.episode import EPISODE_CSV_HEADER, episode_csv_rows
+from routelab.episode import EPISODE_CSV_HEADER, episode_csv_lines
 
 from conftest import make_scenario
 
@@ -62,6 +69,52 @@ def test_observation_histograms(default_scenario):
     eleventh = default_scenario.agents[10].id
     partial = {a.id: a.id % 2 for a in default_scenario.agents[:10]}
     assert sum(build_observation(default_scenario, partial, eleventh).route_counts) == 10
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(2, 3),
+    st.lists(st.booleans(), min_size=1, max_size=25),
+    st.integers(0, 2**31),
+    st.integers(0, 1_000),
+)
+def test_observations_equal_build_observation(n_routes, av_flags, policy_seed, episode):
+    network = NetworkConfig(
+        routes=tuple(
+            RouteSpec(pre_merge_time=10.0 * (k + 1), has_priority=k > 0)
+            for k in range(n_routes)
+        ),
+        merge_gap_g=2.0,
+        yield_window_w=6.0,
+        post_merge_time=10.0,
+    )
+    scenario = Scenario(
+        agents=tuple(
+            AgentSpec(
+                id=i,
+                kind="av" if flag else "human",
+                departure_time=float(i),
+                action_space=tuple(range(n_routes)),
+            )
+            for i, flag in enumerate(av_flags)
+        ),
+        network=network,
+    )
+    rng = random.Random(policy_seed)
+    seen = {}
+
+    def random_policy(agent_id):
+        def policy(obs):
+            seen[agent_id] = obs
+            return rng.randrange(n_routes)
+
+        return policy
+
+    policies = {a.id: random_policy(a.id) for a in scenario.agents}
+    log = run_episode(scenario, policies, RewardConfig(), episode, seed=0)
+    for rank, agent in enumerate(scenario.agents):
+        earlier = {a.id: log.action[a.id] for a in scenario.agents[:rank]}
+        assert seen[agent.id] == build_observation(scenario, earlier, agent.id, episode)
 
 
 def test_sequentiality_of_observations(default_scenario):
@@ -133,10 +186,13 @@ def test_csv_rows_schema(default_scenario):
         default_scenario, {a.id: 0 for a in default_scenario.agents}
     )
     log = run_episode(default_scenario, policies, RewardConfig(), 7, seed=5)
-    rows = episode_csv_rows(log, default_scenario)
+    lines = episode_csv_lines([log], default_scenario, "\r\n")
+    rows = list(csv.DictReader(lines, fieldnames=EPISODE_CSV_HEADER))
     assert len(rows) == 22
-    assert tuple(rows[0]) == EPISODE_CSV_HEADER
-    assert rows[0]["episode"] == 7
+    # DictReader files surplus cells under None and fills missing ones with None.
+    assert all(tuple(row) == EPISODE_CSV_HEADER for row in rows)
+    assert all(None not in row.values() for row in rows)
+    assert rows[0]["episode"] == "7"
     assert rows[0]["kind"] == "human"
     assert rows[1]["kind"] == "av"
-    assert rows[0]["seed"] == 5
+    assert rows[0]["seed"] == "5"

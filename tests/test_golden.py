@@ -1,9 +1,10 @@
-"""Golden digests of deterministic artifacts.
+"""Golden digests of run artifacts.
 
 Each run below writes its artifacts to a fresh directory; every file except
 ``config.json`` (which embeds the output directory) must hash to the value
 recorded here. A refactor that claims "same results" keeps these unchanged;
 a change that alters results on purpose must say so and record new digests.
+The stochastic run guards how noisy 17-digit floats are written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ EXPERIMENT_DIGESTS = {
     "summary.csv": "96a94efc5a05050d4022126a82c57bb0ed471e54e6f6164ea351ceba70f2235f",
 }
 
+STOCHASTIC_EXPERIMENT_DIGESTS = {
+    "convergence.csv": "1eb7d946f9da7bef4fec6514aa97a3d9c4ae14b028980d71eb5acbcbe79116c4",
+    "convergence.svg": "bd65a273dbd869fed85302b615ec85ba0bab72830cee727ebc4ae631958bd29e",
+    "episodes.csv": "7392ecfb9952e31553d2c75ed4d1d3ee8829199b3d5132e6351148beb08729ca",
+    "run_meta.json": "0d4be83074567349ab52448b01cea36f6c682a5b8b38721b49a84d671e28d3d8",
+    "seed_0/episodes.csv": "c1af5b8a4b2c19e693a78493d0ccaeb51a97007570516e76324d90b3f918a5c2",
+    "seed_1/episodes.csv": "f0404e9614ff8fb359b4114b750f085c375d598e4d399476f83de26f0d26057e",
+    "summary.csv": "1812cc9e5388e6038f74296a66be4606dc2973ea0c68a923498a6f6997566307",
+}
+
 GRID_DIGESTS = {
     "av-group/deviations.csv": "1fe25e5122c8f5eae3a8b7e9954d0d9254cffdf31a51644f3e31497aabc5ea50",
     "av-group/equilibria.csv": "580c23a5ac8fd2be2430415f1d1c5d8b39ee4d31b9c11a5319503b51a9149874",
@@ -43,8 +54,8 @@ def digests(out_dir):
     }
 
 
-def test_shaped_deterministic_experiment_digests(tmp_path):
-    config = RunConfig(
+def shaped_experiment(out_dir, mode):
+    return RunConfig(
         scenario=two_route_yield_scenario(),
         learner={"algorithm": "ucb"},
         reward=RewardConfig(alpha=1.0, beta=200.0, scope="av-group"),
@@ -52,11 +63,21 @@ def test_shaped_deterministic_experiment_digests(tmp_path):
         train_episodes=80,
         eval_episodes=10,
         seeds=(0, 1),
-        mode="deterministic",
-        out_dir=tmp_path / "run",
+        mode=mode,
+        out_dir=out_dir,
     )
+
+
+def test_shaped_deterministic_experiment_digests(tmp_path):
+    config = shaped_experiment(tmp_path / "run", "deterministic")
     run_experiment(config)
     assert digests(config.out_dir) == EXPERIMENT_DIGESTS
+
+
+def test_shaped_stochastic_experiment_digests(tmp_path):
+    config = shaped_experiment(tmp_path / "run", "stochastic")
+    run_experiment(config)
+    assert digests(config.out_dir) == STOCHASTIC_EXPERIMENT_DIGESTS
 
 
 def test_three_av_shaped_grid_digests(tmp_path):

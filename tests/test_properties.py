@@ -11,10 +11,18 @@ Marginal-cost entries are <= 0 only in the two-route yield regime with a
 window at least the gap (``Scenario.monotone``); a pinned test shows a
 counterexample outside it. The reward engine's memoised scores must equal
 the matrix scored column by column, on first sight of a day and on its
-repeat.
+repeat. Episode CSV lines must equal what ``csv.writer`` writes, both in
+artifacts and on ``routelab simulate``'s stdout.
 """
 
 from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +39,13 @@ from routelab import (
     simulate,
     simulate_batch,
     simulate_without,
+    run_episode,
     two_route_yield_scenario,
 )
+from routelab.cli import main
+from routelab.episode import EPISODE_CSV_HEADER, episode_csv_lines, episode_seed
+from routelab.harness import _cell
+from routelab.scenarios import scenario_to_dict
 from conftest import make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
 
@@ -206,3 +219,63 @@ def test_window_shorter_than_gap_lets_a_removal_delay_someone():
 def test_monotone_marks_the_two_route_yield_regime():
     assert two_route_yield_scenario().monotone
     assert not window_shorter_than_gap_scenario().monotone
+
+
+def constant_policies(action):
+    return {i: (lambda obs, r=route: r) for i, route in action.items()}
+
+
+def csv_writer_lines(logs, scenario, end: str) -> str:
+    """Episode rows as ``csv.writer`` writes them, each cell through ``harness._cell``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end)
+    for log in logs:
+        for agent in scenario.agents:
+            i = agent.id
+            row = (log.episode, i, agent.kind, log.action[i], log.times[i])
+            row += (log.extrinsic[i], log.intrinsic[i], log.shaped[i], log.seed)
+            writer.writerow([_cell(value) for value in row])
+    return out.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cases(), cases(noisy=True)), st.sampled_from((0.0, 200.0)))
+def test_episode_lines_match_csv_writer(case, beta):
+    scenario, action, seed = case
+    config = RewardConfig(beta=beta)
+    stochastic = scenario.noise_sigma > 0
+    logs = [
+        run_episode(
+            scenario,
+            constant_policies(action),
+            config,
+            day,
+            episode_seed(seed, day, stochastic),
+        )
+        for day in range(3)
+    ]
+    for end in ("\r\n", "\n"):
+        expected = csv_writer_lines(logs, scenario, end)
+        assert "".join(episode_csv_lines(logs, scenario, end)) == expected
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cases(), cases(noisy=True)), st.sampled_from((0.0, 200.0)))
+def test_simulate_stdout_is_header_and_episode_lines(case, beta):
+    scenario, action, seed = case
+    doc = {
+        "scenario": scenario_to_dict(scenario),
+        "reward": {"beta": beta},
+        "seeds": [seed],
+        "mode": "stochastic" if scenario.noise_sigma > 0 else "deterministic",
+    }
+    routes = ",".join(str(action[a.id]) for a in scenario.agents)
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["simulate", "--config", str(path), "--action", routes]) == 0
+    log = run_episode(scenario, constant_policies(action), RewardConfig(beta=beta), 0, seed)
+    header = ",".join(EPISODE_CSV_HEADER) + "\n"
+    assert stdout.getvalue() == header + "".join(episode_csv_lines([log], scenario, "\n"))
