@@ -19,8 +19,11 @@ extrinsic table ``E`` (profiles x AVs, minus travel time), the total travel
 times, and per externality scope an intrinsic table ``M`` of the same shape.
 The rewards at any grid point are then ``alpha * E + beta * M``. The Nash test
 compares each profile's row with the rows of its single-AV neighbours, and
-the deviation terms are differences of two rows. A selfish setting (beta = 0
-or scope "none") never builds ``M``, so it costs one simulation per profile.
+the deviation terms are differences of two rows. Each profile is one kernel
+batch. The run without AV ``k`` does not depend on ``k``'s route, so it is
+kept once, as a row of slot ``k``'s counterfactual table, and every ``M`` is
+scored from those tables at once. A selfish setting (beta = 0 or scope
+"none") builds no such table, so it costs one simulation per profile.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import ConfigurationError, Scenario
-from .rewards import RewardConfig, RewardEngine, intrinsic_reward, intrinsic_scores
+from .network import ConfigurationError, Scenario, simulate_batch
+from .rewards import RewardConfig, RewardEngine, intrinsic_reward
 
 DEFAULT_ENUMERATION_BOUND = 2**20
 STRICTNESS_TOLERANCE = 1e-9
@@ -145,7 +148,10 @@ class EquilibriumAnalyzer:
         self.engine = RewardEngine(
             scenario, RewardConfig(alpha=1.0, beta=1.0, scope="system")
         )
-        self._e: np.ndarray | None = None
+        self._ids = tuple(a.id for a in scenario.agents)
+        self._av_columns = [self._ids.index(av) for av in self.av_ids]
+        self._full: np.ndarray | None = None  # travel times, profiles x agents
+        self._withouts: list[np.ndarray] | None = None  # per slot, runs without it
         self._total_times: np.ndarray | None = None
         self._m: dict[tuple[str, float, bool], np.ndarray] = {}
 
@@ -181,27 +187,68 @@ class EquilibriumAnalyzer:
 
     # -- reward tables -----------------------------------------------------
 
+    def _counterfactual_rows(self, slot: int) -> np.ndarray:
+        """Row of each profile in slot ``slot``'s counterfactual table."""
+        stride = self._strides[slot]
+        rows = np.arange(self.space_size)
+        return rows // (stride * len(self.spaces[slot])) * stride + rows % stride
+
+    def _simulate(self, counterfactuals: bool) -> None:
+        """Full runs and, if asked, counterfactual tables: one batch per profile.
+
+        A batch removes exactly the AVs at the first route of their space.
+        """
+        slots = range(len(self.spaces) if counterfactuals else 0)
+        rows = [self._counterfactual_rows(k).tolist() for k in slots]
+        withouts = [np.empty((self.space_size // len(self.spaces[k]), len(self._ids))) for k in slots]
+        full = np.empty((self.space_size, len(self._ids)))
+        for p, action in enumerate(self.profiles()):
+            removed = [k for k in slots if action[k] == self.spaces[k][0]]
+            base, *runs = simulate_batch(
+                self.scenario, self.full_action(action), [self.av_ids[k] for k in removed], self.seed
+            )
+            full[p] = list(map(base.times.__getitem__, self._ids))
+            for k, run in zip(removed, runs):
+                withouts[k][rows[k][p]] = [run.times.get(i, math.nan) for i in self._ids]
+        if self._full is None:
+            self.engine.simulations_run += self.space_size
+            # Python sums in departure order, as TravelTimeVector.total does.
+            self._total_times = np.array(
+                [(sum(row), sum(row[c] for c in self._av_columns)) for row in full.tolist()]
+            )
+        self._full = full
+        if counterfactuals:
+            self.engine.simulations_run += sum(map(len, withouts))
+            self._withouts = withouts
+
     def _base_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``E`` (minus each AV's travel time) and the totals, one row per profile."""
-        if self._e is None:
-            e = np.empty((self.space_size, len(self.av_ids)))
-            totals = np.empty((self.space_size, 2))
-            for p, action in enumerate(self.profiles()):
-                times = self.engine.travel_times(self.full_action(action), self.seed)
-                e[p] = [-times[av] for av in self.av_ids]
-                totals[p] = times.total(), times.total(self.av_ids)
-            self._e, self._total_times = e, totals
-        return self._e, self._total_times
+        if self._full is None:
+            self._simulate(counterfactuals=False)
+        return -self._full[:, self._av_columns], self._total_times
 
     def _intrinsic_table(self, config: RewardConfig) -> np.ndarray:
-        """``M``: each AV's intrinsic score under ``config``, one row per profile."""
+        """``M``: each AV's intrinsic score under ``config``, one row per profile.
+
+        Bit for bit ``rewards.intrinsic_scores``: ``math.tanh`` of each distinct
+        difference, summed in row order. No term is -0.0, so the own entry
+        (+0.0) and a start at the first term instead of 0.0 change nothing.
+        """
         key = (config.scope, config.tanh_scale, config.raw_sum)
         if key not in self._m:
+            if self._withouts is None:
+                self._simulate(counterfactuals=True)
+            scope = self._av_columns if config.scope == "av-group" else slice(None)
+            full = self._full[:, scope]
             m = np.empty((self.space_size, len(self.av_ids)))
-            for p, action in enumerate(self.profiles()):
-                matrix = self.engine.marginal_matrix(self.full_action(action), self.seed)
-                scores = intrinsic_scores(matrix, config)
-                m[p] = [scores[av] for av in self.av_ids]
+            for k, without in enumerate(self._withouts):
+                deltas = without[self._counterfactual_rows(k)][:, scope] - full
+                deltas[np.isnan(deltas)] = 0.0
+                if not config.raw_sum:
+                    values, inverse = np.unique(deltas / config.tanh_scale, return_inverse=True)
+                    terms = np.array([math.tanh(v) for v in values.tolist()])
+                    deltas = terms[inverse.reshape(deltas.shape)]
+                m[:, k] = np.cumsum(deltas, axis=1)[:, -1]
             self._m[key] = m
         return self._m[key]
 

@@ -205,7 +205,7 @@ class SeedRun:
     warmup_logs: list[EpisodeLog]
     result: TrainResult
     frozen_profile: dict[int, int]
-    optimal_actions: dict[int, int]
+    optimal_actions: dict[int, int] = field(default_factory=dict)  # set by run_experiment
 
     @property
     def all_logs(self) -> list[EpisodeLog]:
@@ -275,11 +275,7 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
         episode_offset=config.warmup_days,
     )
     return SeedRun(
-        seed=seed,
-        warmup_logs=warmup_logs,
-        result=result,
-        frozen_profile=frozen_humans,
-        optimal_actions=_optimal_actions(scenario, frozen_humans),
+        seed=seed, warmup_logs=warmup_logs, result=result, frozen_profile=frozen_humans
     )
 
 
@@ -340,6 +336,13 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
             )
     else:
         seed_runs = [run_seed(config, scenario, s) for s in config.seeds]
+    # Seeds mostly freeze the same humans: one optimum per frozen profile.
+    optima: dict[tuple, dict[int, int]] = {}
+    for run in seed_runs:
+        key = tuple(run.frozen_profile.items())
+        if key not in optima:
+            optima[key] = _optimal_actions(scenario, run.frozen_profile)
+        run.optimal_actions = optima[key]
     result = ExperimentResult(
         config=config, scenario=scenario, seed_runs=seed_runs, out_dir=config.out_dir
     )
@@ -583,13 +586,7 @@ def equilibrium_grid(
     grid_results = []
     for alpha in alphas:
         for beta in betas:
-            reward = RewardConfig(
-                alpha=alpha,
-                beta=beta,
-                scope=scope,
-                tanh_scale=config.reward.tanh_scale,
-                raw_sum=config.reward.raw_sum,
-            )
+            reward = dataclasses.replace(config.reward, alpha=alpha, beta=beta, scope=scope)
             report = analyzer.enumerate_nash(reward, include_deviations=False)
             encoded = ";".join(encode_action(a) for a in report.equilibria)
             rows.append([float(alpha), float(beta), scope, report.count, encoded])
@@ -609,26 +606,20 @@ def equilibrium_grid(
     # Deviation terms do not depend on (alpha, beta); the threshold column is
     # reported at alpha = 1, the canonical unshaped preference.
     if scope != "none" and all(len(s) == 2 for s in analyzer.spaces):
-        canonical = RewardConfig(
-            alpha=1.0,
-            beta=1.0,
-            scope=scope,
-            tanh_scale=config.reward.tanh_scale,
-            raw_sum=config.reward.raw_sum,
-        )
-        deviation_rows = [
-            [
-                encode_action(record.action),
-                record.av_id,
-                record.delta_seconds,
-                record.delta_score,
-                "indifferent"
-                if record.beta_threshold is None
-                else record.beta_threshold,
-            ]
-            for record in analyzer.deviation_records(canonical)
-        ]
-        _write_csv(out / "deviations.csv", DEVIATIONS_CSV_HEADER, deviation_rows)
+        canonical = dataclasses.replace(config.reward, alpha=1.0, beta=1.0, scope=scope)
+        with _open_csv(out / "deviations.csv") as handle:
+            handle.write(next(_csv_lines([DEVIATIONS_CSV_HEADER])))
+            # No cell needs quoting: codes, ids and floats hold no comma, quote or newline.
+            records = analyzer.deviation_records(canonical)
+            for action, group in itertools.groupby(records, lambda r: r.action):
+                code = encode_action(action)
+                for r in group:
+                    threshold = (
+                        "indifferent" if r.beta_threshold is None else repr(r.beta_threshold)
+                    )
+                    handle.write(
+                        f"{code},{r.av_id},{r.delta_seconds!r},{r.delta_score!r},{threshold}\r\n"
+                    )
 
     labels = [f"a={r['alpha']:g},b={r['beta']:g}" for r in grid_results]
     counts = [float(r["count"]) for r in grid_results]

@@ -35,8 +35,8 @@ levels held in one ``SimulationCache``:
 * rosters: a day's routes form one tuple, agents in departure order, and a
   roster is keyed by ``(routes, seed)`` with the removed AV's slot replaced
   by a marker, so rosters differing only in the removed AV's route share an
-  entry. A deterministic 10-AV binary-route sweep of the 1024 joint actions
-  never simulates more than 1024 + 10 * 1024 rosters;
+  entry. This memo serves training, the ``marginal`` command and the
+  analyzer's per-profile ``rewards``, not its tables (see equilibrium.py);
 * days: ``evaluate`` keeps its (travel times, scores) per ``(routes, seed)``,
   so a repeated day costs one lookup. A day hit counts as a hit for each
   roster it stands for.

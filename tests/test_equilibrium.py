@@ -4,8 +4,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from routelab import ConfigurationError, RewardConfig, beta_max
+from routelab import (
+    AgentSpec,
+    ConfigurationError,
+    NetworkConfig,
+    RewardConfig,
+    RouteSpec,
+    Scenario,
+    beta_max,
+)
 from routelab.equilibrium import EquilibriumAnalyzer, encode_action
 
 from conftest import make_scenario
@@ -359,7 +369,9 @@ def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):
         raise AssertionError("selfish analysis scored an intrinsic reward")
 
     monkeypatch.setattr("routelab.equilibrium.intrinsic_reward", forbidden)
-    monkeypatch.setattr("routelab.equilibrium.intrinsic_scores", forbidden)
+    # M is scored only in _intrinsic_table; only a counterfactual fill needs table rows.
+    monkeypatch.setattr(EquilibriumAnalyzer, "_intrinsic_table", forbidden)
+    monkeypatch.setattr(EquilibriumAnalyzer, "_counterfactual_rows", forbidden)
     scenario, humans = small_game()
     analyzer = EquilibriumAnalyzer(scenario, humans)
     for config in (
@@ -368,3 +380,76 @@ def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):
     ):
         analyzer.enumerate_nash(config, include_deviations=config.scope == "none")
     assert analyzer.engine.simulations_run == analyzer.space_size
+
+
+@st.composite
+def generated_games(draw):
+    """(scenario, frozen humans) with 1-4 AVs, 0-3 humans and 2-3 routes.
+
+    AV action spaces are ordered subsets of the routes, so some hold one
+    route and some do not start at route 0. Half the calibrations are
+    monotone (``Scenario.monotone``); the others have a window below the gap
+    or a third route, where removing a vehicle can delay another.
+    """
+    monotone = draw(st.booleans())
+    n_routes = 2 if monotone else draw(st.integers(2, 3))
+    yielding = draw(st.integers(0, n_routes - 1))
+    gap = draw(st.sampled_from([2.0, 3.0]))
+    if monotone:
+        window = gap + draw(st.sampled_from([0.0, 4.0]))
+    else:
+        window = draw(st.sampled_from([0.0, 1.0, gap, 6.0] if n_routes == 3 else [0.0, 1.0]))
+    network = NetworkConfig(
+        routes=tuple(
+            RouteSpec(draw(st.sampled_from([40.0, 42.0, 44.0])), has_priority=k != yielding)
+            for k in range(n_routes)
+        ),
+        merge_gap_g=gap,
+        yield_window_w=window,
+        post_merge_time=10.0,
+    )
+    n_avs, n_humans = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    kinds = draw(st.permutations(["av"] * n_avs + ["human"] * n_humans))
+    departure, agents, humans = 0.0, [], {}
+    for i, kind in enumerate(kinds):
+        departure += draw(st.sampled_from([1.0, 0.5, 2.0]))
+        space = tuple(range(n_routes))
+        if kind == "av":
+            size = draw(st.sampled_from([2, 1, n_routes]))
+            space = draw(st.permutations(space))[:size]
+        else:
+            humans[i] = draw(st.sampled_from(space))
+        agents.append(AgentSpec(id=i, kind=kind, departure_time=departure, action_space=space))
+    scenario = Scenario(agents=tuple(agents), network=network)
+    assert scenario.monotone == monotone
+    return scenario, humans
+
+
+TABLE_CONFIGS = tuple(
+    RewardConfig(alpha=1.0, beta=0.7, scope=scope, tanh_scale=scale, raw_sum=raw_sum)
+    for scope in ("av-group", "system")
+    for scale in (1.0, 0.37)
+    for raw_sum in (False, True)
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(generated_games())
+def test_generated_reward_tables_equal_per_profile_rewards(game):
+    scenario, humans = game
+    selfish = EquilibriumAnalyzer(scenario, humans)
+    selfish.enumerate_nash(RewardConfig(alpha=1.0, beta=0.0, scope="none"))
+    n = selfish.space_size
+    assert selfish.engine.simulations_run == n
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    tables = [analyzer.reward_table(config) for config in TABLE_CONFIGS]
+    # One shaped fill serves every scope and scoring setting.
+    budget = n + sum(n // len(space) for space in analyzer.spaces)
+    assert analyzer.engine.simulations_run == budget
+    # After the full runs, a shaped fill adds only the counterfactual rosters.
+    selfish.reward_table(TABLE_CONFIGS[0])
+    assert selfish.engine.simulations_run == budget
+    for config, table in zip(TABLE_CONFIGS, tables):
+        for p, action in enumerate(analyzer.profiles()):
+            per_profile = analyzer.rewards(action, config)
+            assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]

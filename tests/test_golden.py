@@ -14,7 +14,7 @@ import hashlib
 
 from routelab.harness import RunConfig, equilibrium_grid, run_experiment
 from routelab.rewards import RewardConfig
-from routelab.scenarios import two_route_yield_scenario
+from routelab.scenarios import two_route_yield_network, two_route_yield_scenario
 
 EXPERIMENT_DIGESTS = {
     "convergence.csv": "51ee3cc3c49285de59e6f4c3e1f7a65c816d50bf166762f0b52220fc8d3c5142",
@@ -43,6 +43,18 @@ GRID_DIGESTS = {
     "system/deviations.csv": "b6b171f8f32f7c0e5b6b342391f4f5a2cf9c4f7d3d7cdbcd6056e10b8c7cc3f3",
     "system/equilibria.csv": "71e79d24b86c5db8d2c65324d62708c755f24840a66cec3ec9dc07f22db25d48",
     "system/equilibria.svg": "77a07cc771fdd432e0a41ad470aca4b8abe888bcd31a5857913beb32f6487b66",
+}
+
+# Window below the gap: removing a vehicle can delay another, so positive
+# marginal entries and finite, inf and indifferent thresholds all reach
+# deviations.csv.
+NON_MONOTONE_GRID_DIGESTS = {
+    "av-group/deviations.csv": "2815675a2a14357f9bc0be90e0923e7c27b1cd68e28ef99f06772812eaa030b6",
+    "av-group/equilibria.csv": "e6f2b013f633c35a9dfd02007b6bc1e7b91d9a6e53bc3e0fbf26273dd63ba28b",
+    "av-group/equilibria.svg": "c1f9f16a53473f9d2aa6f52e33c530dced669ee7f0cf8ede9793672476b7e8e4",
+    "system/deviations.csv": "c03fc26c368cb714262b719558b7d28d2d8b2fbd8c8e80ff172ac687ae4e6d86",
+    "system/equilibria.csv": "ec59ad5135c22682788b78712b50bc017218c2e14128a035f513b763a652117f",
+    "system/equilibria.svg": "b2699d8807fc192fe757432ba158932e7e4f75923547317abd2087d517827a00",
 }
 
 
@@ -80,6 +92,13 @@ def test_shaped_stochastic_experiment_digests(tmp_path):
     assert digests(config.out_dir) == STOCHASTIC_EXPERIMENT_DIGESTS
 
 
+def grid_digests(config):
+    for scope in ("av-group", "system"):
+        scoped = dataclasses.replace(config, out_dir=config.out_dir / scope)
+        equilibrium_grid(scoped, (1.0,), (0.0, 0.3, 1.0, 10.0, 100.0), scope)
+    return digests(config.out_dir)
+
+
 def test_three_av_shaped_grid_digests(tmp_path):
     config = RunConfig(
         scenario=two_route_yield_scenario(av_ids=(1, 3, 5)),
@@ -87,7 +106,20 @@ def test_three_av_shaped_grid_digests(tmp_path):
         seeds=(0,),
         out_dir=tmp_path / "grid",
     )
-    for scope in ("av-group", "system"):
-        scoped = dataclasses.replace(config, out_dir=config.out_dir / scope)
-        equilibrium_grid(scoped, (1.0,), (0.0, 0.3, 1.0, 10.0, 100.0), scope)
-    assert digests(config.out_dir) == GRID_DIGESTS
+    assert grid_digests(config) == GRID_DIGESTS
+
+
+def test_non_monotone_shaped_grid_digests(tmp_path):
+    network = two_route_yield_network(pre_merge=(40.0, 44.0), merge_gap=3.0, yield_window=1.0)
+    scenario = two_route_yield_scenario(
+        n_agents=8, av_ids=(1, 3, 5, 7), headway=1.0, network=network
+    )
+    assert not scenario.monotone
+    config = RunConfig(
+        scenario=scenario,
+        reward=RewardConfig(tanh_scale=0.5),
+        warmup_days=20,
+        seeds=(0,),
+        out_dir=tmp_path / "grid",
+    )
+    assert grid_digests(config) == NON_MONOTONE_GRID_DIGESTS
