@@ -4,14 +4,18 @@ Each run below writes its artifacts to a fresh directory; every file except
 ``config.json`` (which embeds the output directory) must hash to the value
 recorded here. A refactor that claims "same results" keeps these unchanged;
 a change that alters results on purpose must say so and record new digests.
-The stochastic run guards how noisy 17-digit floats are written.
+The stochastic run guards how noisy 17-digit floats are written. The kernel
+digest pins the raw travel times of ``simulate_batch`` (full run and every
+leave-one-out run) on generated worlds beyond the default scenario.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 
+from routelab import AgentSpec, NetworkConfig, RouteSpec, Scenario, simulate_batch
 from routelab.harness import RunConfig, equilibrium_grid, run_experiment
 from routelab.rewards import RewardConfig
 from routelab.scenarios import two_route_yield_network, two_route_yield_scenario
@@ -56,6 +60,10 @@ NON_MONOTONE_GRID_DIGESTS = {
     "system/equilibria.csv": "ec59ad5135c22682788b78712b50bc017218c2e14128a035f513b763a652117f",
     "system/equilibria.svg": "b2699d8807fc192fe757432ba158932e7e4f75923547317abd2087d517827a00",
 }
+
+# 10 generated worlds x 20 seeded days: 3-4 routes, window below the gap,
+# shuffled non-contiguous agent ids, every other world noisy.
+KERNEL_DIGEST = "99fe4cfe37b4599ace6943d952180d4af99c78dd2de4afb71bbc0c8b482e8364"
 
 
 def digests(out_dir):
@@ -123,3 +131,41 @@ def test_non_monotone_shaped_grid_digests(tmp_path):
         out_dir=tmp_path / "grid",
     )
     assert grid_digests(config) == NON_MONOTONE_GRID_DIGESTS
+
+
+def kernel_worlds(n_worlds=10, days=20):
+    """(scenario, joint action, seed) for each generated day."""
+    rng = random.Random(9)
+    for world in range(n_worlds):
+        n_routes = rng.choice((3, 4))
+        yielding = rng.choice((None, *range(n_routes)))
+        gap = rng.choice((2.0, 3.0, rng.uniform(1.0, 4.0)))
+        pre_merge = [rng.choice((10.0, 12.0, 15.0, rng.uniform(8.0, 30.0))) for _ in range(n_routes)]
+        network = NetworkConfig(
+            routes=tuple(RouteSpec(p, k != yielding) for k, p in enumerate(pre_merge)),
+            merge_gap_g=gap,
+            yield_window_w=rng.uniform(0.0, gap),
+            post_merge_time=rng.choice((0.0, 10.0)),
+        )
+        ids = rng.sample(range(100), rng.randint(12, 22))
+        departure, agents = 0.0, []
+        for i in ids:
+            departure += rng.choice((0.5, 1.0, 2.0, rng.uniform(0.1, 3.0)))
+            kind = "av" if rng.random() < 0.5 else "human"
+            agents.append(AgentSpec(i, kind, departure, tuple(range(n_routes))))
+        sigma = rng.uniform(0.1, 0.9 * min(pre_merge)) if world % 2 else 0.0
+        scenario = Scenario(tuple(agents), network, sigma)
+        for _ in range(days):
+            action = {i: rng.randrange(n_routes) for i in ids}
+            yield scenario, action, rng.randrange(2**31)
+
+
+def test_kernel_travel_times_digest():
+    digest = hashlib.sha256()
+    for scenario, action, seed in kernel_worlds():
+        for run in simulate_batch(scenario, action, scenario.av_ids, seed):
+            for agent in scenario.agents:
+                if agent.id in run:
+                    digest.update(f"{agent.id}:{run[agent.id]!r};".encode())
+        digest.update(b"|")
+    assert digest.hexdigest() == KERNEL_DIGEST
