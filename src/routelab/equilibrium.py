@@ -20,10 +20,11 @@ times, and per externality scope an intrinsic table ``M`` of the same shape.
 The rewards at any grid point are then ``alpha * E + beta * M``. The Nash test
 compares each profile's row with the rows of its single-AV neighbours, and
 the deviation terms are differences of two rows. Each profile is one kernel
-batch. The run without AV ``k`` does not depend on ``k``'s route, so it is
-kept once, as a row of slot ``k``'s counterfactual table, and every ``M`` is
-scored from those tables at once. A selfish setting (beta = 0 or scope
-"none") builds no such table, so it costs one simulation per profile.
+call. The run without AV ``k`` does not depend on ``k``'s route, so it is
+kept once, as a row of slot ``k``'s counterfactual table (the full run with
+``k`` NaN and the sparse entries applied), and every ``M`` is scored from
+those tables at once. A selfish setting (beta = 0 or scope "none") builds
+no such table, so it costs one simulation per profile.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import ConfigurationError, Scenario, simulate_batch
+from .network import ConfigurationError, Scenario, counterfactual_row, simulate_slots
 from .rewards import RewardConfig, RewardEngine, intrinsic_reward
 
 DEFAULT_ENUMERATION_BOUND = 2**20
@@ -148,7 +149,7 @@ class EquilibriumAnalyzer:
         self.engine = RewardEngine(
             scenario, RewardConfig(alpha=1.0, beta=1.0, scope="system")
         )
-        self._ids = tuple(a.id for a in scenario.agents)
+        self._ids = scenario.ids
         self._av_columns = [self._ids.index(av) for av in self.av_ids]
         self._full: np.ndarray | None = None  # travel times, profiles x agents
         self._withouts: list[np.ndarray] | None = None  # per slot, runs without it
@@ -194,22 +195,25 @@ class EquilibriumAnalyzer:
         return rows // (stride * len(self.spaces[slot])) * stride + rows % stride
 
     def _simulate(self, counterfactuals: bool) -> None:
-        """Full runs and, if asked, counterfactual tables: one batch per profile.
+        """Full runs and, if asked, counterfactual tables: one kernel call per profile.
 
-        A batch removes exactly the AVs at the first route of their space.
+        A call removes exactly the AVs at the first route of their space.
         """
         slots = range(len(self.spaces) if counterfactuals else 0)
         rows = [self._counterfactual_rows(k).tolist() for k in slots]
         withouts = [np.empty((self.space_size // len(self.spaces[k]), len(self._ids))) for k in slots]
         full = np.empty((self.space_size, len(self._ids)))
+        routes = list(self.scenario.routes_of(self.full_action(self.profile_at(0))))
         for p, action in enumerate(self.profiles()):
+            for c, route in zip(self._av_columns, action):
+                routes[c] = route
             removed = [k for k in slots if action[k] == self.spaces[k][0]]
-            base, *runs = simulate_batch(
-                self.scenario, self.full_action(action), [self.av_ids[k] for k in removed], self.seed
+            base, sparse = simulate_slots(
+                self.scenario, tuple(routes), [self._av_columns[k] for k in removed], self.seed
             )
-            full[p] = list(map(base.times.__getitem__, self._ids))
-            for k, run in zip(removed, runs):
-                withouts[k][rows[k][p]] = [run.times.get(i, math.nan) for i in self._ids]
+            full[p] = base
+            for k, changes in zip(removed, sparse):
+                withouts[k][rows[k][p]] = counterfactual_row(base, self._av_columns[k], changes)
         if self._full is None:
             self.engine.simulations_run += self.space_size
             # Python sums in departure order, as TravelTimeVector.total does.
@@ -258,10 +262,10 @@ class EquilibriumAnalyzer:
         ``M`` is built only when the intrinsic term has weight, so selfish
         settings cost one simulation per profile.
         """
-        rewards = config.alpha * self._base_tables()[0]
-        if config.needs_intrinsic:
-            rewards += config.beta * self._intrinsic_table(config)
-        return rewards
+        if not config.needs_intrinsic:
+            return config.alpha * self._base_tables()[0]
+        m = self._intrinsic_table(config)  # first: its fill includes the full runs
+        return config.alpha * self._base_tables()[0] + config.beta * m
 
     def rewards(self, action: tuple[int, ...], config: RewardConfig) -> dict[int, float]:
         """Shaped reward per AV in one profile, straight from the engine.

@@ -329,6 +329,8 @@ class ExperimentResult:
 
 def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     scenario = config.effective_scenario()
+    if not scenario.av_ids:
+        raise ConfigurationError("training needs at least one AV in the scenario")
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             seed_runs = list(
@@ -582,6 +584,11 @@ def equilibrium_grid(
     analyzer = EquilibriumAnalyzer(scenario, frozen_humans)
 
     out = Path(config.out_dir)
+    canonical = dataclasses.replace(config.reward, alpha=1.0, beta=1.0, scope=scope)
+    if canonical.needs_intrinsic and any(betas):
+        # The counterfactual fill simulates every full run too: done first,
+        # it spares a selfish point a pass of its own.
+        analyzer.reward_table(canonical)
     rows = []
     grid_results = []
     for alpha in alphas:
@@ -606,7 +613,6 @@ def equilibrium_grid(
     # Deviation terms do not depend on (alpha, beta); the threshold column is
     # reported at alpha = 1, the canonical unshaped preference.
     if scope != "none" and all(len(s) == 2 for s in analyzer.spaces):
-        canonical = dataclasses.replace(config.reward, alpha=1.0, beta=1.0, scope=scope)
         with _open_csv(out / "deviations.csv") as handle:
             handle.write(next(_csv_lines([DEVIATIONS_CSV_HEADER])))
             # No cell needs quoting: codes, ids and floats hold no comma, quote or newline.

@@ -22,14 +22,16 @@ per seed and unaffected by which other agents are present. ``Scenario``
 rejects a sigma at or above the shortest pre-merge time, since such jitter
 could put a merge arrival before its departure.
 
-One kernel, ``simulate_batch``, resolves the merge for the full roster and
-for each roster without one AV (the counterfactuals of the shaped reward);
-``simulate`` and ``simulate_without`` are thin wrappers over it. It draws
-each agent's noise once per call and resolves the merge in one ordered
-event pass, O(n log n), relying on at most one yielding route per merge:
+One kernel, ``simulate_slots``, resolves the merge for the full roster and
+for each roster without one AV (the counterfactuals of the shaped reward).
+It works on departure slots (slot ``k`` is ``scenario.agents[k]``, and slot
+order is (departure, id) order): its input is each slot's route, as
+``Scenario.routes_of`` gives it. It draws each agent's noise once per call
+and resolves the merge in one ordered event pass over heaps of slots,
+O(n log n), relying on at most one yielding route per merge:
 
 * a vehicle that reached the merge by the time it is next free waits, and
-  waiting vehicles of one class pass in (departure, id) order;
+  waiting vehicles of one class pass in slot order;
 * a waiting priority vehicle always passes first;
 * otherwise waiting yielding vehicles pass unless the next priority arrival
   falls inside the window;
@@ -40,16 +42,21 @@ Every passage is still ``arrival`` or ``last_passage + g``, so results are
 bit-for-bit those of the rules above. A counterfactual takes the same steps
 as the full run until the removed vehicle's turn, so it resumes from the
 full run's state there and stops once both runs have passed the same
-vehicles with the merge free at the same time again.
+vehicles with the merge free at the same time again: it comes back as the
+sparse ``{slot: travel time}`` entries it re-simulated. ``simulate``,
+``simulate_without`` and ``simulate_batch`` are validated wrappers that key
+the kernel's results by agent id.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -168,13 +175,38 @@ class Scenario:
                 f"departure; it must stay below the shortest pre_merge_time {shortest}"
             )
 
-    @property
+    @cached_property
+    def ids(self) -> tuple[int, ...]:  # by departure slot
+        return tuple(a.id for a in self.agents)
+
+    @cached_property
     def av_ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.agents if a.kind == "av")
 
-    @property
+    @cached_property
     def human_ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.agents if a.kind == "human")
+
+    @cached_property
+    def slot_tables(self) -> tuple[tuple, tuple, tuple]:
+        """What the kernel looks up: departure by slot, pre-merge time and priority by route."""
+        routes, departures = self.network.routes, tuple(a.departure_time for a in self.agents)
+        return departures, tuple(r.pre_merge_time for r in routes), tuple(r.has_priority for r in routes)
+
+    def routes_of(self, action: Mapping[int, int]) -> tuple[int, ...]:
+        """Each agent's route in ``action`` by departure slot; raises on a bad or partial action."""
+        if len(action) != len(self.agents):
+            raise ConfigurationError(
+                f"joint action has {len(action)} entries for {len(self.agents)} agents"
+            )
+        routes = tuple(map(action.get, self.ids))
+        for agent, route in zip(self.agents, routes):
+            if route not in agent.action_space:
+                raise ConfigurationError(
+                    f"joint action missing agent {agent.id}" if agent.id not in action
+                    else f"agent {agent.id}: route {route} outside action space"
+                )
+        return routes
 
     @property
     def monotone(self) -> bool:
@@ -227,75 +259,97 @@ def _arrival_noise(seed: int, agent_id: int, sigma: float) -> float:
     return rng.uniform(-sigma, sigma)
 
 
-class _MergeState:
-    """Ordered event pass over one roster's merge arrivals.
+def _passages(pa, ps, ya, ys, gap, window, pi, yi, wp, wy, ready):
+    """Pass vehicles from one merge state on, without end; yields (slot, time, pi, yi).
 
-    Vehicles not yet at the merge sit in two lists, one per class, sorted
-    by (arrival, departure, id); ``pi`` and ``yi`` point at their heads.
-    Vehicles that arrived by ``ready``, the earliest time the merge can
-    serve again (last passage + gap), wait in a (departure, id) heap per
-    class. The state is a pure function of the vehicles not yet passed and
-    of ``ready``, so a copy taken before one vehicle passes, minus that
-    vehicle, is the state of the run without it.
+    Per class, vehicles not yet at the merge are sorted by (arrival, slot):
+    arrivals ``pa``/``ya`` (with an ``inf`` sentinel) and slots ``ps``/``ys``,
+    read from ``pi``/``yi``. Those that arrived by ``ready`` (last passage +
+    gap) wait in the slot heaps ``wp``/``wy``. The state after a passage,
+    with ``ready`` as before it, is that of the run without that vehicle.
     """
-
-    __slots__ = ("prio", "yld", "gap", "window", "pi", "yi", "wp", "wy", "ready")
-
-    def __init__(self, prio, yld, gap, window):
-        self.prio, self.yld = prio, yld  # (arrival, departure, id), sorted
-        self.gap, self.window = gap, window
-        self.pi = self.yi = 0
-        self.wp: list[tuple[float, int]] = []
-        self.wy: list[tuple[float, int]] = []
-        self.ready = -math.inf
-
-    def fork(self, ready: float) -> "_MergeState":
-        twin = _MergeState(self.prio, self.yld, self.gap, self.window)
-        twin.pi, twin.yi = self.pi, self.yi
-        twin.wp, twin.wy = self.wp[:], self.wy[:]
-        twin.ready = ready
-        return twin
-
-    def step(self) -> tuple[int, float]:
-        """Pass the next vehicle; returns (id, passage time)."""
-        prio, yld, ready = self.prio, self.yld, self.ready
-        pi, yi = self.pi, self.yi
-        while pi < len(prio) and prio[pi][0] <= ready:
-            heapq.heappush(self.wp, prio[pi][1:])
+    push, pop = heapq.heappush, heapq.heappop
+    while True:
+        while pa[pi] <= ready:
+            push(wp, ps[pi])
             pi += 1
-        while yi < len(yld) and yld[yi][0] <= ready:
-            heapq.heappush(self.wy, yld[yi][1:])
+        while ya[yi] <= ready:
+            push(wy, ys[yi])
             yi += 1
         # A yielding vehicle passing at t is blocked by the next priority
         # arrival if that falls at or before t + window.
-        next_priority = prio[pi][0] if pi < len(prio) else math.inf
-        if self.wp:  # a waiting priority vehicle always wins
-            t, (_, vid) = ready, heapq.heappop(self.wp)
-        elif self.wy and next_priority > ready + self.window:
-            t, (_, vid) = ready, heapq.heappop(self.wy)
-        elif not self.wy and yi < len(yld) and next_priority > yld[yi][0] + self.window:
-            t, _, vid = yld[yi]
+        if wp:  # a waiting priority vehicle always wins
+            t, k = ready, pop(wp)
+        elif wy and pa[pi] > ready + window:
+            t, k = ready, pop(wy)
+        elif not wy and pa[pi] > ya[yi] + window:  # never true once ya is spent
+            t, k = ya[yi], ys[yi]
             yi += 1
         else:
-            t, _, vid = prio[pi]
+            t, k = pa[pi], ps[pi]
             pi += 1
-        self.pi, self.yi = pi, yi
-        self.ready = t + self.gap
-        return vid, t
+        ready = t + gap
+        yield k, t, pi, yi
 
 
-def _check_action(scenario: Scenario, action: Mapping[int, int]) -> None:
-    if len(action) != len(scenario.agents):
-        raise ConfigurationError(
-            f"joint action has {len(action)} entries for {len(scenario.agents)} agents"
-        )
-    for agent in scenario.agents:
-        if agent.id not in action:
-            raise ConfigurationError(f"joint action missing agent {agent.id}")
-        if action[agent.id] not in agent.action_space:
-            raise ConfigurationError(
-                f"agent {agent.id}: route {action[agent.id]} outside action space"
-            )
+def simulate_slots(
+    scenario: Scenario, routes: tuple[int, ...], removed: Sequence[int] = (), seed: int = 0
+) -> tuple[list[float], list[dict[int, float]]]:
+    """The full run's travel times by slot, and per slot in ``removed`` the run without it.
+
+    ``routes`` is not checked. A counterfactual is the ``{slot: travel
+    time}`` entries it re-simulated; every other slot keeps its full-run time.
+    """
+    departures, pre_merge, priority = scenario.slot_tables
+    net = scenario.network
+    gap, window, post = net.merge_gap_g, net.yield_window_w, net.post_merge_time
+    arrival = [d + pre_merge[r] for d, r in zip(departures, routes)]
+    if scenario.noise_sigma > 0:
+        noise = (_arrival_noise(seed, i, scenario.noise_sigma) for i in scenario.ids)
+        arrival = [a + e for a, e in zip(arrival, noise)]
+    ps = sorted((k for k, r in enumerate(routes) if priority[r]), key=arrival.__getitem__)
+    ys = sorted((k for k, r in enumerate(routes) if not priority[r]), key=arrival.__getitem__)
+    pa = [arrival[k] for k in ps] + [math.inf]
+    ya = [arrival[k] for k in ys] + [math.inf]
+
+    wp, wy = [], []
+    forks = dict.fromkeys(removed)
+    full = [0.0] * len(routes)
+    order: list[tuple[int, float]] = []
+    ready = -math.inf
+    for k, t, pi, yi in itertools.islice(
+        _passages(pa, ps, ya, ys, gap, window, 0, 0, wp, wy, ready), len(routes)
+    ):
+        if k in forks:
+            forks[k] = (len(order), pi, yi, wp[:], wy[:], ready)
+        order.append((k, t))
+        full[k] = t + post - departures[k]
+        ready = t + gap
+
+    counterfactuals = []
+    for j in removed:
+        position, pi, yi, wp, wy, ready = forks[j]
+        sparse, unmatched = {}, set()
+        rest = _passages(pa, ps, ya, ys, gap, window, pi, yi, wp[:], wy[:], ready)
+        for (full_k, full_t), (k, t, _, _) in zip(order[position + 1 :], rest):
+            sparse[k] = t + post - departures[k]
+            if k != full_k:
+                unmatched ^= {k, full_k}
+            if not unmatched and t == full_t:
+                # Same vehicles passed, merge free at the same time: from here
+                # on the full run's times hold.
+                break
+        counterfactuals.append(sparse)
+    return full, counterfactuals
+
+
+def counterfactual_row(full: list[float], removed: int, sparse: Mapping[int, float]) -> list[float]:
+    """A counterfactual's travel times by slot, NaN at the removed slot."""
+    row = full.copy()
+    row[removed] = math.nan
+    for k, t in sparse.items():
+        row[k] = t
+    return row
 
 
 def simulate_batch(
@@ -309,60 +363,17 @@ def simulate_batch(
     Every run shares the seed and the per-agent noise draws, so each
     counterfactual differs from the full run only by the missing vehicle.
     """
-    _check_action(scenario, action)
-    removed_ids = tuple(removed_ids)
-    wanted = set(removed_ids)
-    if not wanted <= set(scenario.av_ids):
-        raise ConfigurationError(
-            f"agents {sorted(wanted - set(scenario.av_ids))} are not AVs of this "
-            "scenario; only AVs may be removed"
-        )
-    net = scenario.network
-    sigma = scenario.noise_sigma
-    prio, yld, departures = [], [], {}
-    for agent in scenario.agents:
-        route = net.routes[action[agent.id]]
-        arrival = agent.departure_time + route.pre_merge_time
-        if sigma > 0:
-            arrival += _arrival_noise(seed, agent.id, sigma)
-        (prio if route.has_priority else yld).append(
-            (arrival, agent.departure_time, agent.id)
-        )
-        departures[agent.id] = agent.departure_time
-    prio.sort()
-    yld.sort()
-
-    def travel_time(vid: int, passage: float) -> float:
-        return passage + net.post_merge_time - departures[vid]
-
-    merge = _MergeState(prio, yld, net.merge_gap_g, net.yield_window_w)
-    order: list[tuple[int, float]] = []
-    forks: dict[int, tuple[int, _MergeState]] = {}
-    for _ in departures:
-        ready = merge.ready
-        vid, t = merge.step()
-        if vid in wanted:
-            forks[vid] = (len(order), merge.fork(ready))
-        order.append((vid, t))
-    passages = dict(order)
-    base = {vid: travel_time(vid, passages[vid]) for vid in departures}
-
-    runs = [TravelTimeVector(times=base, seed=seed)]
-    for removed in removed_ids:
-        position, snapshot = forks[removed]
-        merge = snapshot.fork(snapshot.ready)  # the snapshot may serve a repeated id
-        times = dict(base)
-        del times[removed]
-        unmatched: set[int] = set()
-        for full_vid, full_t in order[position + 1 :]:
-            vid, t = merge.step()
-            times[vid] = travel_time(vid, t)
-            if vid != full_vid:
-                unmatched ^= {vid, full_vid}
-            if not unmatched and t == full_t:
-                # Same vehicles passed, merge free at the same time: from here
-                # on the full run's times hold.
-                break
+    routes, removed_ids = scenario.routes_of(action), tuple(removed_ids)
+    not_avs = sorted(set(removed_ids).difference(scenario.av_ids))
+    if not_avs:
+        raise ConfigurationError(f"agents {not_avs} are not AVs of this scenario; only AVs may be removed")
+    slots = [scenario.ids.index(j) for j in removed_ids]
+    full, counterfactuals = simulate_slots(scenario, routes, slots, seed)
+    runs = [TravelTimeVector(times=dict(zip(scenario.ids, full)), seed=seed)]
+    for j, sparse in zip(removed_ids, counterfactuals):
+        times = dict(zip(scenario.ids, full))
+        del times[j]
+        times.update((scenario.ids[k], t) for k, t in sparse.items())
         runs.append(TravelTimeVector(times=times, seed=seed))
     return runs
 

@@ -26,30 +26,31 @@ shaped reward is then ``alpha * extrinsic + beta * m_j`` with extrinsic the
 negative travel time. A ``raw_sum`` switch replaces the tanh squash with the
 plain column sum for sensitivity studies.
 
-One matrix needs the full run plus one counterfactual run per AV. They come
-from one call of the batched kernel ``simulate_batch``, which draws each
-agent's noise once and derives every counterfactual from the full run.
-Only noise-free days repeat, so only a deterministic engine memoises, at two
-levels held in one ``SimulationCache``:
+One matrix needs the full run plus one counterfactual run per AV, from one
+call of the slot-space kernel ``simulate_slots``: the full run as travel
+times by departure slot, each counterfactual as the sparse entries it
+re-simulated. The engine scores each AV from those entries alone; the rest
+of its column is exact zeros. Only noise-free days repeat, so only a
+deterministic engine memoises, at two levels held in one ``SimulationCache``:
 
 * rosters: a day's routes form one tuple, agents in departure order, and a
   roster is keyed by ``(routes, seed)`` with the removed AV's slot replaced
   by a marker, so rosters differing only in the removed AV's route share an
-  entry. This memo serves training, the ``marginal`` command and the
-  analyzer's per-profile ``rewards``, not its tables (see equilibrium.py);
+  entry, a whole row of travel times by slot. This memo serves training, the
+  ``marginal`` command and the analyzer's per-profile ``rewards``, not its
+  tables (see equilibrium.py);
 * days: ``evaluate`` keeps its (travel times, scores) per ``(routes, seed)``,
   so a repeated day costs one lookup. A day hit counts as a hit for each
   roster it stands for.
 
-A noisy day has its own seed and is one batch that nothing keeps. Either
-way ``simulations_run`` counts the distinct rosters simulated.
+A noisy day has its own seed and is one kernel call that nothing keeps.
+Either way ``simulations_run`` counts the distinct rosters simulated.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,8 +61,9 @@ from .network import (
     ConfigurationError,
     Scenario,
     TravelTimeVector,
+    counterfactual_row,
     simulate,
-    simulate_batch,
+    simulate_slots,
     simulate_without,
 )
 
@@ -126,20 +128,16 @@ def _matrix_from_runs(
     scenario: Scenario,
     action: Mapping[int, int],
     seed: int,
-    base: Mapping[int, float],
-    withouts: Sequence[Mapping[int, float]],
+    full: Sequence[float],
+    rows: Sequence[Sequence[float]],
 ) -> MarginalCostMatrix:
-    """Stack the counterfactual columns and subtract the full run once."""
-    row_ids = tuple(a.id for a in scenario.agents)
-    nans = itertools.repeat(math.nan)
-    full = np.array(list(map(base.get, row_ids, nans)))
-    without = np.array([list(map(w.get, row_ids, nans)) for w in withouts])
-    values = without.reshape(len(withouts), len(row_ids)).T - full[:, None]
+    """Stack the counterfactual columns (by slot, NaN where removed) and subtract the full run."""
+    values = np.array(rows).reshape(len(rows), len(full)).T - np.array(full)[:, None]
     # An agent missing from either run (the removed AV in its own column
     # included) contributes 0.
     values[np.isnan(values)] = 0.0
     return MarginalCostMatrix(
-        row_ids=row_ids,
+        row_ids=scenario.ids,
         col_ids=scenario.av_ids,
         values=values,
         action=dict(action),
@@ -162,10 +160,11 @@ def compute_marginal_matrix(
         raise ConfigurationError(
             f"base run used seed {base_times.seed}, counterfactuals requested seed {seed}"
         )
-    runs = simulate_batch(scenario, action, scenario.av_ids, seed)
-    return _matrix_from_runs(
-        scenario, action, seed, base_times.times, [run.times for run in runs[1:]]
-    )
+    slots = [scenario.ids.index(j) for j in scenario.av_ids]
+    full, counterfactuals = simulate_slots(scenario, scenario.routes_of(action), slots, seed)
+    rows = [counterfactual_row(full, k, sparse) for k, sparse in zip(slots, counterfactuals)]
+    base = [base_times.times.get(i, math.nan) for i in scenario.ids]
+    return _matrix_from_runs(scenario, action, seed, base, rows)
 
 
 def _column_scores(
@@ -183,17 +182,19 @@ def _column_scores(
         raise ConfigurationError(f"scope {config.scope!r} has no externality rows")
     rows = [matrix._row_index[i] for i in in_scope]
     columns = matrix.values.T.tolist()
-    scale, raw_sum = config.tanh_scale, config.raw_sum
     scores = {}
     for j in av_ids:
-        column = columns[matrix._col_index[j]]
-        own = matrix._row_index.get(j)
-        total = 0.0
-        for r in rows:
-            if r != own:
-                total += column[r] if raw_sum else math.tanh(column[r] / scale)
-        scores[j] = total
+        column, own = columns[matrix._col_index[j]], matrix._row_index.get(j)
+        scores[j] = _squashed_sum((column[r] for r in rows if r != own), config)
     return scores
+
+
+def _squashed_sum(terms: Iterable[float], config: RewardConfig) -> float:
+    """The terms summed in order from +0.0, each through tanh unless ``raw_sum``."""
+    total = 0.0
+    for term in terms:
+        total += term if config.raw_sum else math.tanh(term / config.tanh_scale)
+    return total
 
 
 def intrinsic_scores(matrix: MarginalCostMatrix, config: RewardConfig) -> dict[int, float]:
@@ -269,54 +270,60 @@ class RewardEngine:
         self.config = config
         self.cache = SimulationCache() if scenario.noise_sigma == 0 else None
         self.simulations_run = 0
-        self._ids = tuple(a.id for a in scenario.agents)
-        self._slots = {i: k for k, i in enumerate(self._ids)}
         self._avs = scenario.av_ids
+        self._av_slots = tuple(k for k, a in enumerate(scenario.agents) if a.kind == "av")
+        self._in_scope = [config.scope == "system" or a.kind == "av" for a in scenario.agents]
 
-    def _routes(self, action: Mapping[int, int]) -> tuple:
-        """The day's routes, agents in departure order."""
-        return tuple(map(action.__getitem__, self._ids))
-
-    def _key(self, routes: tuple, removed: int | None, seed: int) -> tuple:
-        if removed is None:
-            return routes, seed
-        k = self._slots[removed]
-        return routes[:k] + (_REMOVED,) + routes[k + 1 :], seed
-
-    def _simulate(
-        self, action: Mapping[int, int], seed: int, rosters: Sequence[int | None]
-    ) -> list[dict[int, float]]:
-        """Travel times of each roster (None: everyone; j: everyone but AV j), one batch."""
-        removed = [r for r in rosters if r is not None]
-        runs = simulate_batch(self.scenario, action, removed, seed)
+    def _simulate(self, routes: tuple, seed: int, rosters: Sequence[int | None]) -> list[list]:
+        """Travel times by slot of each roster (None: everyone; k: all but slot k), one call."""
+        removed = [k for k in rosters if k is not None]
+        full, counterfactuals = simulate_slots(self.scenario, routes, removed, seed)
         self.simulations_run += len(rosters)
-        rows = dict(zip((None, *removed), (run.times for run in runs)))
-        return [rows[r] for r in rosters]
+        rows = {k: counterfactual_row(full, k, c) for k, c in zip(removed, counterfactuals)}
+        return [full if k is None else rows[k] for k in rosters]
 
-    def _runs(
-        self, action: Mapping[int, int], seed: int, removed_ids: tuple[int, ...]
-    ) -> list[dict[int, float]]:
-        """Travel times of the full roster, then of each roster without an AV.
+    def _runs(self, routes: tuple, seed: int, removed: tuple) -> tuple[list, list[dict]]:
+        """The full run by slot and, per slot in ``removed``, {slot: time} where its run differs.
 
-        Deterministic rosters come from the memo; those not in it yet are
-        simulated together in one batch.
+        A noisy engine passes the kernel's sparse entries on. Deterministic
+        rosters come from the memo, as whole rows; those not in it yet are
+        simulated together in one kernel call.
         """
-        rosters = (None, *removed_ids)
         if self.cache is None:
-            return self._simulate(action, seed, rosters)
-        routes = self._routes(action)
-        by_key = {self._key(routes, r, seed): r for r in rosters}
-        return self.cache.get_or_compute(
+            self.simulations_run += 1 + len(removed)
+            return simulate_slots(self.scenario, routes, removed, seed)
+        by_key = {
+            (routes if k is None else routes[:k] + (_REMOVED,) + routes[k + 1 :], seed): k
+            for k in (None, *removed)
+        }
+        full, *rows = self.cache.get_or_compute(
             list(by_key),
-            lambda missing: self._simulate(action, seed, [by_key[k] for k in missing]),
+            lambda missing: self._simulate(routes, seed, [by_key[key] for key in missing]),
         )
+        return full, [
+            {i: t for i, t in enumerate(row) if t != full[i] and i != k}
+            for k, row in zip(removed, rows)
+        ]
+
+    def _scores(self, full: list[float], changes: list[dict[int, float]]) -> dict[int, float]:
+        """Each AV's intrinsic reward from the in-scope entries its run changed, in slot order.
+
+        Bit for bit ``intrinsic_scores``: an unchanged entry would add
+        ``tanh(0.0) == 0.0`` to a sum from +0.0, which changes nothing.
+        """
+        return {
+            j: _squashed_sum((c[i] - full[i] for i in sorted(c) if self._in_scope[i]), self.config)
+            for j, c in zip(self._avs, changes)
+        }
 
     def travel_times(self, action: Mapping[int, int], seed: int) -> TravelTimeVector:
-        return TravelTimeVector(times=self._runs(action, seed, ())[0], seed=seed)
+        full, _ = self._runs(self.scenario.routes_of(action), seed, ())
+        return TravelTimeVector(times=dict(zip(self.scenario.ids, full)), seed=seed)
 
     def marginal_matrix(self, action: Mapping[int, int], seed: int) -> MarginalCostMatrix:
-        base, *withouts = self._runs(action, seed, self._avs)
-        return _matrix_from_runs(self.scenario, action, seed, base, withouts)
+        full, changes = self._runs(self.scenario.routes_of(action), seed, self._av_slots)
+        rows = [counterfactual_row(full, k, c) for k, c in zip(self._av_slots, changes)]
+        return _matrix_from_runs(self.scenario, action, seed, full, rows)
 
     def evaluate(
         self, action: Mapping[int, int], seed: int
@@ -325,25 +332,21 @@ class RewardEngine:
 
         Skips the counterfactual fan-out entirely when the config gives the
         intrinsic term zero weight, so selfish baselines cost one run per
-        episode. Otherwise the full run and every counterfactual the matrix
-        needs come from one lookup, simulated together in one batch.
+        episode. Otherwise the full run and every counterfactual come from
+        one lookup, simulated together in one kernel call.
 
         A deterministic engine memoises the result per (routes, seed), so a
         repeated day is one lookup. Memoised results are shared between
         callers: do not mutate the returned times or scores.
         """
+        routes = self.scenario.routes_of(action)
         if self.cache is None:
-            return self._evaluate(action, seed)
+            return self._evaluate(routes, seed)
         rosters = 1 + len(self._avs) if self.config.needs_intrinsic else 1
-        return self.cache.day(
-            (self._routes(action), seed), rosters, lambda: self._evaluate(action, seed)
-        )
+        return self.cache.day((routes, seed), rosters, lambda: self._evaluate(routes, seed))
 
-    def _evaluate(
-        self, action: Mapping[int, int], seed: int
-    ) -> tuple[TravelTimeVector, dict[int, float]]:
-        if not self.config.needs_intrinsic:
-            return self.travel_times(action, seed), {j: 0.0 for j in self._avs}
-        base, *withouts = self._runs(action, seed, self._avs)
-        matrix = _matrix_from_runs(self.scenario, action, seed, base, withouts)
-        return TravelTimeVector(times=base, seed=seed), intrinsic_scores(matrix, self.config)
+    def _evaluate(self, routes: tuple, seed: int) -> tuple[TravelTimeVector, dict[int, float]]:
+        shaped = self.config.needs_intrinsic
+        full, changes = self._runs(routes, seed, self._av_slots if shaped else ())
+        times = TravelTimeVector(times=dict(zip(self.scenario.ids, full)), seed=seed)
+        return times, self._scores(full, changes) if shaped else dict.fromkeys(self._avs, 0.0)

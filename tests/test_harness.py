@@ -17,11 +17,13 @@ from routelab.harness import (
     SUMMARY_CSV_HEADER,
     RunConfig,
     config_from_dict,
+    equilibrium_grid,
     regenerate_report,
     run_experiment,
     sweep_beta,
 )
 from routelab.episode import EPISODE_CSV_HEADER
+from routelab.network import simulate_slots
 from routelab.rewards import RewardConfig
 from routelab.scenarios import (
     scenario_from_dict,
@@ -438,6 +440,23 @@ def test_cli_sweep_requires_beta(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["train"], ["sweep-beta", "--beta", "0,1", "--jobs", "2"]])
+def test_cli_rejects_a_scenario_without_avs(tmp_path, capsys, command):
+    doc = {
+        "scenario": scenario_to_dict(two_route_yield_scenario(av_ids=())),
+        "warmup_days": 5,
+        "train_episodes": 5,
+        "eval_episodes": 2,
+        "seeds": [0],
+    }
+    path = tmp_path / "no_avs.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert "at least one AV" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("episodes.csv"))
+
+
 # -- equilibria command -----------------------------------------------------------
 
 
@@ -474,6 +493,23 @@ def test_cli_equilibria_grid(tmp_path, capsys):
     assert tuple(dev_rows[0]) == DEVIATIONS_CSV_HEADER
     assert len(dev_rows) == 1 + 8 * 3
     assert (out / "equilibria.svg").exists()
+
+
+def test_equilibria_grid_simulates_each_profile_once(tmp_path, monkeypatch):
+    # The selfish point comes first, yet the shaped fill must serve it.
+    import routelab.equilibrium as equilibrium
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return simulate_slots(*args)
+
+    monkeypatch.setattr(equilibrium, "simulate_slots", counting)
+    config = small_config(tmp_path, out_dir=tmp_path / "eq")
+    results = equilibrium_grid(config, [1.0], [0.0, 10.0], "system")
+    assert [r["beta"] for r in results] == [0.0, 10.0]
+    assert len(calls) == len(set(calls)) == 8
 
 
 # -- marginal command --------------------------------------------------------------

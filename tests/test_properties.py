@@ -1,7 +1,9 @@
 """Property tests of the merge kernel on generated scenarios.
 
 Scenarios have 2-4 routes with at most one yielding route, 1-25 agents,
-float departures and pre-merge times, gap > 0 and window >= 0. Times are
+float departures and pre-merge times, gap > 0 and window >= 0. Agent ids
+are distinct draws from range(100) in any order, so a mix-up of ids and
+departure slots, or noise keyed by slot, shows. Times are
 drawn partly from a coarse grid, so arrivals and passage times tie often,
 and partly from arbitrary floats. The simulator must agree exactly with the
 independent oracle in ``oracle_sim.py``, and the batched leave-one-out runs
@@ -95,8 +97,10 @@ def cases(draw, noisy: bool = False, yield_regime: bool = False):
     steps = draw(
         st.lists(grid_or_float([0.5, 1.0, 2.0, 4.0], 0.01, 10.0), min_size=1, max_size=25)
     )
+    # Ids in no particular order, so that an id is not its departure slot.
+    ids = draw(st.lists(st.integers(0, 99), min_size=len(steps), max_size=len(steps), unique=True))
     departure, agents = 0.0, []
-    for i, step in enumerate(steps):
+    for i, step in zip(ids, steps):
         departure += step
         agents.append(
             AgentSpec(
