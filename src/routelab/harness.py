@@ -586,8 +586,7 @@ def equilibrium_grid(
     out = Path(config.out_dir)
     canonical = dataclasses.replace(config.reward, alpha=1.0, beta=1.0, scope=scope)
     if canonical.needs_intrinsic and any(betas):
-        # The counterfactual fill simulates every full run too: done first,
-        # it spares a selfish point a pass of its own.
+        # The shaped fill also simulates every full run: run it before any selfish point.
         analyzer.reward_table(canonical)
     rows = []
     grid_results = []

@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -190,23 +191,27 @@ class Scenario:
     @cached_property
     def slot_tables(self) -> tuple[tuple, tuple, tuple]:
         """What the kernel looks up: departure by slot, pre-merge time and priority by route."""
-        routes, departures = self.network.routes, tuple(a.departure_time for a in self.agents)
-        return departures, tuple(r.pre_merge_time for r in routes), tuple(r.has_priority for r in routes)
+        pre_merge, prio = zip(*((r.pre_merge_time, r.has_priority) for r in self.network.routes))
+        return tuple(a.departure_time for a in self.agents), pre_merge, prio
+
+    @cached_property
+    def _spaces(self) -> tuple[tuple[int, ...], ...]:  # action spaces by departure slot
+        return tuple(a.action_space for a in self.agents)
 
     def routes_of(self, action: Mapping[int, int]) -> tuple[int, ...]:
         """Each agent's route in ``action`` by departure slot; raises on a bad or partial action."""
-        if len(action) != len(self.agents):
-            raise ConfigurationError(
-                f"joint action has {len(action)} entries for {len(self.agents)} agents"
-            )
         routes = tuple(map(action.get, self.ids))
-        for agent, route in zip(self.agents, routes):
-            if route not in agent.action_space:
-                raise ConfigurationError(
-                    f"joint action missing agent {agent.id}" if agent.id not in action
-                    else f"agent {agent.id}: route {route} outside action space"
-                )
-        return routes
+        if len(action) == len(routes) and all(map(operator.contains, self._spaces, routes)):
+            return routes
+        if len(action) != len(routes):
+            raise ConfigurationError(
+                f"joint action has {len(action)} entries for {len(routes)} agents"
+            )
+        k = next(k for k, route in enumerate(routes) if route not in self._spaces[k])
+        raise ConfigurationError(
+            f"joint action missing agent {self.ids[k]}" if self.ids[k] not in action
+            else f"agent {self.ids[k]}: route {routes[k]} outside action space"
+        )
 
     @property
     def monotone(self) -> bool:
@@ -314,8 +319,7 @@ def simulate_slots(
 
     wp, wy = [], []
     forks = dict.fromkeys(removed)
-    full = [0.0] * len(routes)
-    order: list[tuple[int, float]] = []
+    full, order = [0.0] * len(routes), []
     ready = -math.inf
     for k, t, pi, yi in itertools.islice(
         _passages(pa, ps, ya, ys, gap, window, 0, 0, wp, wy, ready), len(routes)
@@ -366,7 +370,7 @@ def simulate_batch(
     routes, removed_ids = scenario.routes_of(action), tuple(removed_ids)
     not_avs = sorted(set(removed_ids).difference(scenario.av_ids))
     if not_avs:
-        raise ConfigurationError(f"agents {not_avs} are not AVs of this scenario; only AVs may be removed")
+        raise ConfigurationError(f"agents {not_avs} are not AVs; only AVs may be removed")
     slots = [scenario.ids.index(j) for j in removed_ids]
     full, counterfactuals = simulate_slots(scenario, routes, slots, seed)
     runs = [TravelTimeVector(times=dict(zip(scenario.ids, full)), seed=seed)]

@@ -285,9 +285,7 @@ class RewardEngine:
     def _runs(self, routes: tuple, seed: int, removed: tuple) -> tuple[list, list[dict]]:
         """The full run by slot and, per slot in ``removed``, {slot: time} where its run differs.
 
-        A noisy engine passes the kernel's sparse entries on. Deterministic
-        rosters come from the memo, as whole rows; those not in it yet are
-        simulated together in one kernel call.
+        Deterministic rosters come from the memo as whole rows; the rest from one kernel call.
         """
         if self.cache is None:
             self.simulations_run += 1 + len(removed)

@@ -445,13 +445,18 @@ def test_repeated_day_is_one_lookup(default_scenario):
 
 
 def test_rosters_differing_only_in_the_removed_route_share_an_entry(default_scenario):
-    engine = RewardEngine(default_scenario, RewardConfig(beta=1.0, scope="system"))
+    config = RewardConfig(beta=1.0, scope="system")
+    engine = RewardEngine(default_scenario, config)
     n_avs = len(default_scenario.av_ids)
     engine.evaluate(full_action(default_scenario, {5: 0}), seed=0)
-    engine.evaluate(full_action(default_scenario, {5: 1}), seed=0)
+    second = full_action(default_scenario, {5: 1})
+    _, scores = engine.evaluate(second, seed=0)
     # Only the roster without AV 5 is the same on both days.
     assert engine.cache.stats.hits == 1
     assert engine.simulations_run == 2 * (1 + n_avs) - 1
+    # The shared row, simulated beside the other day's full run, scores as a fresh one.
+    assert scores == RewardEngine(default_scenario, config).evaluate(second, seed=0)[1]
+    assert scores[5] != 0.0
 
 
 def test_mutating_an_episode_log_leaves_the_memo_intact(default_scenario):
