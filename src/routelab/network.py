@@ -24,11 +24,10 @@ could put a merge arrival before its departure.
 
 One kernel, ``simulate_slots``, resolves the merge for the full roster and
 for each roster without one AV (the counterfactuals of the shaped reward).
-It works on departure slots (slot ``k`` is ``scenario.agents[k]``, and slot
-order is (departure, id) order): its input is each slot's route, as
-``Scenario.routes_of`` gives it. It draws each agent's noise once per call
-and resolves the merge in one ordered event pass over heaps of slots,
-O(n log n), relying on at most one yielding route per merge:
+Its input is each departure slot's route (slot ``k`` is ``scenario.agents[k]``
+and slot order is (departure, id) order). It draws each agent's noise once
+per call and resolves the merge in one ordered event pass over heaps of
+slots, O(n log n), relying on at most one yielding route per merge:
 
 * a vehicle that reached the merge by the time it is next free waits, and
   waiting vehicles of one class pass in slot order;
@@ -373,9 +372,10 @@ def simulate_batch(
         raise ConfigurationError(f"agents {not_avs} are not AVs; only AVs may be removed")
     slots = [scenario.ids.index(j) for j in removed_ids]
     full, counterfactuals = simulate_slots(scenario, routes, slots, seed)
-    runs = [TravelTimeVector(times=dict(zip(scenario.ids, full)), seed=seed)]
+    base = dict(zip(scenario.ids, full))
+    runs = [TravelTimeVector(times=base, seed=seed)]
     for j, sparse in zip(removed_ids, counterfactuals):
-        times = dict(zip(scenario.ids, full))
+        times = base.copy()
         del times[j]
         times.update((scenario.ids[k], t) for k, t in sparse.items())
         runs.append(TravelTimeVector(times=times, seed=seed))
