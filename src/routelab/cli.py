@@ -32,22 +32,22 @@ from .harness import (
     sweep_beta,
 )
 from .humans import freeze_all, run_warmup
-from .network import ConfigurationError
-from .rewards import RewardConfig, RewardEngine
+from .learners import ALGORITHMS
+from .network import ConfigurationError, parse_value
+from .rewards import SCOPES, RewardEngine
 from .scenarios import load_scenario, two_route_yield_scenario
 
 
-def _parse_list(text: str, cast) -> list:
+def _parse_list(text: str, cast, flag: str) -> list:
     cleaned = text.strip().strip("[]")
-    if not cleaned:
-        return []
-    return [cast(part.strip()) for part in cleaned.replace(";", ",").split(",") if part.strip()]
+    parts = (part.strip() for part in cleaned.replace(";", ",").split(","))
+    return [parse_value(cast, part, flag) for part in parts if part]
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     reward = config.reward
     if getattr(args, "beta", None) is not None and args.command == "train":
-        betas = _parse_list(args.beta, float)
+        betas = _parse_list(args.beta, float, "--beta")
         if len(betas) != 1:
             raise ConfigurationError("train expects a single --beta value")
         reward = dataclasses.replace(reward, beta=betas[0])
@@ -57,7 +57,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         seeds = (args.seed,)
     if getattr(args, "seeds", None):
-        seeds = tuple(_parse_list(args.seeds, int))
+        seeds = tuple(_parse_list(args.seeds, int, "--seeds"))
     learner = config.learner
     if getattr(args, "algorithm", None) and args.algorithm != learner.get("algorithm"):
         # The old algorithm's hyperparameters would be unknown keys to the new one.
@@ -114,7 +114,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args)
     scenario = config.effective_scenario()
     if args.action:
-        routes = _parse_list(args.action, int)
+        routes = _parse_list(args.action, int, "--action")
         if len(routes) != len(scenario.agents):
             raise ConfigurationError(
                 f"--action needs {len(scenario.agents)} entries, got {len(routes)}"
@@ -148,7 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sweep_beta(args: argparse.Namespace) -> int:
     config = _load(args)
-    betas = _parse_list(args.beta or "", float)
+    betas = _parse_list(args.beta or "", float, "--beta")
     sweep_beta(config, betas)
     print(f"sweep artifacts written to {config.out_dir}")
     return 0
@@ -157,8 +157,8 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
 def cmd_equilibria(args: argparse.Namespace) -> int:
     config = _load(args)
     _warn_unless_monotone(config)
-    alphas = _parse_list(args.alpha, float) if args.alpha else [1.0]
-    betas = _parse_list(args.beta, float) if args.beta else [0.0]
+    alphas = _parse_list(args.alpha, float, "--alpha") if args.alpha else [1.0]
+    betas = _parse_list(args.beta, float, "--beta") if args.beta else [0.0]
     scope = args.scope or config.reward.scope
     results = equilibrium_grid(config, alphas, betas, scope)
     for entry in results:
@@ -174,7 +174,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
     config = _load(args)
     _warn_unless_monotone(config)
     scenario = config.scenario.with_noise(0.0)
-    routes = _parse_list(args.action, int)
+    routes = _parse_list(args.action, int, "--action")
     if len(routes) != len(scenario.av_ids):
         raise ConfigurationError(
             f"--action needs one route per AV ({len(scenario.av_ids)}), got {len(routes)}"
@@ -202,13 +202,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seeds", help="comma-separated seed list")
     parser.add_argument("--jobs", type=int, help="concurrent seeds/sweep points")
     parser.add_argument("--out", help="output directory or file")
-    parser.add_argument("--scope", choices=("av-group", "system", "none"))
+    parser.add_argument("--scope", choices=SCOPES)
     parser.add_argument("--mode", choices=("deterministic", "stochastic"))
     parser.add_argument("--noise-sigma", type=float, dest="noise_sigma")
     parser.add_argument("--warmup-days", type=int, dest="warmup_days")
     parser.add_argument("--episodes", type=int, help="training episodes")
     parser.add_argument("--eval-episodes", type=int, dest="eval_episodes")
-    parser.add_argument("--algorithm", choices=("ucb", "q", "pg", "fixed"))
+    parser.add_argument("--algorithm", choices=ALGORITHMS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,7 @@ from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_lines
 from .equilibrium import EquilibriumAnalyzer, encode_action
 from .humans import freeze_all, run_warmup
 from .learners import TrainResult, train
-from .network import ConfigurationError, Scenario, reject_unknown_keys
+from .network import ConfigurationError, Scenario, parse_value, reject_unknown_keys
 from .plots import Series, bar_plot, line_plot
 from .rewards import RewardConfig
 from .scenarios import (
@@ -163,30 +163,33 @@ def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
             scenario = scenario_from_dict(json.load(handle))
     else:
         scenario = scenario_from_dict(scenario_field)
-    reward_doc = doc.get("reward", {})
+    reward_doc = parse_value(dict, doc.get("reward", {}), "reward")
     reject_unknown_keys(reward_doc, REWARD_KEYS, "reward")
     reward = RewardConfig(
-        alpha=float(reward_doc.get("alpha", 1.0)),
-        beta=float(reward_doc.get("beta", 0.0)),
+        alpha=parse_value(float, reward_doc.get("alpha", 1.0), "reward alpha"),
+        beta=parse_value(float, reward_doc.get("beta", 0.0), "reward beta"),
         scope=str(reward_doc.get("scope", "av-group")),
-        tanh_scale=float(reward_doc.get("tanh_scale", 1.0)),
+        tanh_scale=parse_value(float, reward_doc.get("tanh_scale", 1.0), "reward tanh_scale"),
         raw_sum=bool(reward_doc.get("raw_sum", False)),
     )
+    noise = doc.get("noise_sigma")
+    seeds = parse_value(tuple, doc.get("seeds", (0, 1, 2, 3, 4)), "seeds")
     return RunConfig(
         scenario=scenario,
-        learner=dict(doc.get("learner", {"algorithm": "ucb"})),
-        learners_by_id={int(k): dict(v) for k, v in doc.get("learners", {}).items()},
+        learner=parse_value(dict, doc.get("learner", {"algorithm": "ucb"}), "learner"),
+        learners_by_id={
+            parse_value(int, k, "learners"): parse_value(dict, v, f"learners {k}")
+            for k, v in parse_value(dict, doc.get("learners", {}), "learners").items()
+        },
         reward=reward,
-        warmup_days=int(doc.get("warmup_days", 200)),
-        train_episodes=int(doc.get("train_episodes", 1100)),
-        eval_episodes=int(doc.get("eval_episodes", 100)),
-        seeds=tuple(int(s) for s in doc.get("seeds", (0, 1, 2, 3, 4))),
+        warmup_days=parse_value(int, doc.get("warmup_days", 200), "warmup_days"),
+        train_episodes=parse_value(int, doc.get("train_episodes", 1100), "train_episodes"),
+        eval_episodes=parse_value(int, doc.get("eval_episodes", 100), "eval_episodes"),
+        seeds=tuple(parse_value(int, s, "seeds") for s in seeds),
         mode=str(doc.get("mode", "deterministic")),
-        noise_sigma=(
-            float(doc["noise_sigma"]) if doc.get("noise_sigma") is not None else None
-        ),
+        noise_sigma=None if noise is None else parse_value(float, noise, "noise_sigma"),
         out_dir=Path(doc.get("out_dir", "runs/run")),
-        jobs=int(doc.get("jobs", 1)),
+        jobs=parse_value(int, doc.get("jobs", 1), "jobs"),
     )
 
 

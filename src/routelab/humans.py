@@ -62,11 +62,7 @@ class HumanState:
         self.frozen = True
 
 
-def initial_human_states(
-    scenario: Scenario,
-    smoothing: float = DEFAULT_SMOOTHING,
-    epsilon: float = DEFAULT_EPSILON_START,
-) -> dict[int, HumanState]:
+def initial_human_states(scenario: Scenario) -> dict[int, HumanState]:
     """One state per agent, estimates seeded with free-flow times."""
     states = {}
     for agent in scenario.agents:
@@ -74,12 +70,7 @@ def initial_human_states(
             scenario.network.routes[r].pre_merge_time + scenario.network.post_merge_time
             for r in agent.action_space
         ]
-        states[agent.id] = HumanState(
-            routes=tuple(agent.action_space),
-            estimates=free_flow,
-            smoothing=smoothing,
-            epsilon=epsilon,
-        )
+        states[agent.id] = HumanState(routes=tuple(agent.action_space), estimates=free_flow)
     return states
 
 
@@ -94,10 +85,6 @@ def run_warmup(
     scenario: Scenario,
     days: int,
     seed: int,
-    engine: RewardEngine | None = None,
-    smoothing: float = DEFAULT_SMOOTHING,
-    epsilon_start: float = DEFAULT_EPSILON_START,
-    episode_offset: int = 0,
     stochastic: bool = False,
 ) -> tuple[dict[int, HumanState], list[EpisodeLog]]:
     """Simulate the human learning phase; every agent adapts as a human.
@@ -107,9 +94,8 @@ def run_warmup(
     trajectory does not depend on how often others draw.
     """
     config = RewardConfig(alpha=1.0, beta=0.0, scope="none")
-    if engine is None:
-        engine = RewardEngine(scenario, config)
-    humans = initial_human_states(scenario, smoothing=smoothing, epsilon=epsilon_start)
+    engine = RewardEngine(scenario, config)
+    humans = initial_human_states(scenario)
     rngs = {
         agent.id: random.Random(f"{seed}:{agent.id}:human") for agent in scenario.agents
     }
@@ -117,13 +103,12 @@ def run_warmup(
     for day in range(days):
         progress = day / (days - 1) if days > 1 else 1.0
         for state in humans.values():
-            state.epsilon = epsilon_start * (1.0 - progress)
+            state.epsilon = DEFAULT_EPSILON_START * (1.0 - progress)
         policies = {
             i: (lambda obs, s=humans[i], r=rngs[i]: s.choose(r)) for i in humans
         }
-        index = episode_offset + day
         log = run_episode(
-            scenario, policies, config, index, episode_seed(seed, index, stochastic), engine
+            scenario, policies, config, day, episode_seed(seed, day, stochastic), engine
         )
         for i, state in humans.items():
             state.update(log.action[i], log.times[i])

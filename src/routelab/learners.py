@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .episode import EpisodeLog, episode_seed, run_episode
-from .network import ConfigurationError, Scenario, reject_unknown_keys
+from .network import ConfigurationError, Scenario, parse_value, reject_unknown_keys
 from .rewards import RewardConfig, RewardEngine
 
 ObsKey = tuple[int, ...]
@@ -232,22 +232,26 @@ def make_learner(spec: Mapping, n_actions: int):
     if algorithm not in LEARNER_KEYS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
     reject_unknown_keys(spec, ("algorithm", *LEARNER_KEYS[algorithm]), f"{algorithm} learner")
+
+    def value(key: str, cast, default):
+        return parse_value(cast, spec.get(key, default), f"{algorithm} learner {key}")
+
     if algorithm == "ucb":
-        return UcbLearner(n_actions, c=float(spec.get("c", UcbLearner.DEFAULT_C)))
+        return UcbLearner(n_actions, c=value("c", float, UcbLearner.DEFAULT_C))
     if algorithm == "q":
         return QLearner(
             n_actions,
-            learning_rate=float(spec.get("learning_rate", 0.1)),
-            epsilon_start=float(spec.get("epsilon_start", 0.2)),
-            epsilon_end=float(spec.get("epsilon_end", 0.0)),
+            learning_rate=value("learning_rate", float, 0.1),
+            epsilon_start=value("epsilon_start", float, 0.2),
+            epsilon_end=value("epsilon_end", float, 0.0),
         )
     if algorithm == "pg":
         return PolicyGradientLearner(
             n_actions,
-            learning_rate=float(spec.get("learning_rate", 0.01)),
-            temperature=float(spec.get("temperature", 1.0)),
+            learning_rate=value("learning_rate", float, 0.01),
+            temperature=value("temperature", float, 1.0),
         )
-    return FixedLearner(n_actions, route=int(spec.get("route", 0)))
+    return FixedLearner(n_actions, route=value("route", int, 0))
 
 
 @dataclass

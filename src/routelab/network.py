@@ -56,7 +56,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -69,6 +69,14 @@ def reject_unknown_keys(doc: Mapping, known: Iterable[str], what: str) -> None:
     unknown = sorted(set(doc).difference(known))
     if unknown:
         raise ConfigurationError(f"unknown {what} key(s) {unknown}; known keys are {known}")
+
+
+def parse_value(cast: Callable, value, what: str):
+    """``cast(value)``, failing with a ConfigurationError that names ``what`` (a flag or key)."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what}: cannot read {value!r} as {cast.__name__}") from exc
 
 
 @dataclass(frozen=True)

@@ -31,20 +31,16 @@ call of the slot-space kernel ``simulate_slots``: the full run as travel
 times by departure slot, each counterfactual as the sparse entries it
 re-simulated. The engine scores each AV from those entries alone; the rest
 of its column is exact zeros. Only noise-free days repeat, so only a
-deterministic engine memoises, at two levels held in one ``SimulationCache``:
-
-* rosters: a day's routes form one tuple, agents in departure order, and a
-  roster is keyed by ``(routes, seed)`` with the removed AV's slot replaced
-  by a marker, so rosters differing only in the removed AV's route share an
-  entry, a whole row of travel times by slot. This memo serves training, the
-  ``marginal`` command and the analyzer's per-profile ``rewards``, not its
-  tables (see equilibrium.py);
-* days: ``evaluate`` keeps its (travel times, scores) per ``(routes, seed)``,
-  so a repeated day costs one lookup. A day hit counts as a hit for each
-  roster it stands for.
+deterministic engine memoises, and only whole days: ``evaluate`` keeps its
+(travel times, scores) per ``(routes, seed)``, where ``routes`` is the day's
+route tuple in departure order, so a repeated day costs one lookup. Every
+roster a day needs comes from the one kernel call that simulates its full
+run, so a memo of single rosters would save no call. ``travel_times`` and
+``marginal_matrix`` keep nothing.
 
 A noisy day has its own seed and is one kernel call that nothing keeps.
-Either way ``simulations_run`` counts the distinct rosters simulated.
+Either way ``simulations_run`` counts the rosters simulated: 1 + #AVs for a
+shaped day and 1 for a selfish one, once per distinct deterministic day.
 """
 from __future__ import annotations
 
@@ -219,50 +215,37 @@ class CacheStats:
 
 
 class SimulationCache:
-    """Plain memo of noise-free results: one entry per roster and per day.
+    """Plain memo of noise-free days: ``(routes, seed)`` to ``evaluate``'s result.
 
     Entries are never evicted, and each is inserted whole once computed, so
-    a lookup sees a complete value or none. ``len`` counts rosters.
+    a lookup sees a complete value or none. ``len`` counts days.
     """
 
     def __init__(self) -> None:
         self._entries: dict = {}
-        self._days: dict = {}
         self.stats = CacheStats()
 
-    def get_or_compute(self, keys: Sequence, compute: Callable[[list], list]) -> list:
-        """Values of ``keys``; ``compute(missing)`` returns the missing ones in order."""
-        missing = [key for key in keys if key not in self._entries]
-        self.stats.hits += len(keys) - len(missing)
-        self.stats.misses += len(missing)
-        if missing:
-            self._entries.update(zip(missing, compute(missing)))
-        return [self._entries[key] for key in keys]
-
-    def day(self, key: tuple, rosters: int, compute: Callable[[], tuple]) -> tuple:
-        """Memoised result of one day; a hit counts as ``rosters`` roster hits."""
-        result = self._days.get(key)
-        if result is None:
-            result = self._days[key] = compute()
+    def get_or_compute(self, key: tuple, compute: Callable[[], tuple]) -> tuple:
+        """The value of ``key``, from ``compute()`` on a miss."""
+        value = self._entries.get(key)
+        if value is None:
+            self.stats.misses += 1
+            value = self._entries[key] = compute()
         else:
-            self.stats.hits += rosters
-        return result
+            self.stats.hits += 1
+        return value
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-_REMOVED = object()  # fills the removed AV's slot in a roster key
-
-
 class RewardEngine:
     """Travel times and per-AV intrinsic rewards for one scenario.
 
-    A deterministic engine memoises every roster it simulates and every day
-    it evaluates; a noisy one keeps nothing. It takes no lock, as each run,
-    analyzer and CLI call builds its own engine; threads sharing one still
-    see whole entries, but may simulate a roster twice and miscount
-    ``simulations_run``.
+    A deterministic engine memoises every day it evaluates; a noisy one keeps
+    nothing. It takes no lock, as each run, analyzer and CLI call builds its
+    own engine; threads sharing one still see whole entries, but may simulate
+    a day twice and miscount ``simulations_run``.
     """
 
     def __init__(self, scenario: Scenario, config: RewardConfig):
@@ -274,40 +257,17 @@ class RewardEngine:
         self._av_slots = tuple(k for k, a in enumerate(scenario.agents) if a.kind == "av")
         self._in_scope = [config.scope == "system" or a.kind == "av" for a in scenario.agents]
 
-    def _simulate(self, routes: tuple, seed: int, rosters: Sequence[int | None]) -> list[list]:
-        """Travel times by slot of each roster (None: everyone; k: all but slot k), one call."""
-        removed = [k for k in rosters if k is not None]
-        full, counterfactuals = simulate_slots(self.scenario, routes, removed, seed)
-        self.simulations_run += len(rosters)
-        rows = {k: counterfactual_row(full, k, c) for k, c in zip(removed, counterfactuals)}
-        return [full if k is None else rows[k] for k in rosters]
-
     def _runs(self, routes: tuple, seed: int, removed: tuple) -> tuple[list, list[dict]]:
-        """The full run by slot and, per slot in ``removed``, {slot: time} where its run differs.
-
-        Deterministic rosters come from the memo as whole rows; the rest from one kernel call.
-        """
-        if self.cache is None:
-            self.simulations_run += 1 + len(removed)
-            return simulate_slots(self.scenario, routes, removed, seed)
-        by_key = {
-            (routes if k is None else routes[:k] + (_REMOVED,) + routes[k + 1 :], seed): k
-            for k in (None, *removed)
-        }
-        full, *rows = self.cache.get_or_compute(
-            list(by_key),
-            lambda missing: self._simulate(routes, seed, [by_key[key] for key in missing]),
-        )
-        return full, [
-            {i: t for i, t in enumerate(row) if t != full[i] and i != k}
-            for k, row in zip(removed, rows)
-        ]
+        """The full run by slot and each removed slot's re-simulated {slot: time}: one call."""
+        self.simulations_run += 1 + len(removed)
+        return simulate_slots(self.scenario, routes, removed, seed)
 
     def _scores(self, full: list[float], changes: list[dict[int, float]]) -> dict[int, float]:
-        """Each AV's intrinsic reward from the in-scope entries its run changed, in slot order.
+        """Each AV's intrinsic reward from the in-scope entries its run re-simulated, in slot order.
 
-        Bit for bit ``intrinsic_scores``: an unchanged entry would add
-        ``tanh(0.0) == 0.0`` to a sum from +0.0, which changes nothing.
+        Bit for bit ``intrinsic_scores``: an entry left out, or re-simulated
+        unchanged, adds ``tanh(0.0) == 0.0`` to a sum from +0.0, which
+        changes nothing.
         """
         return {
             j: _squashed_sum((c[i] - full[i] for i in sorted(c) if self._in_scope[i]), self.config)
@@ -331,7 +291,7 @@ class RewardEngine:
         Skips the counterfactual fan-out entirely when the config gives the
         intrinsic term zero weight, so selfish baselines cost one run per
         episode. Otherwise the full run and every counterfactual come from
-        one lookup, simulated together in one kernel call.
+        one kernel call.
 
         A deterministic engine memoises the result per (routes, seed), so a
         repeated day is one lookup. Memoised results are shared between
@@ -340,8 +300,7 @@ class RewardEngine:
         routes = self.scenario.routes_of(action)
         if self.cache is None:
             return self._evaluate(routes, seed)
-        rosters = 1 + len(self._avs) if self.config.needs_intrinsic else 1
-        return self.cache.day((routes, seed), rosters, lambda: self._evaluate(routes, seed))
+        return self.cache.get_or_compute((routes, seed), lambda: self._evaluate(routes, seed))
 
     def _evaluate(self, routes: tuple, seed: int) -> tuple[TravelTimeVector, dict[int, float]]:
         shaped = self.config.needs_intrinsic

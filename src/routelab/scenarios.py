@@ -28,6 +28,7 @@ from .network import (
     NetworkConfig,
     RouteSpec,
     Scenario,
+    parse_value,
     reject_unknown_keys,
 )
 
@@ -114,6 +115,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a scenario from its JSON document; unknown keys at any level are errors."""
+
+    def read(block: dict, key: str, cast=float):
+        return parse_value(cast, block[key], key)
+
     try:
         reject_unknown_keys(doc, ("network", "agents", "noise_sigma"), "scenario")
         net_doc = doc["network"]
@@ -127,25 +132,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
         network = NetworkConfig(
             routes=tuple(
                 RouteSpec(
-                    pre_merge_time=float(r["pre_merge_time"]),
+                    pre_merge_time=read(r, "pre_merge_time"),
                     has_priority=bool(r["has_priority"]),
                 )
                 for r in net_doc["routes"]
             ),
-            merge_gap_g=float(net_doc["merge_gap_g"]),
-            yield_window_w=float(net_doc["yield_window_w"]),
-            post_merge_time=float(net_doc["post_merge_time"]),
+            merge_gap_g=read(net_doc, "merge_gap_g"),
+            yield_window_w=read(net_doc, "yield_window_w"),
+            post_merge_time=read(net_doc, "post_merge_time"),
         )
         agents = tuple(
             AgentSpec(
-                id=int(a["id"]),
+                id=read(a, "id", int),
                 kind=str(a["kind"]),
-                departure_time=float(a["departure_time"]),
-                action_space=tuple(int(r) for r in a["action_space"]),
+                departure_time=read(a, "departure_time"),
+                action_space=tuple(parse_value(int, r, "action_space") for r in a["action_space"]),
             )
             for a in doc["agents"]
         )
-        noise = float(doc.get("noise_sigma", 0.0))
+        noise = parse_value(float, doc.get("noise_sigma", 0.0), "noise_sigma")
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed scenario document: {exc}") from exc
     return Scenario(agents=agents, network=network, noise_sigma=noise)

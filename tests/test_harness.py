@@ -176,6 +176,45 @@ def test_cli_rejects_unknown_run_config_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def mistyped_network(**network) -> dict:
+    doc = scenario_to_dict(small_scenario())
+    doc["network"].update(network)
+    return {"scenario": doc}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["marginal", "--action", "1.5,0,0,0,0,0,0,0,0,0"], "--action"),
+        (["equilibria", "--beta", "abc"], "--beta"),
+        (["simulate", "--seeds", "1,x"], "--seeds"),
+        ({"warmup_days": "x"}, "warmup_days"),
+        ({"seeds": 5}, "seeds"),
+        ({"reward": 5}, "reward"),
+        ({"learners": [1]}, "learners"),
+        ({"reward": {"beta": "big"}}, "reward beta"),
+        ({"learner": {"algorithm": "ucb", "c": "wide"}}, "ucb learner c"),
+        (mistyped_network(merge_gap_g="wide"), "merge_gap_g"),
+    ],
+)
+def test_cli_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, named):
+    if isinstance(argv, dict):  # a run config with one mistyped value
+        doc = {
+            "scenario": scenario_to_dict(small_scenario()),
+            "warmup_days": 3,
+            "train_episodes": 2,
+            "eval_episodes": 1,
+            "seeds": [0],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**doc, **argv}), encoding="utf-8")
+        argv = ["train", "--config", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_cli_algorithm_override_drops_other_hyperparameters(tmp_path):
     doc = {
         "scenario": scenario_to_dict(small_scenario()),

@@ -9,8 +9,11 @@ from routelab import (
     FixedLearner,
     PolicyGradientLearner,
     QLearner,
+    RewardConfig,
     UcbLearner,
+    freeze_all,
     make_learner,
+    run_warmup,
     train,
 )
 
@@ -252,3 +255,20 @@ def test_train_requires_specs_and_frozen_routes():
     specs = {av: {"algorithm": "ucb"} for av in scenario.av_ids}
     with pytest.raises(ConfigurationError):
         train(scenario, specs, RewardConfig(), 1, 1, 0, {})
+
+
+@pytest.mark.parametrize("algorithm", ["q", "pg"])
+def test_simulations_run_counts_every_roster_of_each_distinct_day(default_scenario, algorithm):
+    # The definition perfbench's checker asserts on run_meta.json: one full run
+    # plus one counterfactual per AV for each distinct deterministic (action, seed).
+    humans, _ = run_warmup(default_scenario, 200, seed=0)
+    profile = freeze_all(humans)
+    frozen = {i: profile[i] for i in default_scenario.human_ids}
+    specs = {av: {"algorithm": algorithm} for av in default_scenario.av_ids}
+    config = RewardConfig(alpha=1.0, beta=200.0, scope="av-group")
+    result = train(default_scenario, specs, config, 100, 20, 0, frozen)
+    days = {
+        (tuple(sorted(log.action.items())), log.seed)
+        for log in result.train_logs + result.eval_logs
+    }
+    assert result.simulations_run == (1 + len(default_scenario.av_ids)) * len(days)

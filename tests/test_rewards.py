@@ -238,28 +238,29 @@ def test_memo_matches_fresh_engine_per_action(default_scenario):
             assert t1.times == t2.times
             assert m1 == m2
     stats = engine.cache.stats
-    assert len(engine.cache) == engine.simulations_run == stats.misses
-    assert stats.hits >= 10 * (1 + len(default_scenario.av_ids))
+    assert len(engine.cache) == stats.misses == 10
+    assert stats.hits == 10
+    assert engine.simulations_run == 10 * (1 + len(default_scenario.av_ids))
     assert stats.evictions == 0
 
 
 class _TinyMemo(SimulationCache):
-    """A memo that keeps only its newest ``capacity`` entries after each lookup."""
+    """A memo that keeps only its newest ``capacity`` days after each lookup."""
 
     def __init__(self, capacity: int) -> None:
         super().__init__()
         self.capacity = capacity
 
-    def get_or_compute(self, keys, compute):
-        values = super().get_or_compute(keys, compute)
+    def get_or_compute(self, key, compute):
+        value = super().get_or_compute(key, compute)
         while len(self._entries) > self.capacity:
             del self._entries[next(iter(self._entries))]
             self.stats.evictions += 1
-        return values
+        return value
 
 
 def test_tiny_cache_evicts_but_stays_correct(default_scenario):
-    # The engine must not rely on a roster staying in its memo after the
+    # The engine must not rely on a day staying in its memo after the
     # lookup that returned it.
     config = RewardConfig(beta=1.0, scope="av-group")
     tiny = RewardEngine(default_scenario, config)
@@ -427,34 +428,29 @@ def test_intrinsic_scores_match_entrywise_reference():
 
 def test_repeated_day_is_one_lookup(default_scenario):
     action = full_action(default_scenario, {3: 1, 9: 1})
-    for config, rosters in (
-        (RewardConfig(beta=200.0, scope="av-group"), 1 + len(default_scenario.av_ids)),
-        (RewardConfig(), 1),
-    ):
+    for config in (RewardConfig(beta=200.0, scope="av-group"), RewardConfig()):
         engine = RewardEngine(default_scenario, config)
         first = engine.evaluate(action, seed=0)
         stats = engine.cache.stats
         hits, misses, simulated = stats.hits, stats.misses, engine.simulations_run
         again = engine.evaluate(action, seed=0)
         assert again[0] is first[0] and again[1] is first[1]  # served from the day memo
-        assert stats.hits == hits + rosters
-        assert stats.misses == misses
+        assert stats.hits == hits + 1
+        assert stats.misses == misses == len(engine.cache)
         assert engine.simulations_run == simulated
-        assert len(engine.cache) == simulated
         assert engine.evaluate(action, seed=1)[0].seed == 1  # another seed, another day
 
 
-def test_rosters_differing_only_in_the_removed_route_share_an_entry(default_scenario):
+def test_a_new_day_simulates_all_its_rosters(default_scenario):
     config = RewardConfig(beta=1.0, scope="system")
     engine = RewardEngine(default_scenario, config)
     n_avs = len(default_scenario.av_ids)
     engine.evaluate(full_action(default_scenario, {5: 0}), seed=0)
     second = full_action(default_scenario, {5: 1})
     _, scores = engine.evaluate(second, seed=0)
-    # Only the roster without AV 5 is the same on both days.
-    assert engine.cache.stats.hits == 1
-    assert engine.simulations_run == 2 * (1 + n_avs) - 1
-    # The shared row, simulated beside the other day's full run, scores as a fresh one.
+    # The roster without AV 5 is the same on both days, but nothing keeps rosters.
+    assert engine.cache.stats.misses == 2 and engine.cache.stats.hits == 0
+    assert engine.simulations_run == 2 * (1 + n_avs)
     assert scores == RewardEngine(default_scenario, config).evaluate(second, seed=0)[1]
     assert scores[5] != 0.0
 
