@@ -2,19 +2,22 @@
 
 Each agent is queried exactly once per episode with an observation built
 from the choices of everyone who departed earlier (a running route
-histogram, kept as the day goes), the simulator resolves the merge, and
-rewards are attached per agent. Humans always log
-``shaped = alpha * extrinsic`` (their intrinsic term is zero); AVs get the
-full shaped reward. ``episode_csv_lines`` streams the logs as CSV lines.
+histogram, kept as the day goes), and the reward engine resolves the merge.
+An ``EpisodeLog`` keeps the day by departure slot: the route tuple, and the
+engine's travel-time and AV-score tuples, which a deterministic engine
+shares between every log of the same day. Rewards are derived where they
+are read: extrinsic is ``-travel_time``, a human's intrinsic term is zero,
+and ``shaped = alpha * extrinsic + beta * intrinsic`` under the log's
+``RewardConfig``. ``episode_csv_lines`` streams the logs as CSV lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .network import ConfigurationError, Scenario, TravelTimeVector
-from .rewards import RewardConfig, RewardEngine
+from .network import ConfigurationError, Scenario
+from .rewards import RewardConfig, RewardEngine, shaped_reward
 
 PolicyFn = Callable[["Observation"], int]
 
@@ -31,8 +34,7 @@ EPISODE_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """What an agent sees before choosing: departures so far, per route."""
 
     route_counts: tuple[int, ...]
@@ -40,15 +42,16 @@ class Observation:
     episode: int
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeLog:
+    """One day by departure slot (slot ``k`` is ``scenario.agents[k]``)."""
+
     episode: int
-    action: dict[int, int]
-    times: TravelTimeVector
-    extrinsic: dict[int, float]
-    intrinsic: dict[int, float]
-    shaped: dict[int, float]
+    routes: tuple[int, ...]
+    times: tuple[float, ...]  # travel times; shared with the engine's memo
+    intrinsic: tuple[float, ...]  # AV scores in ``scenario.av_ids`` order; shared too
     seed: int
+    config: RewardConfig  # the day's reward definition, for the derived rewards
 
 
 def episode_seed(run_seed: int, episode_index: int, stochastic: bool) -> int:
@@ -83,11 +86,11 @@ def run_episode(
     seed: int,
     engine: RewardEngine | None = None,
 ) -> EpisodeLog:
-    """Play one day: sequential choices, one simulation, per-agent rewards."""
+    """Play one day: sequential choices, then one engine evaluation."""
     if engine is None:
         engine = RewardEngine(scenario, reward_config)
     counts = [0] * len(scenario.network.routes)
-    action: dict[int, int] = {}
+    chosen = []
     for agent in scenario.agents:  # departure order by construction
         route = policies[agent.id](Observation(tuple(counts), agent.id, episode_index))
         if route not in agent.action_space:
@@ -95,25 +98,11 @@ def run_episode(
                 f"policy for agent {agent.id} returned route {route}, "
                 f"outside its action space {agent.action_space}"
             )
-        action[agent.id] = route
+        chosen.append(route)
         counts[route] += 1
-
-    times, scores = engine.evaluate(action, seed)
-    extrinsic = {i: -t for i, t in times.times.items()}
-    intrinsic = {i: scores.get(i, 0.0) for i in times.times}
-    shaped = {
-        i: reward_config.alpha * extrinsic[i] + reward_config.beta * intrinsic[i]
-        for i in times.times
-    }
-    return EpisodeLog(
-        episode=episode_index,
-        action=action,
-        times=times,
-        extrinsic=extrinsic,
-        intrinsic=intrinsic,
-        shaped=shaped,
-        seed=seed,
-    )
+    routes = tuple(chosen)
+    times, intrinsic = engine.evaluate(routes, seed)
+    return EpisodeLog(episode_index, routes, times, intrinsic, seed, reward_config)
 
 
 def episode_csv_lines(
@@ -126,13 +115,13 @@ def episode_csv_lines(
     ``str``. No cell needs quoting: ``kind`` is ``human`` or ``av`` and
     every other cell is a number.
     """
-    agents = [(agent.id, f",{agent.id},{agent.kind},") for agent in scenario.agents]
+    av_index = {j: k for k, j in enumerate(scenario.av_ids)}
+    agents = [(f",{a.id},{a.kind},", av_index.get(a.id)) for a in scenario.agents]
     for log in logs:
-        episode, seed = log.episode, f",{log.seed}{end}"
-        action, times = log.action, log.times.times
-        extrinsic, intrinsic, shaped = log.extrinsic, log.intrinsic, log.shaped
-        for i, cells in agents:
+        episode, seed, config, scores = log.episode, f",{log.seed}{end}", log.config, log.intrinsic
+        for (cells, k), route, t in zip(agents, log.routes, log.times):
+            m = 0.0 if k is None else scores[k]
             yield (
-                f"{episode}{cells}{action[i]},{times[i]!r},{extrinsic[i]!r},"
-                f"{intrinsic[i]!r},{shaped[i]!r}{seed}"
+                f"{episode}{cells}{route},{t!r},{-t!r},"
+                f"{m!r},{shaped_reward(-t, m, config)!r}{seed}"
             )

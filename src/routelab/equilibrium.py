@@ -216,7 +216,7 @@ class EquilibriumAnalyzer:
                 withouts[k][rows[k][p]] = counterfactual_row(base, self._av_columns[k], changes)
         if self._full is None:
             self.engine.simulations_run += self.space_size
-            # Python sums in departure order, as TravelTimeVector.total does.
+            # Python sums, in departure order.
             self._total_times = np.array(
                 [(sum(row), sum(row[c] for c in self._av_columns)) for row in full.tolist()]
             )

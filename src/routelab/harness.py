@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -170,7 +170,7 @@ def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
         beta=parse_value(float, reward_doc.get("beta", 0.0), "reward beta"),
         scope=str(reward_doc.get("scope", "av-group")),
         tanh_scale=parse_value(float, reward_doc.get("tanh_scale", 1.0), "reward tanh_scale"),
-        raw_sum=bool(reward_doc.get("raw_sum", False)),
+        raw_sum=parse_value(bool, reward_doc.get("raw_sum", False), "reward raw_sum"),
     )
     noise = doc.get("noise_sigma")
     seeds = parse_value(tuple, doc.get("seeds", (0, 1, 2, 3, 4)), "seeds")
@@ -205,6 +205,7 @@ def load_config(path: str | Path) -> RunConfig:
 @dataclass
 class SeedRun:
     seed: int
+    scenario: Scenario
     warmup_logs: list[EpisodeLog]
     result: TrainResult
     frozen_profile: dict[int, int]
@@ -216,8 +217,10 @@ class SeedRun:
 
     def proportions(self) -> list[tuple[int, str, float]]:
         """(episode, phase, fraction of AVs on their optimal action) rows."""
+        ids = self.scenario.ids
+        targets = [(ids.index(av), route) for av, route in self.optimal_actions.items()]
         return [
-            (log.episode, phase, proportion_optimal(log.action, self.optimal_actions))
+            (log.episode, phase, proportion_optimal(log.routes, targets))
             for phase, logs in (
                 ("train", self.result.train_logs),
                 ("eval", self.result.eval_logs),
@@ -226,9 +229,9 @@ class SeedRun:
         ]
 
 
-def proportion_optimal(action: Mapping[int, int], optimal: Mapping[int, int]) -> float:
-    """Fraction of the AVs in ``optimal`` whose route in ``action`` is their optimal one."""
-    return sum(1 for av, route in optimal.items() if action[av] == route) / len(optimal)
+def proportion_optimal(routes, targets: Collection[tuple]) -> float:
+    """Fraction of the (key, optimal route) ``targets`` met by ``routes``, by slot or by id."""
+    return sum(1 for key, route in targets if routes[key] == route) / len(targets)
 
 
 def _optimal_actions(
@@ -277,9 +280,7 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
         stochastic=config.stochastic,
         episode_offset=config.warmup_days,
     )
-    return SeedRun(
-        seed=seed, warmup_logs=warmup_logs, result=result, frozen_profile=frozen_humans
-    )
+    return SeedRun(seed, scenario, warmup_logs, result, frozen_humans)
 
 
 # -- experiment (multi-seed) --------------------------------------------------
@@ -294,11 +295,11 @@ class ExperimentResult:
 
     def eval_times_by_kind(self) -> dict[str, list[float]]:
         pooled: dict[str, list[float]] = {"av": [], "human": []}
-        kinds = {a.id: a.kind for a in self.scenario.agents}
+        kinds = [a.kind for a in self.scenario.agents]
         for run in self.seed_runs:
             for log in run.result.eval_logs:
-                for agent_id, t in log.times.times.items():
-                    pooled[kinds[agent_id]].append(t)
+                for kind, t in zip(kinds, log.times):
+                    pooled[kind].append(t)
         return pooled
 
     def eval_proportion_optimal(self) -> float:
@@ -689,7 +690,8 @@ def regenerate_report(run_dir: str | Path) -> None:
                     times_by_kind[row["kind"]].append(float(row["travel_time"]))
             if day >= train_start:
                 phase = "eval" if day >= eval_start else "train"
-                convergence_rows.append([day, seed, phase, proportion_optimal(chosen, optimal)])
+                proportion = proportion_optimal(chosen, optimal.items())
+                convergence_rows.append([day, seed, phase, proportion])
     if start != len(rows):
         raise ConfigurationError(
             f"episodes.csv has {len(rows) - start} rows beyond the run_meta.json phases"

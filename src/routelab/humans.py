@@ -110,7 +110,8 @@ def run_warmup(
         log = run_episode(
             scenario, policies, config, day, episode_seed(seed, day, stochastic), engine
         )
-        for i, state in humans.items():
-            state.update(log.action[i], log.times[i])
+        # initial_human_states keys the states in departure-slot order.
+        for state, route, t in zip(humans.values(), log.routes, log.times):
+            state.update(route, t)
         logs.append(log)
     return humans, logs

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .episode import EpisodeLog, episode_seed, run_episode
 from .network import ConfigurationError, Scenario, parse_value, reject_unknown_keys
-from .rewards import RewardConfig, RewardEngine
+from .rewards import RewardConfig, RewardEngine, shaped_reward
 
 ObsKey = tuple[int, ...]
 
@@ -332,9 +332,9 @@ def train(
             episode_seed(seed, episode_index, stochastic),
             engine,
         )
-        for av in av_ids:
+        for av, slot, m in zip(av_ids, scenario.av_slots, log.intrinsic):
             key, action = seen[av]
-            learners[av].update(key, action, log.shaped[av])
+            learners[av].update(key, action, shaped_reward(-log.times[slot], m, reward_config))
         train_logs.append(log)
 
     eval_policies = dict(human_policies)

@@ -72,8 +72,10 @@ def reject_unknown_keys(doc: Mapping, known: Iterable[str], what: str) -> None:
 
 
 def parse_value(cast: Callable, value, what: str):
-    """``cast(value)``, failing with a ConfigurationError that names ``what`` (a flag or key)."""
+    """``cast(value)``, or a ConfigurationError naming ``what``; a bool must be JSON true/false."""
     try:
+        if cast is bool and not isinstance(value, bool):
+            raise TypeError
         return cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what}: cannot read {value!r} as {cast.__name__}") from exc
@@ -192,6 +194,10 @@ class Scenario:
         return tuple(a.id for a in self.agents if a.kind == "av")
 
     @cached_property
+    def av_slots(self) -> tuple[int, ...]:  # the departure slots of av_ids
+        return tuple(k for k, a in enumerate(self.agents) if a.kind == "av")
+
+    @cached_property
     def human_ids(self) -> tuple[int, ...]:
         return tuple(a.id for a in self.agents if a.kind == "human")
 
@@ -208,7 +214,7 @@ class Scenario:
     def routes_of(self, action: Mapping[int, int]) -> tuple[int, ...]:
         """Each agent's route in ``action`` by departure slot; raises on a bad or partial action."""
         routes = tuple(map(action.get, self.ids))
-        if len(action) == len(routes) and all(map(operator.contains, self._spaces, routes)):
+        if len(action) == len(routes) and self.fits(routes):
             return routes
         if len(action) != len(routes):
             raise ConfigurationError(
@@ -219,6 +225,10 @@ class Scenario:
             f"joint action missing agent {self.ids[k]}" if self.ids[k] not in action
             else f"agent {self.ids[k]}: route {routes[k]} outside action space"
         )
+
+    def fits(self, routes: Sequence[int]) -> bool:
+        """Whether ``routes`` gives each departure slot a route in its agent's action space."""
+        return len(routes) == len(self.ids) and all(map(operator.contains, self._spaces, routes))
 
     @property
     def monotone(self) -> bool:
@@ -257,11 +267,6 @@ class TravelTimeVector:
 
     def __contains__(self, agent_id: int) -> bool:
         return agent_id in self.times
-
-    def total(self, agent_ids: Iterable[int] | None = None) -> float:
-        if agent_ids is None:
-            return sum(self.times.values())
-        return sum(self.times[i] for i in agent_ids)
 
 
 def _arrival_noise(seed: int, agent_id: int, sigma: float) -> float:

@@ -31,9 +31,10 @@ call of the slot-space kernel ``simulate_slots``: the full run as travel
 times by departure slot, each counterfactual as the sparse entries it
 re-simulated. The engine scores each AV from those entries alone; the rest
 of its column is exact zeros. Only noise-free days repeat, so only a
-deterministic engine memoises, and only whole days: ``evaluate`` keeps its
-(travel times, scores) per ``(routes, seed)``, where ``routes`` is the day's
-route tuple in departure order, so a repeated day costs one lookup. Every
+deterministic engine memoises, and only whole days: ``evaluate(routes, seed)``,
+with ``routes`` the day's route tuple in departure order, keeps two tuples
+per day (travel times by slot, AV scores in ``av_ids`` order), so a repeated
+day costs one lookup and every log of it shares the same tuples. Every
 roster a day needs comes from the one kernel call that simulates its full
 run, so a memo of single rosters would save no call. ``travel_times`` and
 ``marginal_matrix`` keep nothing.
@@ -253,8 +254,7 @@ class RewardEngine:
         self.config = config
         self.cache = SimulationCache() if scenario.noise_sigma == 0 else None
         self.simulations_run = 0
-        self._avs = scenario.av_ids
-        self._av_slots = tuple(k for k, a in enumerate(scenario.agents) if a.kind == "av")
+        self._av_slots = scenario.av_slots
         self._in_scope = [config.scope == "system" or a.kind == "av" for a in scenario.agents]
 
     def _runs(self, routes: tuple, seed: int, removed: tuple) -> tuple[list, list[dict]]:
@@ -262,17 +262,17 @@ class RewardEngine:
         self.simulations_run += 1 + len(removed)
         return simulate_slots(self.scenario, routes, removed, seed)
 
-    def _scores(self, full: list[float], changes: list[dict[int, float]]) -> dict[int, float]:
+    def _scores(self, full: list[float], changes: list[dict[int, float]]) -> tuple[float, ...]:
         """Each AV's intrinsic reward from the in-scope entries its run re-simulated, in slot order.
 
         Bit for bit ``intrinsic_scores``: an entry left out, or re-simulated
         unchanged, adds ``tanh(0.0) == 0.0`` to a sum from +0.0, which
         changes nothing.
         """
-        return {
-            j: _squashed_sum((c[i] - full[i] for i in sorted(c) if self._in_scope[i]), self.config)
-            for j, c in zip(self._avs, changes)
-        }
+        return tuple(
+            _squashed_sum((c[i] - full[i] for i in sorted(c) if self._in_scope[i]), self.config)
+            for c in changes
+        )
 
     def travel_times(self, action: Mapping[int, int], seed: int) -> TravelTimeVector:
         full, _ = self._runs(self.scenario.routes_of(action), seed, ())
@@ -284,26 +284,29 @@ class RewardEngine:
         return _matrix_from_runs(self.scenario, action, seed, full, rows)
 
     def evaluate(
-        self, action: Mapping[int, int], seed: int
-    ) -> tuple[TravelTimeVector, dict[int, float]]:
-        """Travel times plus each AV's intrinsic reward for one joint action.
+        self, routes: tuple[int, ...], seed: int
+    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Travel times by departure slot, and each AV's intrinsic reward in
+        ``scenario.av_ids`` order, for one day.
 
-        Skips the counterfactual fan-out entirely when the config gives the
-        intrinsic term zero weight, so selfish baselines cost one run per
-        episode. Otherwise the full run and every counterfactual come from
-        one kernel call.
+        ``routes`` is the day's route tuple by departure slot, as
+        ``Scenario.routes_of`` makes it from a joint action. Only a day the
+        memo has not seen is checked again, with ``Scenario.fits``. Skips the
+        counterfactual fan-out entirely when the config gives the intrinsic
+        term zero weight, so selfish baselines cost one run per episode.
+        Otherwise the full run and every counterfactual come from one kernel
+        call.
 
-        A deterministic engine memoises the result per (routes, seed), so a
-        repeated day is one lookup. Memoised results are shared between
-        callers: do not mutate the returned times or scores.
+        A deterministic engine memoises the two tuples per (routes, seed), so
+        a repeated day is one lookup that returns the very same objects.
         """
-        routes = self.scenario.routes_of(action)
         if self.cache is None:
             return self._evaluate(routes, seed)
         return self.cache.get_or_compute((routes, seed), lambda: self._evaluate(routes, seed))
 
-    def _evaluate(self, routes: tuple, seed: int) -> tuple[TravelTimeVector, dict[int, float]]:
+    def _evaluate(self, routes: tuple, seed: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        if not self.scenario.fits(routes):
+            raise ConfigurationError(f"routes {routes} do not fit the scenario's action spaces")
         shaped = self.config.needs_intrinsic
         full, changes = self._runs(routes, seed, self._av_slots if shaped else ())
-        times = TravelTimeVector(times=dict(zip(self.scenario.ids, full)), seed=seed)
-        return times, self._scores(full, changes) if shaped else dict.fromkeys(self._avs, 0.0)
+        return tuple(full), self._scores(full, changes) if shaped else (0.0,) * len(self._av_slots)

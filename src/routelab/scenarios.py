@@ -133,7 +133,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             routes=tuple(
                 RouteSpec(
                     pre_merge_time=read(r, "pre_merge_time"),
-                    has_priority=bool(r["has_priority"]),
+                    has_priority=read(r, "has_priority", bool),
                 )
                 for r in net_doc["routes"]
             ),

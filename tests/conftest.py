@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from routelab import AgentSpec, NetworkConfig, RouteSpec, Scenario
+from routelab import AgentSpec, NetworkConfig, RouteSpec, Scenario, TravelTimeVector
 from routelab.scenarios import two_route_yield_scenario
 
 
@@ -48,3 +49,26 @@ def make_scenario(
         for i, dep in enumerate(departures)
     )
     return Scenario(agents=agents, network=network, noise_sigma=noise_sigma)
+
+
+def id_view(log, scenario: Scenario) -> SimpleNamespace:
+    """An ``EpisodeLog`` keyed by agent id: ``action``, ``extrinsic``,
+    ``intrinsic`` and ``shaped`` dicts and a ``TravelTimeVector`` of ``times``.
+
+    Humans score 0.0; extrinsic and shaped are derived here, with the float
+    operations of the definition (``-t``, ``alpha * extrinsic + beta *
+    intrinsic``), independently of the code under test.
+    """
+    ids, config = scenario.ids, log.config
+    scores = dict(zip(scenario.av_ids, log.intrinsic, strict=True))
+    intrinsic = {i: scores.get(i, 0.0) for i in ids}
+    extrinsic = {i: -t for i, t in zip(ids, log.times, strict=True)}
+    return SimpleNamespace(
+        episode=log.episode,
+        action=dict(zip(ids, log.routes, strict=True)),
+        times=TravelTimeVector(times=dict(zip(ids, log.times)), seed=log.seed),
+        extrinsic=extrinsic,
+        intrinsic=intrinsic,
+        shaped={i: config.alpha * extrinsic[i] + config.beta * intrinsic[i] for i in ids},
+        seed=log.seed,
+    )

@@ -30,7 +30,7 @@ from routelab.episode import run_episode
 from routelab.rewards import MarginalCostMatrix, compute_marginal_matrix, intrinsic_reward
 from routelab.scenarios import two_route_yield_scenario
 
-from conftest import make_scenario
+from conftest import id_view, make_scenario
 
 ALL_ROUTE_0 = (0,) * 10
 N_AVS = 10
@@ -369,9 +369,9 @@ def test_criterion_8_determinism_and_cache(tmp_path, world):
     config = RewardConfig(alpha=1.0, beta=200.0, scope="system")
     action_policy = {a.id: (lambda obs, r=(1 if a.id in (1, 9) else 0): r) for a in scenario.agents}
     engine = RewardEngine(scenario, config)
-    log_cached = run_episode(scenario, action_policy, config, 0, 0, engine)
+    log_cached = id_view(run_episode(scenario, action_policy, config, 0, 0, engine), scenario)
     simulated = engine.simulations_run
-    log_repeat = run_episode(scenario, action_policy, config, 0, 0, engine)
+    log_repeat = id_view(run_episode(scenario, action_policy, config, 0, 0, engine), scenario)
     base = simulate(scenario, log_cached.action, 0)
     matrix = compute_marginal_matrix(scenario, log_cached.action, base, 0)
     direct_shaped = {

@@ -19,7 +19,7 @@ from routelab import (
 )
 from routelab.episode import EPISODE_CSV_HEADER, episode_csv_lines
 
-from conftest import make_scenario
+from conftest import id_view, make_scenario
 
 
 def constant_policies(scenario, route_by_id):
@@ -30,7 +30,9 @@ def test_all_route0_extrinsic_is_minus_50(default_scenario):
     policies = constant_policies(
         default_scenario, {a.id: 0 for a in default_scenario.agents}
     )
-    log = run_episode(default_scenario, policies, RewardConfig(), 0, seed=0)
+    log = id_view(
+        run_episode(default_scenario, policies, RewardConfig(), 0, seed=0), default_scenario
+    )
     assert all(log.extrinsic[a.id] == -50.0 for a in default_scenario.agents)
     assert all(v == 0 for v in log.action.values())
 
@@ -38,8 +40,11 @@ def test_all_route0_extrinsic_is_minus_50(default_scenario):
 def test_beta_zero_shaped_equals_extrinsic(default_scenario):
     config = RewardConfig(alpha=1.0, beta=0.0, scope="av-group")
     routes = {a.id: (1 if a.id % 3 == 0 else 0) for a in default_scenario.agents}
-    log = run_episode(
-        default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
+    log = id_view(
+        run_episode(
+            default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
+        ),
+        default_scenario,
     )
     assert log.shaped == log.extrinsic
 
@@ -111,7 +116,7 @@ def test_observations_equal_build_observation(n_routes, av_flags, policy_seed, e
         return policy
 
     policies = {a.id: random_policy(a.id) for a in scenario.agents}
-    log = run_episode(scenario, policies, RewardConfig(), episode, seed=0)
+    log = id_view(run_episode(scenario, policies, RewardConfig(), episode, seed=0), scenario)
     for rank, agent in enumerate(scenario.agents):
         earlier = {a.id: log.action[a.id] for a in scenario.agents[:rank]}
         assert seen[agent.id] == build_observation(scenario, earlier, agent.id, episode)
@@ -137,12 +142,15 @@ def test_episode_purity(default_scenario):
     config = RewardConfig(alpha=1.0, beta=200.0, scope="system")
     routes = {a.id: (1 if a.id % 4 == 1 else 0) for a in default_scenario.agents}
     logs = [
-        run_episode(
+        id_view(
+            run_episode(
+                default_scenario,
+                constant_policies(default_scenario, routes),
+                config,
+                3,
+                seed=17,
+            ),
             default_scenario,
-            constant_policies(default_scenario, routes),
-            config,
-            3,
-            seed=17,
         )
         for _ in range(2)
     ]
@@ -154,8 +162,11 @@ def test_reward_identity(default_scenario):
     rng = random.Random(0)
     config = RewardConfig(alpha=0.7, beta=35.0, scope="av-group", tanh_scale=2.0)
     routes = {a.id: rng.randint(0, 1) for a in default_scenario.agents}
-    log = run_episode(
-        default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
+    log = id_view(
+        run_episode(
+            default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
+        ),
+        default_scenario,
     )
     for agent in default_scenario.agents:
         expected = config.alpha * log.extrinsic[agent.id] + config.beta * log.intrinsic[agent.id]
@@ -165,8 +176,11 @@ def test_reward_identity(default_scenario):
 def test_humans_log_zero_intrinsic(default_scenario):
     config = RewardConfig(alpha=1.0, beta=200.0, scope="system")
     routes = {a.id: (1 if a.id == 1 else 0) for a in default_scenario.agents}
-    log = run_episode(
-        default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
+    log = id_view(
+        run_episode(
+            default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
+        ),
+        default_scenario,
     )
     for human in default_scenario.human_ids:
         assert log.intrinsic[human] == 0.0

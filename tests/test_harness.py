@@ -215,6 +215,52 @@ def test_cli_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, nam
     assert "Traceback" not in err
 
 
+def mistyped_route(has_priority) -> dict:
+    doc = scenario_to_dict(small_scenario())
+    doc["network"]["routes"][1]["has_priority"] = has_priority
+    return {"scenario": doc}
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"reward": {"raw_sum": "false"}}, "reward raw_sum"),
+        ({"reward": {"raw_sum": "true"}}, "reward raw_sum"),
+        ({"reward": {"raw_sum": 0}}, "reward raw_sum"),
+        ({"reward": {"raw_sum": None}}, "reward raw_sum"),
+        (mistyped_route("false"), "has_priority"),
+        (mistyped_route(1), "has_priority"),
+    ],
+)
+def test_cli_boolean_other_than_json_true_or_false_is_a_configuration_error(
+    tmp_path, capsys, overrides, named
+):
+    doc = {
+        "scenario": scenario_to_dict(small_scenario()),
+        "warmup_days": 3,
+        "train_episodes": 2,
+        "eval_episodes": 1,
+        "seeds": [0],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**doc, **overrides}), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_booleans_are_read_as_given():
+    for flag in (False, True):
+        doc = scenario_to_dict(small_scenario())
+        for route, priority in zip(doc["network"]["routes"], (not flag, flag)):
+            route["has_priority"] = priority
+        config = config_from_dict({"scenario": doc, "reward": {"raw_sum": flag}})
+        assert config.reward.raw_sum is flag
+        assert [r.has_priority for r in config.scenario.network.routes] == [not flag, flag]
+
+
 def test_cli_algorithm_override_drops_other_hyperparameters(tmp_path):
     doc = {
         "scenario": scenario_to_dict(small_scenario()),

@@ -7,6 +7,8 @@ import pytest
 from routelab import ConfigurationError, HumanState, freeze_all, run_warmup
 from routelab.humans import initial_human_states
 
+from conftest import id_view
+
 
 def fresh_state(estimates=(50.0, 60.0), smoothing=0.1, epsilon=0.0):
     return HumanState(
@@ -107,7 +109,7 @@ def test_warmup_epsilon_reaches_zero(default_scenario):
 
 def test_warmup_logs_selfish_rewards(default_scenario):
     _, logs = run_warmup(default_scenario, days=3, seed=2)
-    for log in logs:
+    for log in (id_view(log, default_scenario) for log in logs):
         for agent in default_scenario.agents:
             assert log.shaped[agent.id] == log.extrinsic[agent.id]
             assert log.intrinsic[agent.id] == 0.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -17,7 +18,16 @@ from routelab import (
     train,
 )
 
-from conftest import make_scenario
+from conftest import id_view, make_scenario
+
+
+def viewed(result, scenario):
+    """``result`` with its logs keyed by agent id (``conftest.id_view``)."""
+    return dataclasses.replace(
+        result,
+        train_logs=[id_view(log, scenario) for log in result.train_logs],
+        eval_logs=[id_view(log, scenario) for log in result.eval_logs],
+    )
 
 
 # -- UCB ----------------------------------------------------------------------
@@ -179,7 +189,7 @@ def test_zero_training_fixed_learners_reproduce_constant_action():
     specs = {av: {"algorithm": "fixed", "route": 1} for av in scenario.av_ids}
     from routelab.rewards import RewardConfig
 
-    result = train(scenario, specs, RewardConfig(), 0, 5, 0, frozen)
+    result = viewed(train(scenario, specs, RewardConfig(), 0, 5, 0, frozen), scenario)
     for log in result.eval_logs:
         assert all(log.action[av] == 1 for av in scenario.av_ids)
 
@@ -189,7 +199,7 @@ def test_eval_phase_is_exploration_free_and_constant():
     specs = {av: {"algorithm": "q"} for av in scenario.av_ids}
     from routelab.rewards import RewardConfig
 
-    result = train(scenario, specs, RewardConfig(), 30, 10, 0, frozen)
+    result = viewed(train(scenario, specs, RewardConfig(), 30, 10, 0, frozen), scenario)
     actions = [tuple(log.action[av] for av in scenario.av_ids) for log in result.eval_logs]
     assert len(set(actions)) == 1
 
@@ -225,11 +235,11 @@ def test_training_reproducible_per_seed():
     from routelab.rewards import RewardConfig
 
     config = RewardConfig(beta=10.0, scope="av-group")
-    a = train(scenario, specs, config, 40, 5, 3, frozen)
-    b = train(scenario, specs, config, 40, 5, 3, frozen)
+    a = viewed(train(scenario, specs, config, 40, 5, 3, frozen), scenario)
+    b = viewed(train(scenario, specs, config, 40, 5, 3, frozen), scenario)
     assert [l.action for l in a.train_logs] == [l.action for l in b.train_logs]
     assert [l.shaped for l in a.eval_logs] == [l.shaped for l in b.eval_logs]
-    c = train(scenario, specs, config, 40, 5, 4, frozen)
+    c = viewed(train(scenario, specs, config, 40, 5, 4, frozen), scenario)
     assert [l.action for l in a.train_logs] != [l.action for l in c.train_logs]
 
 
@@ -239,8 +249,8 @@ def test_policy_gradient_trains_and_evaluates_reproducibly():
     from routelab.rewards import RewardConfig
 
     config = RewardConfig(alpha=1.0, beta=200.0, scope="av-group")
-    a = train(scenario, specs, config, 60, 5, 2, frozen)
-    b = train(scenario, specs, config, 60, 5, 2, frozen)
+    a = viewed(train(scenario, specs, config, 60, 5, 2, frozen), scenario)
+    b = viewed(train(scenario, specs, config, 60, 5, 2, frozen), scenario)
     assert [l.action for l in a.eval_logs] == [l.action for l in b.eval_logs]
     eval_actions = {tuple(l.action[av] for av in scenario.av_ids) for l in a.eval_logs}
     assert len(eval_actions) == 1  # greedy softmax mode is constant
@@ -266,7 +276,7 @@ def test_simulations_run_counts_every_roster_of_each_distinct_day(default_scenar
     frozen = {i: profile[i] for i in default_scenario.human_ids}
     specs = {av: {"algorithm": algorithm} for av in default_scenario.av_ids}
     config = RewardConfig(alpha=1.0, beta=200.0, scope="av-group")
-    result = train(default_scenario, specs, config, 100, 20, 0, frozen)
+    result = viewed(train(default_scenario, specs, config, 100, 20, 0, frozen), default_scenario)
     days = {
         (tuple(sorted(log.action.items())), log.seed)
         for log in result.train_logs + result.eval_logs

@@ -48,7 +48,7 @@ from routelab.cli import main
 from routelab.episode import EPISODE_CSV_HEADER, episode_csv_lines, episode_seed
 from routelab.harness import _cell
 from routelab.scenarios import scenario_to_dict
-from conftest import make_scenario
+from conftest import id_view, make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
 
 PROPERTY_SETTINGS = settings(
@@ -188,11 +188,12 @@ def test_engine_scores_equal_column_scores(case, scope, raw_sum, tanh_scale):
     matrix = compute_marginal_matrix(scenario, action, base, seed)
     expected = {j: intrinsic_reward(matrix, j, config) for j in scenario.av_ids}
     engine = RewardEngine(scenario, config)
+    routes = scenario.routes_of(action)
     for repeat in range(2):
         simulated = engine.simulations_run
-        times, scores = engine.evaluate(action, seed)
-        assert times.times == base.times
-        assert scores == expected
+        times, scores = engine.evaluate(routes, seed)
+        assert dict(zip(scenario.ids, times, strict=True)) == base.times
+        assert dict(zip(scenario.av_ids, scores, strict=True)) == expected
         if repeat and scenario.noise_sigma == 0:
             assert engine.simulations_run == simulated
 
@@ -233,7 +234,7 @@ def csv_writer_lines(logs, scenario, end: str) -> str:
     """Episode rows as ``csv.writer`` writes them, each cell through ``harness._cell``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=end)
-    for log in logs:
+    for log in (id_view(log, scenario) for log in logs):
         for agent in scenario.agents:
             i = agent.id
             row = (log.episode, i, agent.kind, log.action[i], log.times[i])

@@ -21,7 +21,7 @@ from routelab import (
 )
 from routelab.rewards import SimulationCache
 
-from conftest import make_scenario
+from conftest import id_view, make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
 
 
@@ -199,24 +199,24 @@ def test_reward_config_validation():
 
 def test_cache_hit_avoids_simulation(default_scenario):
     engine = RewardEngine(default_scenario, RewardConfig(beta=200.0, scope="av-group"))
-    action = full_action(default_scenario, {1: 1})
-    engine.evaluate(action, seed=0)
+    routes = default_scenario.routes_of(full_action(default_scenario, {1: 1}))
+    engine.evaluate(routes, seed=0)
     first = engine.simulations_run
     assert first == 1 + len(default_scenario.av_ids)
-    engine.evaluate(action, seed=0)
+    engine.evaluate(routes, seed=0)
     assert engine.simulations_run == first  # pure cache hits
 
 
 def test_cache_off_matches_cache_on(default_scenario):
     config = RewardConfig(beta=200.0, scope="system")
     cached = RewardEngine(default_scenario, config)
-    action = full_action(default_scenario, {3: 1, 7: 1})
+    routes = default_scenario.routes_of(full_action(default_scenario, {3: 1, 7: 1}))
     uncached_runs = 0
     for seed in (0, 1, 0):  # the repeat is served from the memo of the shared engine only
         uncached = RewardEngine(default_scenario, config)
-        t1, m1 = cached.evaluate(action, seed)
-        t2, m2 = uncached.evaluate(action, seed)
-        assert t1.times == t2.times
+        t1, m1 = cached.evaluate(routes, seed)
+        t2, m2 = uncached.evaluate(routes, seed)
+        assert t1 == t2
         assert m1 == m2
         uncached_runs += uncached.simulations_run
     assert uncached_runs > cached.simulations_run
@@ -232,10 +232,11 @@ def test_memo_matches_fresh_engine_per_action(default_scenario):
         action = full_action(
             default_scenario, {av: rng.randint(0, 1) for av in default_scenario.av_ids}
         )
+        routes = default_scenario.routes_of(action)
         for _repeat in range(2):
-            t1, m1 = engine.evaluate(action, 0)
-            t2, m2 = RewardEngine(default_scenario, config).evaluate(action, 0)
-            assert t1.times == t2.times
+            t1, m1 = engine.evaluate(routes, 0)
+            t2, m2 = RewardEngine(default_scenario, config).evaluate(routes, 0)
+            assert t1 == t2
             assert m1 == m2
     stats = engine.cache.stats
     assert len(engine.cache) == stats.misses == 10
@@ -271,9 +272,10 @@ def test_tiny_cache_evicts_but_stays_correct(default_scenario):
         action = full_action(
             default_scenario, {av: rng.randint(0, 1) for av in default_scenario.av_ids}
         )
-        t1, m1 = tiny.evaluate(action, 0)
-        t2, m2 = reference.evaluate(action, 0)
-        assert t1.times == t2.times
+        routes = default_scenario.routes_of(action)
+        t1, m1 = tiny.evaluate(routes, 0)
+        t2, m2 = reference.evaluate(routes, 0)
+        assert t1 == t2
         assert m1 == m2
     assert tiny.cache.stats.evictions > 0
     assert len(tiny.cache) == 3
@@ -285,10 +287,11 @@ def test_stochastic_engine_keeps_nothing_and_counts_every_roster(default_scenari
     shaped = RewardEngine(noisy, RewardConfig(beta=200.0, scope="av-group"))
     selfish = RewardEngine(noisy, RewardConfig())
     seeds = (5, 6, 5)  # a repeated day is simulated again
+    routes = noisy.routes_of(action)
     for seed in seeds:
-        times, _ = shaped.evaluate(action, seed)
-        assert times.times == simulate(noisy, action, seed).times
-        assert selfish.evaluate(action, seed)[0].times == times.times
+        times, _ = shaped.evaluate(routes, seed)
+        assert dict(zip(noisy.ids, times, strict=True)) == simulate(noisy, action, seed).times
+        assert selfish.evaluate(routes, seed)[0] == times
     assert shaped.cache is None and selfish.cache is None
     assert shaped.simulations_run == len(seeds) * (1 + len(noisy.av_ids))
     assert selfish.simulations_run == len(seeds)
@@ -300,8 +303,8 @@ def test_enumeration_budget_small_scenario():
     engine = RewardEngine(scenario, RewardConfig(beta=200.0, scope="av-group"))
     for routes in itertools.product((0, 1), repeat=4):
         action = {i: routes[i] for i in range(4)}
-        engine.evaluate(action, seed=0)
-        engine.evaluate(action, seed=0)  # repeats are free
+        engine.evaluate(scenario.routes_of(action), seed=0)
+        engine.evaluate(scenario.routes_of(action), seed=0)  # repeats are free
     assert engine.simulations_run <= 16 + 4 * 16
 
 
@@ -315,8 +318,8 @@ def test_cache_safe_under_concurrent_evaluation(default_scenario):
     reference = RewardEngine(default_scenario, config)
     rng = random.Random(17)
     actions = [
-        full_action(
-            default_scenario, {av: rng.randint(0, 1) for av in default_scenario.av_ids}
+        default_scenario.routes_of(
+            full_action(default_scenario, {av: rng.randint(0, 1) for av in default_scenario.av_ids})
         )
         for _ in range(12)
     ]
@@ -328,19 +331,19 @@ def test_cache_safe_under_concurrent_evaluation(default_scenario):
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         for index, (times, scores) in pool.map(worker, range(96)):
-            assert times.times == expected[index][0].times
+            assert times == expected[index][0]
             assert scores == expected[index][1]
 
 
 def test_cache_flush_then_recompute_is_identical(default_scenario):
     config = RewardConfig(beta=200.0, scope="av-group")
     engine = RewardEngine(default_scenario, config)
-    action = full_action(default_scenario, {1: 1, 13: 1})
-    before_times, before_scores = engine.evaluate(action, seed=4)
+    routes = default_scenario.routes_of(full_action(default_scenario, {1: 1, 13: 1}))
+    before_times, before_scores = engine.evaluate(routes, seed=4)
     first = engine.simulations_run
     engine.cache = SimulationCache()  # an emptied memo
-    after_times, after_scores = engine.evaluate(action, seed=4)
-    assert before_times.times == after_times.times
+    after_times, after_scores = engine.evaluate(routes, seed=4)
+    assert before_times == after_times
     assert before_scores == after_scores
     assert engine.simulations_run == 2 * first
 
@@ -381,8 +384,8 @@ def test_sign_preservation_deterministic(default_scenario):
         action = full_action(
             default_scenario, {av: rng.randint(0, 1) for av in default_scenario.av_ids}
         )
-        _, scores = engine.evaluate(action, 0)
-        assert all(m <= 0.0 for m in scores.values())
+        _, scores = engine.evaluate(default_scenario.routes_of(action), 0)
+        assert all(m <= 0.0 for m in scores)
 
 
 def test_matrix_csv_layout(default_scenario):
@@ -427,32 +430,51 @@ def test_intrinsic_scores_match_entrywise_reference():
 
 
 def test_repeated_day_is_one_lookup(default_scenario):
-    action = full_action(default_scenario, {3: 1, 9: 1})
+    routes = default_scenario.routes_of(full_action(default_scenario, {3: 1, 9: 1}))
     for config in (RewardConfig(beta=200.0, scope="av-group"), RewardConfig()):
         engine = RewardEngine(default_scenario, config)
-        first = engine.evaluate(action, seed=0)
+        first = engine.evaluate(routes, seed=0)
         stats = engine.cache.stats
         hits, misses, simulated = stats.hits, stats.misses, engine.simulations_run
-        again = engine.evaluate(action, seed=0)
+        again = engine.evaluate(routes, seed=0)
         assert again[0] is first[0] and again[1] is first[1]  # served from the day memo
         assert stats.hits == hits + 1
         assert stats.misses == misses == len(engine.cache)
         assert engine.simulations_run == simulated
-        assert engine.evaluate(action, seed=1)[0].seed == 1  # another seed, another day
+        engine.evaluate(routes, seed=1)  # another seed, another day
+        assert stats.misses == misses + 1 == len(engine.cache)
 
 
 def test_a_new_day_simulates_all_its_rosters(default_scenario):
     config = RewardConfig(beta=1.0, scope="system")
     engine = RewardEngine(default_scenario, config)
     n_avs = len(default_scenario.av_ids)
-    engine.evaluate(full_action(default_scenario, {5: 0}), seed=0)
-    second = full_action(default_scenario, {5: 1})
+    engine.evaluate(default_scenario.routes_of(full_action(default_scenario, {5: 0})), seed=0)
+    second = default_scenario.routes_of(full_action(default_scenario, {5: 1}))
     _, scores = engine.evaluate(second, seed=0)
     # The roster without AV 5 is the same on both days, but nothing keeps rosters.
     assert engine.cache.stats.misses == 2 and engine.cache.stats.hits == 0
     assert engine.simulations_run == 2 * (1 + n_avs)
     assert scores == RewardEngine(default_scenario, config).evaluate(second, seed=0)[1]
-    assert scores[5] != 0.0
+    assert dict(zip(default_scenario.av_ids, scores, strict=True))[5] != 0.0
+
+
+@pytest.mark.parametrize(
+    "routes",
+    [(0,) * 21, (0,) * 23, (2,) + (0,) * 21, (-1,) + (0,) * 21],
+    ids=["short", "long", "unknown-route", "negative-route"],
+)
+def test_evaluate_rejects_routes_that_do_not_fit(default_scenario, routes):
+    for scenario in (default_scenario, default_scenario.with_noise(2.0)):
+        engine = RewardEngine(scenario, RewardConfig(beta=200.0, scope="av-group"))
+        with pytest.raises(ConfigurationError, match="do not fit"):
+            engine.evaluate(routes, seed=0)
+        assert engine.simulations_run == 0
+
+
+def _fixed_day(scenario):
+    routes = {a.id: a.id % 4 // 2 for a in scenario.agents}
+    return {i: (lambda obs, r=r: r) for i, r in routes.items()}
 
 
 def test_mutating_an_episode_log_leaves_the_memo_intact(default_scenario):
@@ -460,15 +482,26 @@ def test_mutating_an_episode_log_leaves_the_memo_intact(default_scenario):
 
     config = RewardConfig(beta=200.0, scope="system")
     engine = RewardEngine(default_scenario, config)
-    routes = {a.id: a.id % 4 // 2 for a in default_scenario.agents}
-    policies = {i: (lambda obs, r=r: r) for i, r in routes.items()}
+    policies = _fixed_day(default_scenario)
     first = run_episode(default_scenario, policies, config, 0, 0, engine)
-    for values in (first.intrinsic, first.shaped):
-        for i in values:
-            values[i] = 123.0
-    later = run_episode(default_scenario, policies, config, 1, 0, engine)
-    fresh = run_episode(default_scenario, policies, config, 1, 0)
+    for values in (first.times, first.intrinsic):
+        with pytest.raises(TypeError):
+            values[0] = 123.0
+    later = id_view(run_episode(default_scenario, policies, config, 1, 0, engine), default_scenario)
+    fresh = id_view(run_episode(default_scenario, policies, config, 1, 0), default_scenario)
     assert later.times.times == fresh.times.times
     assert later.intrinsic == fresh.intrinsic
     assert later.shaped == fresh.shaped
     assert later.extrinsic == fresh.extrinsic
+
+
+def test_logs_of_one_deterministic_day_share_the_memo_tuples(default_scenario):
+    from routelab.episode import run_episode
+
+    for config in (RewardConfig(beta=200.0, scope="av-group"), RewardConfig()):
+        engine = RewardEngine(default_scenario, config)
+        policies = _fixed_day(default_scenario)
+        first = run_episode(default_scenario, policies, config, 0, 0, engine)
+        second = run_episode(default_scenario, policies, config, 1, 0, engine)
+        assert second.times is first.times and second.intrinsic is first.intrinsic
+        assert second.routes == first.routes and second.config is config
