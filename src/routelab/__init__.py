@@ -33,9 +33,7 @@ from .rewards import (
     RewardConfig,
     RewardEngine,
     SimulationCache,
-    compute_marginal_matrix,
     intrinsic_reward,
-    intrinsic_scores,
     shaped_reward,
 )
 from .scenarios import (

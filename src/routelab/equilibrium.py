@@ -37,7 +37,10 @@ from typing import Mapping
 import numpy as np
 
 from .network import ConfigurationError, Scenario, counterfactual_row, simulate_slots
-from .rewards import RewardConfig, RewardEngine, intrinsic_reward
+# intrinsic_reward is unused here. It stays bound in this module because the
+# benchmark's traced pass (perfbench/worker.py) wraps
+# equilibrium.intrinsic_reward; without it --trace 1 fails.
+from .rewards import RewardConfig, RewardEngine, intrinsic_reward, shaped_reward
 
 DEFAULT_ENUMERATION_BOUND = 2**20
 STRICTNESS_TOLERANCE = 1e-9
@@ -146,6 +149,7 @@ class EquilibriumAnalyzer:
             )
         self.space_size = size
         self.seed = seed
+        # Only its simulations_run is used: the rosters the table fill simulated.
         self.engine = RewardEngine(
             scenario, RewardConfig(alpha=1.0, beta=1.0, scope="system")
         )
@@ -234,7 +238,7 @@ class EquilibriumAnalyzer:
     def _intrinsic_table(self, config: RewardConfig) -> np.ndarray:
         """``M``: each AV's intrinsic score under ``config``, one row per profile.
 
-        Bit for bit ``rewards.intrinsic_scores``: ``math.tanh`` of each distinct
+        Bit for bit ``rewards.intrinsic_reward``: ``math.tanh`` of each distinct
         difference, summed in row order. No term is -0.0, so the own entry
         (+0.0) and a start at the first term instead of 0.0 change nothing.
         """
@@ -268,19 +272,16 @@ class EquilibriumAnalyzer:
         return config.alpha * self._base_tables()[0] + config.beta * m
 
     def rewards(self, action: tuple[int, ...], config: RewardConfig) -> dict[int, float]:
-        """Shaped reward per AV in one profile, straight from the engine.
+        """Shaped reward per AV in one profile: one ``evaluate`` on a cold engine.
 
-        Builds no table, so it checks the tables independently.
+        Builds no table and shares no scoring code with them, so it checks
+        the tables independently.
         """
-        joint = self.full_action(action)
-        times = self.engine.travel_times(joint, self.seed)
-        if not config.needs_intrinsic:
-            return {av: config.alpha * -times[av] for av in self.av_ids}
-        matrix = self.engine.marginal_matrix(joint, self.seed)
+        routes = self.scenario.routes_of(self.full_action(action))
+        times, scores = RewardEngine(self.scenario, config).evaluate(routes, self.seed)
         return {
-            av: config.alpha * -times[av]
-            + config.beta * intrinsic_reward(matrix, av, config)
-            for av in self.av_ids
+            av: shaped_reward(-times[slot], m, config)
+            for av, slot, m in zip(self.av_ids, self._av_columns, scores)
         }
 
     # -- analyses ----------------------------------------------------------

@@ -507,27 +507,22 @@ def sweep_beta(config: RunConfig, betas: Sequence[float]) -> dict[float, Experim
         raise ConfigurationError("beta sweep needs a non-empty list of beta values")
     out = Path(config.out_dir)
 
-    def sub_config(beta: float, jobs: int) -> RunConfig:
+    def sub_config(beta: float) -> RunConfig:
         return dataclasses.replace(
             config,
             reward=dataclasses.replace(config.reward, beta=beta),
             out_dir=out / f"beta_{beta:g}",
-            jobs=jobs,
+            jobs=1,
         )
 
-    results: dict[float, ExperimentResult] = {}
     if config.jobs > 1:
         # Sweep points share the jobs budget; per-run output directories are
         # disjoint, so concurrent writes cannot collide.
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for beta, result in zip(
-                betas,
-                pool.map(lambda b: run_experiment(sub_config(b, 1)), betas),
-            ):
-                results[beta] = result
+            runs = list(pool.map(lambda b: run_experiment(sub_config(b)), betas))
     else:
-        for beta in betas:
-            results[beta] = run_experiment(sub_config(beta, 1))
+        runs = [run_experiment(sub_config(beta)) for beta in betas]
+    results = dict(zip(betas, runs))
 
     rows = []
     for beta in betas:

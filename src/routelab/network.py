@@ -72,10 +72,16 @@ def reject_unknown_keys(doc: Mapping, known: Iterable[str], what: str) -> None:
 
 
 def parse_value(cast: Callable, value, what: str):
-    """``cast(value)``, or a ConfigurationError naming ``what``; a bool must be JSON true/false."""
+    """``cast(value)``, or a ConfigurationError naming ``what``.
+
+    Only JSON true/false is a bool, and a bool is nothing else: not 1, not
+    1.0. An int read from a float must be whole.
+    """
     try:
-        if cast is bool and not isinstance(value, bool):
+        if (cast is bool) != isinstance(value, bool):
             raise TypeError
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what}: cannot read {value!r} as {cast.__name__}") from exc

@@ -36,8 +36,8 @@ with ``routes`` the day's route tuple in departure order, keeps two tuples
 per day (travel times by slot, AV scores in ``av_ids`` order), so a repeated
 day costs one lookup and every log of it shares the same tuples. Every
 roster a day needs comes from the one kernel call that simulates its full
-run, so a memo of single rosters would save no call. ``travel_times`` and
-``marginal_matrix`` keep nothing.
+run, so a memo of single rosters would save no call. ``marginal_matrix``, the
+one builder of a dense matrix, keeps nothing.
 
 A noisy day has its own seed and is one kernel call that nothing keeps.
 Either way ``simulations_run`` counts the rosters simulated: 1 + #AVs for a
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -57,7 +57,6 @@ import numpy as np
 from .network import (
     ConfigurationError,
     Scenario,
-    TravelTimeVector,
     counterfactual_row,
     simulate,
     simulate_slots,
@@ -121,71 +120,6 @@ class MarginalCostMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _matrix_from_runs(
-    scenario: Scenario,
-    action: Mapping[int, int],
-    seed: int,
-    full: Sequence[float],
-    rows: Sequence[Sequence[float]],
-) -> MarginalCostMatrix:
-    """Stack the counterfactual columns (by slot, NaN where removed) and subtract the full run."""
-    values = np.array(rows).reshape(len(rows), len(full)).T - np.array(full)[:, None]
-    # An agent missing from either run (the removed AV in its own column
-    # included) contributes 0.
-    values[np.isnan(values)] = 0.0
-    return MarginalCostMatrix(
-        row_ids=scenario.ids,
-        col_ids=scenario.av_ids,
-        values=values,
-        action=dict(action),
-        seed=seed,
-    )
-
-
-def compute_marginal_matrix(
-    scenario: Scenario,
-    action: Mapping[int, int],
-    base_times: TravelTimeVector,
-    seed: int,
-) -> MarginalCostMatrix:
-    """Run one counterfactual per AV and collect the column of differences.
-
-    ``base_times`` must come from a run of the same (action, seed); the
-    counterfactuals share that seed so noise draws cancel out exactly.
-    """
-    if base_times.seed != seed:
-        raise ConfigurationError(
-            f"base run used seed {base_times.seed}, counterfactuals requested seed {seed}"
-        )
-    slots = [scenario.ids.index(j) for j in scenario.av_ids]
-    full, counterfactuals = simulate_slots(scenario, scenario.routes_of(action), slots, seed)
-    rows = [counterfactual_row(full, k, sparse) for k, sparse in zip(slots, counterfactuals)]
-    base = [base_times.times.get(i, math.nan) for i in scenario.ids]
-    return _matrix_from_runs(scenario, action, seed, base, rows)
-
-
-def _column_scores(
-    matrix: MarginalCostMatrix, av_ids: Sequence[int], config: RewardConfig
-) -> dict[int, float]:
-    """Intrinsic reward of each AV in ``av_ids``, from one pass over the columns.
-
-    Each column is summed in row order, ``math.tanh`` applied entry by entry.
-    """
-    if config.scope == "av-group":
-        in_scope = matrix.col_ids
-    elif config.scope == "system":
-        in_scope = matrix.row_ids
-    else:
-        raise ConfigurationError(f"scope {config.scope!r} has no externality rows")
-    rows = [matrix._row_index[i] for i in in_scope]
-    columns = matrix.values.T.tolist()
-    scores = {}
-    for j in av_ids:
-        column, own = columns[matrix._col_index[j]], matrix._row_index.get(j)
-        scores[j] = _squashed_sum((column[r] for r in rows if r != own), config)
-    return scores
-
-
 def _squashed_sum(terms: Iterable[float], config: RewardConfig) -> float:
     """The terms summed in order from +0.0, each through tanh unless ``raw_sum``."""
     total = 0.0
@@ -194,14 +128,12 @@ def _squashed_sum(terms: Iterable[float], config: RewardConfig) -> float:
     return total
 
 
-def intrinsic_scores(matrix: MarginalCostMatrix, config: RewardConfig) -> dict[int, float]:
-    """Bounded, sign-preserving externality score of every AV column."""
-    return _column_scores(matrix, matrix.col_ids, config)
-
-
 def intrinsic_reward(matrix: MarginalCostMatrix, av_id: int, config: RewardConfig) -> float:
-    """Bounded, sign-preserving externality score for one AV column."""
-    return _column_scores(matrix, (av_id,), config)[av_id]
+    """Bounded, sign-preserving externality score for one AV column, summed in row order."""
+    if config.scope == "none":
+        raise ConfigurationError(f"scope {config.scope!r} has no externality rows")
+    rows = matrix.col_ids if config.scope == "av-group" else matrix.row_ids
+    return _squashed_sum((matrix.entry(i, av_id) for i in rows if i != av_id), config)
 
 
 def shaped_reward(extrinsic: float, intrinsic: float, config: RewardConfig) -> float:
@@ -265,7 +197,7 @@ class RewardEngine:
     def _scores(self, full: list[float], changes: list[dict[int, float]]) -> tuple[float, ...]:
         """Each AV's intrinsic reward from the in-scope entries its run re-simulated, in slot order.
 
-        Bit for bit ``intrinsic_scores``: an entry left out, or re-simulated
+        Bit for bit ``intrinsic_reward``: an entry left out, or re-simulated
         unchanged, adds ``tanh(0.0) == 0.0`` to a sum from +0.0, which
         changes nothing.
         """
@@ -274,14 +206,22 @@ class RewardEngine:
             for c in changes
         )
 
-    def travel_times(self, action: Mapping[int, int], seed: int) -> TravelTimeVector:
-        full, _ = self._runs(self.scenario.routes_of(action), seed, ())
-        return TravelTimeVector(times=dict(zip(self.scenario.ids, full)), seed=seed)
-
     def marginal_matrix(self, action: Mapping[int, int], seed: int) -> MarginalCostMatrix:
+        """The full run and one counterfactual per AV, from one kernel call, as a dense matrix."""
         full, changes = self._runs(self.scenario.routes_of(action), seed, self._av_slots)
         rows = [counterfactual_row(full, k, c) for k, c in zip(self._av_slots, changes)]
-        return _matrix_from_runs(self.scenario, action, seed, full, rows)
+        # Counterfactual columns by slot (NaN where removed) minus the full run.
+        values = np.array(rows).reshape(len(rows), len(full)).T - np.array(full)[:, None]
+        # An agent missing from either run (the removed AV in its own column
+        # included) contributes 0.
+        values[np.isnan(values)] = 0.0
+        return MarginalCostMatrix(
+            row_ids=self.scenario.ids,
+            col_ids=self.scenario.av_ids,
+            values=values,
+            action=dict(action),
+            seed=seed,
+        )
 
     def evaluate(
         self, routes: tuple[int, ...], seed: int

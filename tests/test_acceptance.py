@@ -27,7 +27,7 @@ from routelab import (
 from routelab.equilibrium import EquilibriumAnalyzer
 from routelab.harness import RunConfig, run_experiment
 from routelab.episode import run_episode
-from routelab.rewards import MarginalCostMatrix, compute_marginal_matrix, intrinsic_reward
+from routelab.rewards import MarginalCostMatrix, intrinsic_reward
 from routelab.scenarios import two_route_yield_scenario
 
 from conftest import id_view, make_scenario
@@ -373,7 +373,7 @@ def test_criterion_8_determinism_and_cache(tmp_path, world):
     simulated = engine.simulations_run
     log_repeat = id_view(run_episode(scenario, action_policy, config, 0, 0, engine), scenario)
     base = simulate(scenario, log_cached.action, 0)
-    matrix = compute_marginal_matrix(scenario, log_cached.action, base, 0)
+    matrix = RewardEngine(scenario, config).marginal_matrix(log_cached.action, 0)
     direct_shaped = {
         i: config.alpha * -t
         + config.beta * (intrinsic_reward(matrix, i, config) if i in scenario.av_ids else 0.0)

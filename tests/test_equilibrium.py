@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import routelab.rewards
 from routelab import (
     AgentSpec,
     ConfigurationError,
     NetworkConfig,
     RewardConfig,
+    RewardEngine,
     RouteSpec,
     Scenario,
     beta_max,
+    intrinsic_reward,
+    shaped_reward,
+    simulate,
 )
 from routelab.equilibrium import EquilibriumAnalyzer, encode_action
 
@@ -362,6 +367,35 @@ def test_reward_table_rows_equal_per_profile_rewards(scope):
         for p, action in enumerate(analyzer.profiles()):
             per_profile = analyzer.rewards(action, config)
             assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
+
+
+def test_per_profile_rewards_make_one_kernel_call(monkeypatch):
+    scenario, humans = small_game()
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    action = (1, 0, 1, 1)
+    shaped = RewardConfig(alpha=1.0, beta=0.3, scope="system")
+    calls = []
+    kernel = routelab.rewards.simulate_slots
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(routelab.rewards, "simulate_slots", counted)
+    values = {}
+    for config in (shaped, RewardConfig(alpha=1.0, beta=0.0, scope="av-group")):
+        calls.clear()
+        values[config] = analyzer.rewards(action, config)
+        assert len(calls) == 1
+    monkeypatch.undo()
+    joint = analyzer.full_action(action)
+    times = simulate(scenario, joint, analyzer.seed).times
+    matrix = RewardEngine(scenario, shaped).marginal_matrix(joint, analyzer.seed)
+    assert values[shaped] == {
+        av: shaped_reward(-times[av], intrinsic_reward(matrix, av, shaped), shaped)
+        for av in analyzer.av_ids
+    }
+    assert any(intrinsic_reward(matrix, av, shaped) != 0.0 for av in analyzer.av_ids)  # it bites
 
 
 def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):

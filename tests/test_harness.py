@@ -195,6 +195,11 @@ def mistyped_network(**network) -> dict:
         ({"reward": {"beta": "big"}}, "reward beta"),
         ({"learner": {"algorithm": "ucb", "c": "wide"}}, "ucb learner c"),
         (mistyped_network(merge_gap_g="wide"), "merge_gap_g"),
+        ({"train_episodes": 3.9}, "train_episodes"),
+        ({"seeds": [0.5]}, "seeds"),
+        ({"jobs": True}, "jobs"),
+        ({"reward": {"beta": True}}, "reward beta"),
+        (mistyped_network(merge_gap_g=True), "merge_gap_g"),
     ],
 )
 def test_cli_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, named):

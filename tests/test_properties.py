@@ -36,7 +36,6 @@ from routelab import (
     RewardEngine,
     RouteSpec,
     Scenario,
-    compute_marginal_matrix,
     intrinsic_reward,
     simulate,
     simulate_batch,
@@ -169,8 +168,7 @@ def test_batch_rows_match_single_runs(case):
 def test_deterministic_marginal_entries_nonpositive(case):
     scenario, action, seed = case
     assert scenario.monotone
-    base = simulate(scenario, action, seed)
-    matrix = compute_marginal_matrix(scenario, action, base, seed)
+    matrix = RewardEngine(scenario, RewardConfig()).marginal_matrix(action, seed)
     assert (matrix.values <= 0.0).all(), matrix.values
 
 
@@ -185,7 +183,7 @@ def test_engine_scores_equal_column_scores(case, scope, raw_sum, tanh_scale):
     scenario, action, seed = case
     config = RewardConfig(beta=1.0, scope=scope, tanh_scale=tanh_scale, raw_sum=raw_sum)
     base = simulate(scenario, action, seed)
-    matrix = compute_marginal_matrix(scenario, action, base, seed)
+    matrix = RewardEngine(scenario, config).marginal_matrix(action, seed)
     expected = {j: intrinsic_reward(matrix, j, config) for j in scenario.av_ids}
     engine = RewardEngine(scenario, config)
     routes = scenario.routes_of(action)
@@ -218,7 +216,7 @@ def test_window_shorter_than_gap_lets_a_removal_delay_someone():
     action = {0: 0, 1: 0, 2: 1}
     base = simulate(scenario, action)
     assert simulate_without(scenario, action, 0)[2] - base[2] == 1.0
-    assert compute_marginal_matrix(scenario, action, base, 0).entry(2, 0) == 1.0
+    assert RewardEngine(scenario, RewardConfig()).marginal_matrix(action, 0).entry(2, 0) == 1.0
 
 
 def test_monotone_marks_the_two_route_yield_regime():

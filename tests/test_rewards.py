@@ -12,9 +12,7 @@ from routelab import (
     MarginalCostMatrix,
     RewardConfig,
     RewardEngine,
-    compute_marginal_matrix,
     intrinsic_reward,
-    intrinsic_scores,
     shaped_reward,
     simulate,
     simulate_without,
@@ -33,8 +31,7 @@ def full_action(scenario, routes_by_av=None, default=0):
 
 
 def matrix_for(scenario, action, seed=0):
-    base = simulate(scenario, action, seed)
-    return compute_marginal_matrix(scenario, action, base, seed)
+    return RewardEngine(scenario, RewardConfig()).marginal_matrix(action, seed)
 
 
 def test_single_av_alone_gives_zero_matrix():
@@ -97,23 +94,11 @@ def test_matrix_matches_independent_simulation_pairs(default_scenario):
             assert matrix.entry(i, j) == without[i] - with_all[i]
 
 
-def test_seed_mismatch_rejected(default_scenario):
-    action = full_action(default_scenario)
-    base = simulate(default_scenario, action, seed=1)
-    with pytest.raises(ConfigurationError):
-        compute_marginal_matrix(default_scenario, action, base, seed=2)
-
-
 def test_agent_missing_from_base_run_contributes_zero(default_scenario):
     action = full_action(default_scenario, {1: 1})
-    base = simulate(default_scenario, action, seed=0)
-    partial = type(base)(times={i: t for i, t in base.times.items() if i != 3}, seed=0)
-    full = compute_marginal_matrix(default_scenario, action, base, seed=0)
-    matrix = compute_marginal_matrix(default_scenario, action, partial, seed=0)
+    full = RewardEngine(default_scenario, RewardConfig()).marginal_matrix(action, seed=0)
     assert full.entry(3, 1) == -6.0
-    assert np.all(matrix.values[matrix.row_ids.index(3)] == 0.0)
-    others = [r for r, i in enumerate(matrix.row_ids) if i != 3]
-    assert np.array_equal(matrix.values[others], full.values[others])
+    assert full.entry(1, 1) == 0.0  # AV 1 is missing from its own counterfactual
 
 
 def zero_matrix(row_ids, col_ids):
@@ -368,8 +353,7 @@ def test_scope_nesting_without_human_interaction():
         [0.0, 4.0, 400.0, 404.0], av_flags=[True, True, False, False]
     )
     action = {0: 0, 1: 1, 2: 0, 3: 0}
-    base = simulate(scenario, action, 0)
-    matrix = compute_marginal_matrix(scenario, action, base, 0)
+    matrix = RewardEngine(scenario, RewardConfig()).marginal_matrix(action, 0)
     for j in scenario.av_ids:
         group = intrinsic_reward(matrix, j, RewardConfig(scope="av-group"))
         system = intrinsic_reward(matrix, j, RewardConfig(scope="system"))
@@ -399,9 +383,9 @@ def test_matrix_csv_layout(default_scenario):
     assert len(full.strip().split("\n")) == 1 + len(default_scenario.agents)
 
 
-def test_intrinsic_scores_match_entrywise_reference():
-    # One pass over all columns must give, bit for bit, the per-entry sum in
-    # row order, skipping the AV's own row even where its entry is nonzero.
+def test_intrinsic_reward_matches_entrywise_reference():
+    # Each column must give, bit for bit, the per-entry sum in row order,
+    # skipping the AV's own row even where its entry is nonzero.
     rng = np.random.default_rng(3)
     row_ids = (4, 0, 7, 2, 9, 5)
     col_ids = (0, 2, 5)
@@ -422,7 +406,6 @@ def test_intrinsic_scores_match_entrywise_reference():
                         value = matrix.entry(i, j)
                         total += value if config.raw_sum else math.tanh(value / config.tanh_scale)
                 expected[j] = total
-            assert intrinsic_scores(matrix, config) == expected
             assert {j: intrinsic_reward(matrix, j, config) for j in col_ids} == expected
 
 
