@@ -33,15 +33,20 @@ from .harness import (
 )
 from .humans import freeze_all, run_warmup
 from .learners import ALGORITHMS
-from .network import ConfigurationError, parse_value
+from .network import ConfigurationError
 from .rewards import SCOPES, RewardEngine
 from .scenarios import load_scenario, two_route_yield_scenario
 
 
 def _parse_list(text: str, cast, flag: str) -> list:
-    cleaned = text.strip().strip("[]")
-    parts = (part.strip() for part in cleaned.replace(";", ",").split(","))
-    return [parse_value(cast, part, flag) for part in parts if part]
+    parts = text.strip().strip("[]").replace(";", ",").split(",")
+    values = []
+    try:
+        for part in filter(None, map(str.strip, parts)):
+            values.append(cast(part))
+    except ValueError:
+        raise ConfigurationError(f"{flag}: cannot read {part!r} as {cast.__name__}") from None
+    return values
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -160,11 +165,10 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     alphas = _parse_list(args.alpha, float, "--alpha") if args.alpha else [1.0]
     betas = _parse_list(args.beta, float, "--beta") if args.beta else [0.0]
     scope = args.scope or config.reward.scope
-    results = equilibrium_grid(config, alphas, betas, scope)
-    for entry in results:
+    for report in equilibrium_grid(config, alphas, betas, scope):
         print(
-            f"alpha={entry['alpha']:g} beta={entry['beta']:g} scope={entry['scope']}: "
-            f"{entry['count']} equilibrium(s)"
+            f"alpha={report.alpha:g} beta={report.beta:g} scope={report.scope}: "
+            f"{report.count} equilibrium(s)"
         )
     print(f"equilibria artifacts written to {config.out_dir}")
     return 0

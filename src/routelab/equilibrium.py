@@ -46,21 +46,19 @@ DEFAULT_ENUMERATION_BOUND = 2**20
 STRICTNESS_TOLERANCE = 1e-9
 
 
-def beta_max(
-    delta_reward: float, delta_c: float, noise_floor: float = STRICTNESS_TOLERANCE
-) -> float | None:
+def beta_max(delta_reward: float, delta_c: float) -> float | None:
     """Largest shaping coefficient keeping sign(delta_r) as at beta = 0.
 
     Returns ``math.inf`` when the intrinsic change never flips the
     preference, ``None`` when the deviation is indifferent for every beta
     (both terms zero), and 0.0 when only the intrinsic term is nonzero.
-    Magnitudes at or below ``noise_floor`` count as exact zeros: summing
-    tanh terms leaves ulp-level residue that would otherwise fabricate
-    astronomically large thresholds.
+    Magnitudes at or below ``STRICTNESS_TOLERANCE`` count as exact zeros:
+    summing tanh terms leaves ulp-level residue that would otherwise
+    fabricate astronomically large thresholds.
     """
-    if abs(delta_reward) <= noise_floor:
+    if abs(delta_reward) <= STRICTNESS_TOLERANCE:
         delta_reward = 0.0
-    if abs(delta_c) <= noise_floor:
+    if abs(delta_c) <= STRICTNESS_TOLERANCE:
         delta_c = 0.0
     if delta_reward == 0.0 and delta_c == 0.0:
         return None
@@ -93,7 +91,6 @@ class EquilibriumReport:
     count: int
     optima: list[tuple[int, ...]]
     optimum_total_time: float
-    deviations: list[DeviationRecord]
 
 
 def encode_action(action: tuple[int, ...]) -> str:
@@ -108,15 +105,18 @@ class EquilibriumAnalyzer:
     Profile ``p`` is the ``p``-th joint action in ``itertools.product``
     order: a mixed-radix number whose digit for AV slot ``k`` is the position
     of its route in ``spaces[k]`` and whose last slot varies fastest. Every
-    table has one row per profile and one column per AV slot:
+    table has one row per profile:
 
-    - ``E``: the extrinsic reward, minus each AV's travel time;
-    - the totals: total travel time of all drivers and of the AVs only;
-    - ``M``: each AV's intrinsic score, one table per (scope, tanh_scale,
-      raw_sum), since only those settings change it.
+    - ``E``: the extrinsic reward, minus each AV's travel time, one column
+      per AV slot;
+    - the totals: the total travel time of all drivers;
+    - ``M``: each AV's intrinsic score, one column per AV slot and one table
+      per (scope, tanh_scale, raw_sum), since only those settings change it.
 
-    Each table is filled once, on first use. The shaped rewards for any
-    (alpha, beta) are then ``alpha * E + beta * M``.
+    Each table is filled once, on first use, and ``simulations_run`` counts
+    the rosters the fill simulated. The shaped rewards for any (alpha, beta)
+    are then ``alpha * E + beta * M``. ``rewards`` and ``verify_equilibrium``
+    score single profiles without the tables.
     """
 
     def __init__(
@@ -124,7 +124,6 @@ class EquilibriumAnalyzer:
         scenario: Scenario,
         humans_profile: Mapping[int, int],
         bound: int = DEFAULT_ENUMERATION_BOUND,
-        seed: int = 0,
     ):
         if scenario.noise_sigma != 0:
             raise ConfigurationError(
@@ -148,16 +147,12 @@ class EquilibriumAnalyzer:
                 "shrink the scenario or raise the bound"
             )
         self.space_size = size
-        self.seed = seed
-        # Only its simulations_run is used: the rosters the table fill simulated.
-        self.engine = RewardEngine(
-            scenario, RewardConfig(alpha=1.0, beta=1.0, scope="system")
-        )
+        self.simulations_run = 0  # the rosters the table fill simulated
         self._ids = scenario.ids
         self._av_columns = [self._ids.index(av) for av in self.av_ids]
         self._full: np.ndarray | None = None  # travel times, profiles x agents
         self._withouts: list[np.ndarray] | None = None  # per slot, runs without it
-        self._total_times: np.ndarray | None = None
+        self._total_times: list[float] | None = None
         self._m: dict[tuple[str, float, bool], np.ndarray] = {}
 
     # -- joint-action plumbing -------------------------------------------
@@ -166,16 +161,7 @@ class EquilibriumAnalyzer:
         return itertools.product(*self.spaces)
 
     def full_action(self, action: tuple[int, ...]) -> dict[int, int]:
-        joint = dict(self.humans_profile)
-        joint.update(zip(self.av_ids, action))
-        return joint
-
-    def profile_index(self, action: tuple[int, ...]) -> int:
-        """Row of ``action`` in every table."""
-        return sum(
-            space.index(route) * stride
-            for space, route, stride in zip(self.spaces, action, self._strides)
-        )
+        return {**self.humans_profile, **dict(zip(self.av_ids, action))}
 
     def profile_at(self, index: int) -> tuple[int, ...]:
         """Joint action of table row ``index``."""
@@ -213,24 +199,21 @@ class EquilibriumAnalyzer:
                 routes[c] = route
             removed = [k for k in slots if action[k] == self.spaces[k][0]]
             base, sparse = simulate_slots(
-                self.scenario, tuple(routes), [self._av_columns[k] for k in removed], self.seed
+                self.scenario, tuple(routes), [self._av_columns[k] for k in removed]
             )
             full[p] = base
             for k, changes in zip(removed, sparse):
                 withouts[k][rows[k][p]] = counterfactual_row(base, self._av_columns[k], changes)
         if self._full is None:
-            self.engine.simulations_run += self.space_size
-            # Python sums, in departure order.
-            self._total_times = np.array(
-                [(sum(row), sum(row[c] for c in self._av_columns)) for row in full.tolist()]
-            )
+            self.simulations_run += self.space_size
+            self._total_times = [sum(row) for row in full.tolist()]  # in departure order
         self._full = full
         if counterfactuals:
-            self.engine.simulations_run += sum(map(len, withouts))
+            self.simulations_run += sum(map(len, withouts))
             self._withouts = withouts
 
-    def _base_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``E`` (minus each AV's travel time) and the totals, one row per profile."""
+    def _base_tables(self) -> tuple[np.ndarray, list[float]]:
+        """``E`` (minus each AV's travel time) and the total travel times, one row per profile."""
         if self._full is None:
             self._simulate(counterfactuals=False)
         return -self._full[:, self._av_columns], self._total_times
@@ -278,7 +261,7 @@ class EquilibriumAnalyzer:
         the tables independently.
         """
         routes = self.scenario.routes_of(self.full_action(action))
-        times, scores = RewardEngine(self.scenario, config).evaluate(routes, self.seed)
+        times, scores = RewardEngine(self.scenario, config).evaluate(routes, 0)
         return {
             av: shaped_reward(-times[slot], m, config)
             for av, slot, m in zip(self.av_ids, self._av_columns, scores)
@@ -287,10 +270,7 @@ class EquilibriumAnalyzer:
     # -- analyses ----------------------------------------------------------
 
     def enumerate_nash(
-        self,
-        config: RewardConfig,
-        tolerance: float = STRICTNESS_TOLERANCE,
-        include_deviations: bool = True,
+        self, config: RewardConfig, tolerance: float = STRICTNESS_TOLERANCE
     ) -> EquilibriumReport:
         """Test every AV joint action for unilateral-deviation stability.
 
@@ -307,10 +287,7 @@ class EquilibriumAnalyzer:
                 neighbours = self._neighbours(slot, position)
                 stable &= (neighbours == rows) | ~(rewards[neighbours, slot] > own)
         equilibria = [self.profile_at(int(p)) for p in np.flatnonzero(stable)]
-        optima, best_total = self.system_optimum("system")
-        deviations = (
-            self.deviation_records(config) if include_deviations else []
-        )
+        optima, best_total = self.system_optimum()
         return EquilibriumReport(
             alpha=config.alpha,
             beta=config.beta,
@@ -319,22 +296,18 @@ class EquilibriumAnalyzer:
             count=len(equilibria),
             optima=optima,
             optimum_total_time=best_total,
-            deviations=deviations,
         )
 
-    def system_optimum(self, scope: str = "system") -> tuple[list[tuple[int, ...]], float]:
-        """All joint actions minimising total travel time over the scope.
+    def system_optimum(self) -> tuple[list[tuple[int, ...]], float]:
+        """All joint actions minimising the total travel time of all drivers.
 
         The scan keeps a running best in enumeration order: a total more than
         the tolerance below it starts a new optimum set, one within the
         tolerance of it joins the set.
         """
-        if scope not in ("system", "av-group"):
-            raise ConfigurationError(f"unknown optimisation scope {scope!r}")
-        totals = self._base_tables()[1][:, 0 if scope == "system" else 1]
         best_total = math.inf
         optima: list[int] = []
-        for p, total in enumerate(totals.tolist()):
+        for p, total in enumerate(self._base_tables()[1]):
             if total < best_total - STRICTNESS_TOLERANCE:
                 best_total = total
                 optima = [p]
@@ -342,33 +315,8 @@ class EquilibriumAnalyzer:
                 optima.append(p)
         return [self.profile_at(p) for p in optima], best_total
 
-    def deviation_terms(
-        self, action: tuple[int, ...], av_id: int, config: RewardConfig
-    ) -> tuple[float, float]:
-        """(travel-time change, intrinsic-score change) for one AV's switch.
-
-        Defined for binary action spaces: both terms compare the higher
-        route index against the lower with everyone else fixed.
-        """
-        slot = self.av_ids.index(av_id)
-        space = self.spaces[slot]
-        if len(space) != 2:
-            raise ConfigurationError(
-                f"deviation terms need a binary action space, AV {av_id} has {space}"
-            )
-        low, high = (
-            self.profile_index(action[:slot] + (route,) + action[slot + 1 :])
-            for route in sorted(space)
-        )
-        e = self._base_tables()[0]
-        delta_seconds = float(-e[high, slot] - -e[low, slot])
-        if config.scope == "none":
-            return delta_seconds, 0.0
-        m = self._intrinsic_table(config)
-        return delta_seconds, float(m[high, slot] - m[low, slot])
-
     def deviation_records(self, config: RewardConfig) -> list[DeviationRecord]:
-        """One record per (joint action, AV), when action spaces are binary."""
+        """One record per (joint action, AV) if every action space is binary, else none."""
         if any(len(space) != 2 for space in self.spaces):
             return []
         times = -self._base_tables()[0]
@@ -401,16 +349,13 @@ class EquilibriumAnalyzer:
     def verify_equilibrium(
         self, action: tuple[int, ...], config: RewardConfig, tolerance: float = STRICTNESS_TOLERANCE
     ) -> bool:
-        """Re-run the deviation test for one profile with a cold cache."""
-        fresh = EquilibriumAnalyzer(
-            self.scenario, self.humans_profile, seed=self.seed
-        )
-        own = fresh.rewards(action, config)
-        for slot, av in enumerate(fresh.av_ids):
-            for alternative in fresh.spaces[slot]:
+        """Re-run the deviation test for one profile through ``rewards``, without the tables."""
+        own = self.rewards(action, config)
+        for slot, av in enumerate(self.av_ids):
+            for alternative in self.spaces[slot]:
                 if alternative == action[slot]:
                     continue
                 switched = action[:slot] + (alternative,) + action[slot + 1 :]
-                if fresh.rewards(switched, config)[av] > own[av] + tolerance:
+                if self.rewards(switched, config)[av] > own[av] + tolerance:
                     return False
         return True

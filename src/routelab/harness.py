@@ -31,7 +31,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_lines
-from .equilibrium import EquilibriumAnalyzer, encode_action
+from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, encode_action
 from .humans import freeze_all, run_warmup
 from .learners import TrainResult, train
 from .network import ConfigurationError, Scenario, parse_value, reject_unknown_keys
@@ -178,7 +178,7 @@ def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
         scenario=scenario,
         learner=parse_value(dict, doc.get("learner", {"algorithm": "ucb"}), "learner"),
         learners_by_id={
-            parse_value(int, k, "learners"): parse_value(dict, v, f"learners {k}")
+            _learner_id(k): parse_value(dict, v, f"learners {k}")
             for k, v in parse_value(dict, doc.get("learners", {}), "learners").items()
         },
         reward=reward,
@@ -188,9 +188,16 @@ def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
         seeds=tuple(parse_value(int, s, "seeds") for s in seeds),
         mode=str(doc.get("mode", "deterministic")),
         noise_sigma=None if noise is None else parse_value(float, noise, "noise_sigma"),
-        out_dir=Path(doc.get("out_dir", "runs/run")),
+        out_dir=Path(parse_value(str, doc.get("out_dir", "runs/run"), "out_dir")),
         jobs=parse_value(int, doc.get("jobs", 1), "jobs"),
     )
+
+
+def _learner_id(key) -> int:
+    """An agent id from a ``learners`` object key, which JSON makes a string."""
+    if isinstance(key, str) and key.isdecimal():
+        return int(key)
+    raise ConfigurationError(f"learners: cannot read {key!r} as an agent id")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -247,17 +254,14 @@ def _optimal_actions(
     """
     try:
         analyzer = EquilibriumAnalyzer(scenario.with_noise(0.0), frozen_profile)
-        optima, _ = analyzer.system_optimum("system")
+        optima, _ = analyzer.system_optimum()
         return dict(zip(analyzer.av_ids, optima[0]))
     except ConfigurationError:
-        best = {}
-        for av in scenario.av_ids:
-            spec = scenario.agent(av)
-            best[av] = min(
-                spec.action_space,
-                key=lambda r: scenario.network.routes[r].pre_merge_time,
-            )
-        return best
+        routes = scenario.network.routes
+        return {
+            av: min(scenario.agent(av).action_space, key=lambda r: routes[r].pre_merge_time)
+            for av in scenario.av_ids
+        }
 
 
 def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
@@ -506,6 +510,10 @@ def sweep_beta(config: RunConfig, betas: Sequence[float]) -> dict[float, Experim
     if not betas:
         raise ConfigurationError("beta sweep needs a non-empty list of beta values")
     out = Path(config.out_dir)
+    names = [f"beta_{beta:g}" for beta in betas]
+    shared = [beta for beta, name in zip(betas, names) if names.count(name) > 1]
+    if shared:
+        raise ConfigurationError(f"betas {shared} would share an output directory")
 
     def sub_config(beta: float) -> RunConfig:
         return dataclasses.replace(
@@ -572,7 +580,7 @@ def equilibrium_grid(
     alphas: Sequence[float],
     betas: Sequence[float],
     scope: str = "av-group",
-) -> list[dict]:
+) -> list[EquilibriumReport]:
     """Enumerate Nash equilibria for each (alpha, beta); write CSVs + plot."""
     if not alphas or not betas:
         raise ConfigurationError("equilibria grid needs non-empty alpha and beta lists")
@@ -587,25 +595,17 @@ def equilibrium_grid(
     if canonical.needs_intrinsic and any(betas):
         # The shaped fill also simulates every full run: run it before any selfish point.
         analyzer.reward_table(canonical)
-    rows = []
-    grid_results = []
-    for alpha in alphas:
-        for beta in betas:
-            reward = dataclasses.replace(config.reward, alpha=alpha, beta=beta, scope=scope)
-            report = analyzer.enumerate_nash(reward, include_deviations=False)
-            encoded = ";".join(encode_action(a) for a in report.equilibria)
-            rows.append([float(alpha), float(beta), scope, report.count, encoded])
-            grid_results.append(
-                {
-                    "alpha": alpha,
-                    "beta": beta,
-                    "scope": scope,
-                    "count": report.count,
-                    "equilibria": report.equilibria,
-                    "optima": report.optima,
-                    "optimum_total_time": report.optimum_total_time,
-                }
-            )
+    reports = [
+        analyzer.enumerate_nash(
+            dataclasses.replace(config.reward, alpha=alpha, beta=beta, scope=scope)
+        )
+        for alpha in alphas
+        for beta in betas
+    ]
+    rows = [
+        [float(r.alpha), float(r.beta), scope, r.count, ";".join(map(encode_action, r.equilibria))]
+        for r in reports
+    ]
     _write_csv(out / "equilibria.csv", EQUILIBRIA_CSV_HEADER, rows)
 
     # Deviation terms do not depend on (alpha, beta); the threshold column is
@@ -625,8 +625,8 @@ def equilibrium_grid(
                         f"{code},{r.av_id},{r.delta_seconds!r},{r.delta_score!r},{threshold}\r\n"
                     )
 
-    labels = [f"a={r['alpha']:g},b={r['beta']:g}" for r in grid_results]
-    counts = [float(r["count"]) for r in grid_results]
+    labels = [f"a={r.alpha:g},b={r.beta:g}" for r in reports]
+    counts = [float(r.count) for r in reports]
     with open(out / "equilibria.svg", "w", encoding="utf-8") as handle:
         handle.write(
             bar_plot(
@@ -637,7 +637,7 @@ def equilibrium_grid(
                 ylabel="equilibrium count",
             )
         )
-    return grid_results
+    return reports
 
 
 # -- report (recompute derived artifacts from episode logs) -------------------

@@ -71,20 +71,25 @@ def reject_unknown_keys(doc: Mapping, known: Iterable[str], what: str) -> None:
         raise ConfigurationError(f"unknown {what} key(s) {unknown}; known keys are {known}")
 
 
-def parse_value(cast: Callable, value, what: str):
-    """``cast(value)``, or a ConfigurationError naming ``what``.
+_DOCUMENT_TYPES = {
+    bool: bool, int: (int, float), float: (int, float), str: str, tuple: (list, tuple), dict: dict
+}
 
-    Only JSON true/false is a bool, and a bool is nothing else: not 1, not
-    1.0. An int read from a float must be whole.
+
+def parse_value(cast: Callable, value, what: str):
+    """``cast(value)`` for a config document's value, or a ConfigurationError naming ``what``.
+
+    The value must already have the field's JSON type (``_DOCUMENT_TYPES``), so a
+    string is never a number or an array, and a bool is nothing else. An int
+    read from a float must be whole.
     """
-    try:
-        if (cast is bool) != isinstance(value, bool):
-            raise TypeError
-        if cast is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what}: cannot read {value!r} as {cast.__name__}") from exc
+    if (
+        not isinstance(value, _DOCUMENT_TYPES[cast])
+        or (cast is bool) != isinstance(value, bool)
+        or (cast is int and isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigurationError(f"{what}: cannot read {value!r} as {cast.__name__}")
+    return cast(value)
 
 
 @dataclass(frozen=True)

@@ -72,3 +72,12 @@ def id_view(log, scenario: Scenario) -> SimpleNamespace:
         shaped={i: config.alpha * extrinsic[i] + config.beta * intrinsic[i] for i in ids},
         seed=log.seed,
     )
+
+
+def deviation_terms(analyzer, action, av_id, config) -> tuple[float, float]:
+    """(delta_seconds, delta_score) of ``analyzer.deviation_records(config)``'s
+    record for AV ``av_id`` in joint action ``action``."""
+    (record,) = (
+        r for r in analyzer.deviation_records(config) if r.action == action and r.av_id == av_id
+    )
+    return record.delta_seconds, record.delta_score

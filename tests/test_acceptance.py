@@ -91,20 +91,20 @@ def test_criterion_1_calibration_gate(world):
     analyzer = EquilibriumAnalyzer(scenario, frozen)
     start = time.perf_counter()
     selfish = RewardConfig(alpha=1.0, beta=0.0, scope="none")
-    nash = analyzer.enumerate_nash(selfish, include_deviations=False)
+    nash = analyzer.enumerate_nash(selfish)
     elapsed = time.perf_counter() - start
     ok = (
         nash.count == 1
         and nash.equilibria == [ALL_ROUTE_0]
         and nash.optima == [ALL_ROUTE_0]
-        and analyzer.engine.simulations_run <= 1024
+        and analyzer.simulations_run <= 1024
         and elapsed < 60.0
     )
     report(
         "criterion 1 (calibration gate)",
         ok,
         f"equilibria={nash.count}, optima={len(nash.optima)}, "
-        f"simulations={analyzer.engine.simulations_run}, {elapsed:.1f}s",
+        f"simulations={analyzer.simulations_run}, {elapsed:.1f}s",
     )
 
 
@@ -115,12 +115,9 @@ def test_criterion_2_equilibrium_invariance(shared_analyzer):
     counts = {}
     for scope in ("av-group", "system"):
         for beta in (0.0, 0.3, 1.0, 10.0, 100.0):
-            nash = shared_analyzer.enumerate_nash(
-                RewardConfig(alpha=1.0, beta=beta, scope=scope),
-                include_deviations=False,
-            )
+            nash = shared_analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=beta, scope=scope))
             counts[(scope, beta)] = (nash.count, nash.equilibria)
-    budget = shared_analyzer.engine.simulations_run
+    budget = shared_analyzer.simulations_run
     ok = all(
         count == 1 and equilibria == [ALL_ROUTE_0]
         for count, equilibria in counts.values()
@@ -159,14 +156,11 @@ def test_criterion_3_affine_and_beta_max(shared_analyzer):
     # Sign-flip thresholds are rare under uniform sampling, so collect them
     # from a full pass and check the bisection agreement on a batch of them.
     finite_cases = []
-    for action in analyzer.profiles():
-        for slot, av in enumerate(analyzer.av_ids):
-            delta_seconds, delta_score = analyzer.deviation_terms(
-                action, av, scope_config(1.0)
-            )
-            threshold = beta_max(-delta_seconds, delta_score)
-            if threshold is not None and 0.0 < threshold < math.inf:
-                finite_cases.append((action, slot, av, threshold))
+    for record in analyzer.deviation_records(scope_config(1.0)):  # by profile, then AV
+        threshold = beta_max(-record.delta_seconds, record.delta_score)
+        if threshold is not None and 0.0 < threshold < math.inf:
+            slot = analyzer.av_ids.index(record.av_id)
+            finite_cases.append((record.action, slot, record.av_id, threshold))
     rng.shuffle(finite_cases)
 
     worst_gap = 0.0
@@ -387,10 +381,8 @@ def test_criterion_8_determinism_and_cache(tmp_path, world):
 
     # (c) distinct-simulation budget for a full shaped enumeration
     analyzer = EquilibriumAnalyzer(scenario, frozen)
-    analyzer.enumerate_nash(
-        RewardConfig(alpha=1.0, beta=0.3, scope="av-group"), include_deviations=False
-    )
-    budget = analyzer.engine.simulations_run
+    analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=0.3, scope="av-group"))
+    budget = analyzer.simulations_run
     budget_ok = budget <= 1024 + N_AVS * 1024
 
     ok = byte_identical and cache_equiv and budget_ok

@@ -23,7 +23,7 @@ from routelab import (
 )
 from routelab.equilibrium import EquilibriumAnalyzer, encode_action
 
-from conftest import make_scenario
+from conftest import deviation_terms, make_scenario
 
 
 def small_game(n_av=4, n_human=2):
@@ -48,9 +48,7 @@ def test_all_route0_unique_equilibrium_and_optimum_selfish():
 def test_alpha_zero_makes_every_profile_an_equilibrium():
     scenario, humans = small_game(n_av=3)
     analyzer = EquilibriumAnalyzer(scenario, humans)
-    report = analyzer.enumerate_nash(
-        RewardConfig(alpha=0.0, beta=0.0, scope="none"), include_deviations=False
-    )
+    report = analyzer.enumerate_nash(RewardConfig(alpha=0.0, beta=0.0, scope="none"))
     assert report.count == 2**3
 
 
@@ -70,7 +68,7 @@ def test_symmetric_routes_tie_for_system_optimum():
     )
     scenario = Scenario(agents=scenario.agents, network=network)
     analyzer = EquilibriumAnalyzer(scenario, {})
-    optima, total = analyzer.system_optimum("system")
+    optima, total = analyzer.system_optimum()
     assert len(optima) == 2**3
     assert total == 3 * 50.0
 
@@ -78,16 +76,9 @@ def test_symmetric_routes_tie_for_system_optimum():
 def test_single_av_system_optimum_is_fastest_route():
     scenario = make_scenario([0.0], av_flags=[True])
     analyzer = EquilibriumAnalyzer(scenario, {})
-    optima, total = analyzer.system_optimum("system")
+    optima, total = analyzer.system_optimum()
     assert optima == [(0,)]
     assert total == 50.0
-
-
-def test_av_group_scope_optimum():
-    scenario, humans = small_game(n_av=2, n_human=1)
-    analyzer = EquilibriumAnalyzer(scenario, humans)
-    optima, _ = analyzer.system_optimum("av-group")
-    assert (0, 0) in optima
 
 
 def test_deviation_terms_without_conflicts():
@@ -95,7 +86,7 @@ def test_deviation_terms_without_conflicts():
     scenario = make_scenario([0.0], av_flags=[True])
     analyzer = EquilibriumAnalyzer(scenario, {})
     config = RewardConfig(scope="av-group")
-    delta_seconds, delta_score = analyzer.deviation_terms((0,), 0, config)
+    delta_seconds, delta_score = deviation_terms(analyzer, (0,), 0, config)
     assert delta_seconds == 10.0  # route 1 free-flow minus route 0 free-flow
     assert delta_score == 0.0
 
@@ -103,8 +94,7 @@ def test_deviation_terms_without_conflicts():
 def test_deviation_terms_need_binary_spaces():
     scenario = make_scenario([0.0], av_flags=[True], action_space=(0,))
     analyzer = EquilibriumAnalyzer(scenario, {})
-    with pytest.raises(ConfigurationError):
-        analyzer.deviation_terms((0,), 0, RewardConfig())
+    assert analyzer.deviation_records(RewardConfig()) == []
 
 
 def test_beta_max_cases():
@@ -146,7 +136,7 @@ def test_endpoint_rule_for_sign_constancy():
     for _ in range(20):
         action = tuple(rng.randint(0, 1) for _ in analyzer.av_ids)
         av = rng.choice(analyzer.av_ids)
-        delta_seconds, delta_score = analyzer.deviation_terms(action, av, config)
+        delta_seconds, delta_score = deviation_terms(analyzer, action, av, config)
         delta_reward = -delta_seconds
 
         def delta_r(beta):
@@ -161,10 +151,7 @@ def test_equilibria_invariant_over_positive_beta_small_game():
     scenario, humans = small_game()
     analyzer = EquilibriumAnalyzer(scenario, humans)
     for beta in (0.0, 0.3, 1.0, 10.0, 100.0):
-        report = analyzer.enumerate_nash(
-            RewardConfig(alpha=1.0, beta=beta, scope="av-group"),
-            include_deviations=False,
-        )
+        report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=beta, scope="av-group"))
         assert report.count == 1
         assert report.equilibria == [(0, 0, 0, 0)]
 
@@ -182,11 +169,11 @@ def test_all_route0_deviation_pattern_on_default_world(default_scenario):
     config = RewardConfig(alpha=1.0, beta=1.0, scope="av-group")
     all_zero = (0,) * len(analyzer.av_ids)
     for av in analyzer.av_ids[:-1]:
-        delta_seconds, delta_score = analyzer.deviation_terms(all_zero, av, config)
+        delta_seconds, delta_score = deviation_terms(analyzer, all_zero, av, config)
         assert delta_seconds == 10.0
         assert delta_score < 0.0
     last = analyzer.av_ids[-1]
-    delta_seconds, delta_score = analyzer.deviation_terms(all_zero, last, config)
+    delta_seconds, delta_score = deviation_terms(analyzer, all_zero, last, config)
     assert delta_seconds == 10.0
     assert delta_score == 0.0  # the last AV delays only humans
 
@@ -200,7 +187,7 @@ def test_aligned_externality_keeps_deviation_sign_constant():
     aligned = 0
     for action in analyzer.profiles():
         for slot, av in enumerate(analyzer.av_ids):
-            delta_seconds, delta_score = analyzer.deviation_terms(action, av, config)
+            delta_seconds, delta_score = deviation_terms(analyzer, action, av, config)
             delta_reward = -delta_seconds
             if delta_reward == 0.0 or delta_score == 0.0:
                 continue
@@ -225,10 +212,7 @@ def test_negative_beta_enumeration_reports_without_asserting():
     # reports whatever the enumeration finds.
     scenario, humans = small_game(n_av=3)
     analyzer = EquilibriumAnalyzer(scenario, humans)
-    report = analyzer.enumerate_nash(
-        RewardConfig(alpha=1.0, beta=-1.0, scope="av-group"),
-        include_deviations=False,
-    )
+    report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=-1.0, scope="av-group"))
     assert report.count >= 1
     assert report.count == len(report.equilibria)
 
@@ -237,7 +221,7 @@ def test_verification_closure_with_cold_cache():
     scenario, humans = small_game(n_av=3)
     analyzer = EquilibriumAnalyzer(scenario, humans)
     config = RewardConfig(alpha=1.0, beta=10.0, scope="av-group")
-    report = analyzer.enumerate_nash(config, include_deviations=False)
+    report = analyzer.enumerate_nash(config)
     for action in report.equilibria:
         assert analyzer.verify_equilibrium(action, config)
 
@@ -276,9 +260,7 @@ def test_three_route_network_end_to_end():
     report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=0.0, scope="none"))
     assert analyzer.space_size == 9
     assert report.equilibria == [(0, 0)]
-    assert report.deviations == []  # binary-only analysis skipped
-    with pytest.raises(ConfigurationError):
-        analyzer.deviation_terms((0, 0), 1, RewardConfig())
+    assert analyzer.deviation_records(RewardConfig()) == []  # binary-only analysis skipped
 
 
 def test_enumeration_bound_guard():
@@ -344,13 +326,18 @@ def test_vectorised_nash_matches_brute_force(game):
     scenario, humans = small_game(n_av=3) if game == "binary-3av" else mixed_radix_game()
     analyzer = EquilibriumAnalyzer(scenario, humans)
     profiles = list(analyzer.profiles())
-    assert [analyzer.profile_index(a) for a in profiles] == list(range(len(profiles)))
     assert [analyzer.profile_at(p) for p in range(len(profiles))] == profiles
+    for slot, space in enumerate(analyzer.spaces):
+        for position, route in enumerate(space):
+            moved = analyzer._neighbours(slot, position).tolist()
+            assert [analyzer.profile_at(q) for q in moved] == [
+                a[:slot] + (route,) + a[slot + 1 :] for a in profiles
+            ]
     found = set()
     for config in BRUTE_FORCE_CONFIGS:
         # A negative tolerance counts ties as gains; staying put is no switch.
         for tolerance in (1e-9, -1e-9):
-            report = analyzer.enumerate_nash(config, tolerance, include_deviations=False)
+            report = analyzer.enumerate_nash(config, tolerance)
             brute = [a for a in profiles if analyzer.verify_equilibrium(a, config, tolerance)]
             assert report.equilibria == brute
             found.add(tuple(report.equilibria))
@@ -389,8 +376,8 @@ def test_per_profile_rewards_make_one_kernel_call(monkeypatch):
         assert len(calls) == 1
     monkeypatch.undo()
     joint = analyzer.full_action(action)
-    times = simulate(scenario, joint, analyzer.seed).times
-    matrix = RewardEngine(scenario, shaped).marginal_matrix(joint, analyzer.seed)
+    times = simulate(scenario, joint, 0).times
+    matrix = RewardEngine(scenario, shaped).marginal_matrix(joint, 0)
     assert values[shaped] == {
         av: shaped_reward(-times[av], intrinsic_reward(matrix, av, shaped), shaped)
         for av in analyzer.av_ids
@@ -412,8 +399,26 @@ def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):
         RewardConfig(alpha=1.0, beta=0.0, scope="av-group"),
         RewardConfig(alpha=1.0, beta=5.0, scope="none"),
     ):
-        analyzer.enumerate_nash(config, include_deviations=config.scope == "none")
-    assert analyzer.engine.simulations_run == analyzer.space_size
+        analyzer.enumerate_nash(config)
+        if config.scope == "none":
+            analyzer.deviation_records(config)
+    assert analyzer.simulations_run == analyzer.space_size
+
+
+def test_verify_equilibrium_builds_no_table(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("verify_equilibrium filled a reward table")
+
+    monkeypatch.setattr(EquilibriumAnalyzer, "_simulate", forbidden)
+    scenario, humans = small_game(n_av=3)
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    for config in (
+        RewardConfig(alpha=1.0, beta=10.0, scope="av-group"),
+        RewardConfig(alpha=1.0, beta=0.0, scope="none"),
+    ):
+        assert analyzer.verify_equilibrium((0, 0, 0), config)
+        assert not analyzer.verify_equilibrium((1, 1, 1), config)
+    assert analyzer.simulations_run == 0
 
 
 @st.composite
@@ -474,15 +479,15 @@ def test_generated_reward_tables_equal_per_profile_rewards(game):
     selfish = EquilibriumAnalyzer(scenario, humans)
     selfish.enumerate_nash(RewardConfig(alpha=1.0, beta=0.0, scope="none"))
     n = selfish.space_size
-    assert selfish.engine.simulations_run == n
+    assert selfish.simulations_run == n
     analyzer = EquilibriumAnalyzer(scenario, humans)
     tables = [analyzer.reward_table(config) for config in TABLE_CONFIGS]
     # One shaped fill serves every scope and scoring setting.
     budget = n + sum(n // len(space) for space in analyzer.spaces)
-    assert analyzer.engine.simulations_run == budget
+    assert analyzer.simulations_run == budget
     # After the full runs, a shaped fill adds only the counterfactual rosters.
     selfish.reward_table(TABLE_CONFIGS[0])
-    assert selfish.engine.simulations_run == budget
+    assert selfish.simulations_run == budget
     for config, table in zip(TABLE_CONFIGS, tables):
         for p, action in enumerate(analyzer.profiles()):
             per_profile = analyzer.rewards(action, config)

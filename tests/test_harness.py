@@ -200,6 +200,11 @@ def mistyped_network(**network) -> dict:
         ({"jobs": True}, "jobs"),
         ({"reward": {"beta": True}}, "reward beta"),
         (mistyped_network(merge_gap_g=True), "merge_gap_g"),
+        ({"seeds": "01"}, "seeds"),
+        ({"train_episodes": "7"}, "train_episodes"),
+        ({"reward": {"beta": "2.5"}}, "reward beta"),
+        ({"noise_sigma": "2"}, "noise_sigma"),
+        ({"out_dir": 5}, "out_dir"),
     ],
 )
 def test_cli_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, named):
@@ -294,7 +299,7 @@ def test_optimal_actions_take_first_tied_optimum():
     # Three AVs 1 s apart, the priority route 2 s shorter: three joint
     # actions tie for the least total time.
     scenario = make_scenario([0.0, 1.0, 2.0], pre_merge=(42.0, 40.0))
-    optima, _ = EquilibriumAnalyzer(scenario, {}).system_optimum("system")
+    optima, _ = EquilibriumAnalyzer(scenario, {}).system_optimum()
     assert optima == [(1, 0, 1), (1, 1, 0), (1, 1, 1)]
     assert _optimal_actions(scenario, {}) == {0: 1, 1: 0, 2: 1}
 
@@ -530,6 +535,18 @@ def test_cli_sweep_requires_beta(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("betas", ["0.1234567,0.1234568", "1,1.0"])
+def test_cli_sweep_rejects_betas_that_share_a_directory(tmp_path, capsys, betas):
+    scenario_path = write_default_scenario(tmp_path)
+    out = tmp_path / "s"
+    argv = ["sweep-beta", "--scenario", str(scenario_path), "--beta", betas, "--jobs", "2"]
+    small = ["--warmup-days", "3", "--episodes", "2", "--eval-episodes", "1", "--seeds", "0"]
+    assert main([*argv, *small, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "share an output directory" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["train"], ["sweep-beta", "--beta", "0,1", "--jobs", "2"]])
 def test_cli_rejects_a_scenario_without_avs(tmp_path, capsys, command):
     doc = {
@@ -598,7 +615,7 @@ def test_equilibria_grid_simulates_each_profile_once(tmp_path, monkeypatch):
     monkeypatch.setattr(equilibrium, "simulate_slots", counting)
     config = small_config(tmp_path, out_dir=tmp_path / "eq")
     results = equilibrium_grid(config, [1.0], [0.0, 10.0], "system")
-    assert [r["beta"] for r in results] == [0.0, 10.0]
+    assert [r.beta for r in results] == [0.0, 10.0]
     assert len(calls) == len(set(calls)) == 8
 
 
