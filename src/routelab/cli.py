@@ -35,7 +35,7 @@ from .humans import freeze_all, run_warmup
 from .learners import ALGORITHMS
 from .network import ConfigurationError
 from .rewards import SCOPES, RewardEngine
-from .scenarios import load_scenario, two_route_yield_scenario
+from .scenarios import load_scenario
 
 
 def _parse_list(text: str, cast, flag: str) -> list:
@@ -86,10 +86,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
-        config = load_config(args.config)
-    else:
-        config = RunConfig(scenario=two_route_yield_scenario())
+    config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "scenario", None):
         config = dataclasses.replace(config, scenario=load_scenario(args.scenario))
     return _apply_overrides(config, args)

@@ -33,12 +33,13 @@ import numpy as np
 from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_lines
 from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, encode_action
 from .humans import freeze_all, run_warmup
-from .learners import TrainResult, train
-from .network import ConfigurationError, Scenario, parse_value, reject_unknown_keys
+from .learners import TrainResult, make_learner, train
+from .network import ConfigurationError, Scenario, parse_value, read_document
 from .plots import Series, bar_plot, line_plot
 from .rewards import RewardConfig
 from .scenarios import (
     DEFAULT_NOISE_SIGMA,
+    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     two_route_yield_scenario,
@@ -65,7 +66,7 @@ CONVERGENCE_WINDOW = 20
 class RunConfig:
     """One experiment: scenario, learners, reward, phase lengths, seeds."""
 
-    scenario: Scenario
+    scenario: Scenario = field(default_factory=two_route_yield_scenario)
     learner: dict = field(default_factory=lambda: {"algorithm": "ucb"})
     learners_by_id: dict[int, dict] = field(default_factory=dict)
     reward: RewardConfig = field(default_factory=RewardConfig)
@@ -86,8 +87,16 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be >= 0")
         if not self.seeds:
             raise ConfigurationError("seed list must be non-empty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigurationError(f"seeds {repeated} are listed more than once")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        strangers = sorted(set(self.learners_by_id).difference(self.scenario.av_ids))
+        if strangers:
+            raise ConfigurationError(f"learners {strangers} are not AVs of the scenario")
+        for av, spec in self.learner_specs().items():
+            make_learner(spec, len(self.scenario.agent(av).action_space))
         self.out_dir = Path(self.out_dir)
 
     @property
@@ -104,93 +113,62 @@ class RunConfig:
             return self.scenario
         return self.scenario.with_noise(DEFAULT_NOISE_SIGMA)
 
-    def learner_specs(self, scenario: Scenario) -> dict[int, dict]:
-        specs = {}
-        for av in scenario.av_ids:
-            specs[av] = dict(self.learners_by_id.get(av, self.learner))
-        return specs
+    def learner_specs(self) -> dict[int, dict]:
+        return {av: dict(self.learners_by_id.get(av, self.learner)) for av in self.scenario.av_ids}
 
     def to_dict(self) -> dict:
-        return {
+        converted = {
             "scenario": scenario_to_dict(self.scenario),
-            "learner": self.learner,
             "learners": {str(k): v for k, v in self.learners_by_id.items()},
-            "reward": {
-                "alpha": self.reward.alpha,
-                "beta": self.reward.beta,
-                "scope": self.reward.scope,
-                "tanh_scale": self.reward.tanh_scale,
-                "raw_sum": self.reward.raw_sum,
-            },
-            "warmup_days": self.warmup_days,
-            "train_episodes": self.train_episodes,
-            "eval_episodes": self.eval_episodes,
+            "reward": dataclasses.asdict(self.reward),
             "seeds": list(self.seeds),
-            "mode": self.mode,
-            "noise_sigma": self.noise_sigma,
             "out_dir": str(self.out_dir),
-            "jobs": self.jobs,
+        }
+        return {
+            key: converted[key] if key in converted else getattr(self, key)
+            for key in RUN_CONFIG_TYPES
         }
 
 
-RUN_CONFIG_KEYS = (
-    "scenario",
-    "learner",
-    "learners",
-    "reward",
-    "warmup_days",
-    "train_episodes",
-    "eval_episodes",
-    "seeds",
-    "mode",
-    "noise_sigma",
-    "out_dir",
-    "jobs",
-)
-REWARD_KEYS = ("alpha", "beta", "scope", "tanh_scale", "raw_sum")
+# Each run-config key and the JSON type parse_value reads it as; the reward
+# document's keys are RewardConfig's fields.
+RUN_CONFIG_TYPES = {
+    "scenario": (str, dict),
+    "learner": dict,
+    "learners": dict,
+    "reward": dict,
+    "warmup_days": int,
+    "train_episodes": int,
+    "eval_episodes": int,
+    "seeds": tuple,
+    "mode": str,
+    "noise_sigma": (float, None),
+    "out_dir": str,
+    "jobs": int,
+}
+REWARD_TYPES = {"alpha": float, "beta": float, "scope": str, "tanh_scale": float, "raw_sum": bool}
 
 
 def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
-    reject_unknown_keys(doc, RUN_CONFIG_KEYS, "run config")
-    scenario_field = doc.get("scenario")
-    if scenario_field is None:
-        scenario = two_route_yield_scenario()
-    elif isinstance(scenario_field, str):
-        path = Path(scenario_field)
+    fields = read_document(doc, RUN_CONFIG_TYPES, "run config")
+    scenario = fields.get("scenario")
+    if isinstance(scenario, str):
+        path = Path(scenario)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        with open(path, encoding="utf-8") as handle:
-            scenario = scenario_from_dict(json.load(handle))
-    else:
-        scenario = scenario_from_dict(scenario_field)
-    reward_doc = parse_value(dict, doc.get("reward", {}), "reward")
-    reject_unknown_keys(reward_doc, REWARD_KEYS, "reward")
-    reward = RewardConfig(
-        alpha=parse_value(float, reward_doc.get("alpha", 1.0), "reward alpha"),
-        beta=parse_value(float, reward_doc.get("beta", 0.0), "reward beta"),
-        scope=str(reward_doc.get("scope", "av-group")),
-        tanh_scale=parse_value(float, reward_doc.get("tanh_scale", 1.0), "reward tanh_scale"),
-        raw_sum=parse_value(bool, reward_doc.get("raw_sum", False), "reward raw_sum"),
-    )
-    noise = doc.get("noise_sigma")
-    seeds = parse_value(tuple, doc.get("seeds", (0, 1, 2, 3, 4)), "seeds")
-    return RunConfig(
-        scenario=scenario,
-        learner=parse_value(dict, doc.get("learner", {"algorithm": "ucb"}), "learner"),
-        learners_by_id={
-            _learner_id(k): parse_value(dict, v, f"learners {k}")
-            for k, v in parse_value(dict, doc.get("learners", {}), "learners").items()
-        },
-        reward=reward,
-        warmup_days=parse_value(int, doc.get("warmup_days", 200), "warmup_days"),
-        train_episodes=parse_value(int, doc.get("train_episodes", 1100), "train_episodes"),
-        eval_episodes=parse_value(int, doc.get("eval_episodes", 100), "eval_episodes"),
-        seeds=tuple(parse_value(int, s, "seeds") for s in seeds),
-        mode=str(doc.get("mode", "deterministic")),
-        noise_sigma=None if noise is None else parse_value(float, noise, "noise_sigma"),
-        out_dir=Path(parse_value(str, doc.get("out_dir", "runs/run"), "out_dir")),
-        jobs=parse_value(int, doc.get("jobs", 1), "jobs"),
-    )
+        fields["scenario"] = load_scenario(path)
+    elif scenario is not None:
+        fields["scenario"] = scenario_from_dict(scenario)
+    if "reward" in fields:
+        fields["reward"] = RewardConfig(**read_document(fields["reward"], REWARD_TYPES, "reward"))
+    if "learners" in fields:
+        fields["learners_by_id"] = {
+            _learner_id(k): parse_value(dict, v, f"run config learners {k}")
+            for k, v in fields.pop("learners").items()
+        }
+    if "seeds" in fields:
+        fields["seeds"] = tuple(parse_value(int, s, "run config seeds") for s in fields["seeds"])
+    return RunConfig(**fields)
 
 
 def _learner_id(key) -> int:
@@ -275,7 +253,7 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
     frozen_humans = {i: profile[i] for i in scenario.human_ids}
     result = train(
         scenario,
-        config.learner_specs(scenario),
+        config.learner_specs(),
         config.reward,
         config.train_episodes,
         config.eval_episodes,

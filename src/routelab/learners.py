@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .episode import EpisodeLog, episode_seed, run_episode
-from .network import ConfigurationError, Scenario, parse_value, reject_unknown_keys
+from .network import ConfigurationError, Scenario, read_document
 from .rewards import RewardConfig, RewardEngine, shaped_reward
 
 ObsKey = tuple[int, ...]
@@ -216,42 +216,25 @@ class FixedLearner:
         pass
 
 
-# Hyperparameters each algorithm reads from its spec, besides "algorithm".
-LEARNER_KEYS = {
-    "ucb": ("c",),
-    "q": ("learning_rate", "epsilon_start", "epsilon_end"),
-    "pg": ("learning_rate", "temperature"),
-    "fixed": ("route",),
+# Each algorithm's learner class and the JSON type of each hyperparameter it reads.
+LEARNERS = {
+    "ucb": (UcbLearner, {"c": float}),
+    "q": (QLearner, {"learning_rate": float, "epsilon_start": float, "epsilon_end": float}),
+    "pg": (PolicyGradientLearner, {"learning_rate": float, "temperature": float}),
+    "fixed": (FixedLearner, {"route": int}),
 }
-ALGORITHMS = tuple(LEARNER_KEYS)
+ALGORITHMS = tuple(LEARNERS)
 
 
 def make_learner(spec: Mapping, n_actions: int):
     """Build a learner from its config-JSON spec: {"algorithm": ..., hyperparameters...}."""
     algorithm = spec.get("algorithm")
-    if algorithm not in LEARNER_KEYS:
+    if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    reject_unknown_keys(spec, ("algorithm", *LEARNER_KEYS[algorithm]), f"{algorithm} learner")
-
-    def value(key: str, cast, default):
-        return parse_value(cast, spec.get(key, default), f"{algorithm} learner {key}")
-
-    if algorithm == "ucb":
-        return UcbLearner(n_actions, c=value("c", float, UcbLearner.DEFAULT_C))
-    if algorithm == "q":
-        return QLearner(
-            n_actions,
-            learning_rate=value("learning_rate", float, 0.1),
-            epsilon_start=value("epsilon_start", float, 0.2),
-            epsilon_end=value("epsilon_end", float, 0.0),
-        )
-    if algorithm == "pg":
-        return PolicyGradientLearner(
-            n_actions,
-            learning_rate=value("learning_rate", float, 0.01),
-            temperature=value("temperature", float, 1.0),
-        )
-    return FixedLearner(n_actions, route=value("route", int, 0))
+    cls, types = LEARNERS[algorithm]
+    hyperparameters = read_document(spec, {"algorithm": str, **types}, f"{algorithm} learner")
+    del hyperparameters["algorithm"]
+    return cls(n_actions, **hyperparameters)
 
 
 @dataclass
@@ -261,7 +244,6 @@ class TrainResult:
     seed: int
     train_logs: list[EpisodeLog]
     eval_logs: list[EpisodeLog]
-    learners: dict[int, object]
     simulations_run: int
 
 
@@ -359,6 +341,5 @@ def train(
         seed=seed,
         train_logs=train_logs,
         eval_logs=eval_logs,
-        learners=learners,
         simulations_run=engine.simulations_run,
     )

@@ -76,20 +76,37 @@ _DOCUMENT_TYPES = {
 }
 
 
-def parse_value(cast: Callable, value, what: str):
+def parse_value(cast: Callable | tuple, value, what: str):
     """``cast(value)`` for a config document's value, or a ConfigurationError naming ``what``.
 
     The value must already have the field's JSON type (``_DOCUMENT_TYPES``), so a
     string is never a number or an array, and a bool is nothing else. An int
-    read from a float must be whole.
+    read from a float must be whole. A tuple of casts reads the value with the
+    first one whose JSON type it has; ``None`` among them admits JSON null.
     """
-    if (
-        not isinstance(value, _DOCUMENT_TYPES[cast])
-        or (cast is bool) != isinstance(value, bool)
-        or (cast is int and isinstance(value, float) and not value.is_integer())
-    ):
-        raise ConfigurationError(f"{what}: cannot read {value!r} as {cast.__name__}")
-    return cast(value)
+    casts = cast if isinstance(cast, tuple) else (cast,)
+    for each in casts:
+        if each is None:
+            if value is None:
+                return None
+        elif (
+            isinstance(value, _DOCUMENT_TYPES[each])
+            and (each is bool) == isinstance(value, bool)
+            and not (each is int and isinstance(value, float) and not value.is_integer())
+        ):
+            return each(value)
+    names = " or ".join("null" if each is None else each.__name__ for each in casts)
+    raise ConfigurationError(f"{what}: cannot read {value!r} as {names}")
+
+
+def read_document(doc: Mapping, types: Mapping[str, Callable | tuple], what: str) -> dict:
+    """The keys ``doc`` has, each read by ``parse_value`` as its entry in ``types``.
+
+    A key outside ``types`` is an error. A key the document lacks stays out of
+    the result, so the field it fills keeps its own default.
+    """
+    reject_unknown_keys(doc, types, what)
+    return {key: parse_value(types[key], value, f"{what} {key}") for key, value in doc.items()}
 
 
 @dataclass(frozen=True)

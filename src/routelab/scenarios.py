@@ -29,7 +29,7 @@ from .network import (
     RouteSpec,
     Scenario,
     parse_value,
-    reject_unknown_keys,
+    read_document,
 )
 
 # Calibrated defaults for the two-route yield world: Route 0 is shorter but
@@ -113,47 +113,35 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+# Each scenario document key, by level, and the JSON type parse_value reads it as.
+SCENARIO_TYPES = {"network": dict, "agents": tuple, "noise_sigma": float}
+NETWORK_TYPES = {
+    "routes": tuple, "merge_gap_g": float, "yield_window_w": float, "post_merge_time": float
+}
+ROUTE_TYPES = {"pre_merge_time": float, "has_priority": bool}
+AGENT_TYPES = {"id": int, "kind": str, "departure_time": float, "action_space": tuple}
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a scenario from its JSON document; unknown keys at any level are errors."""
-
-    def read(block: dict, key: str, cast=float):
-        return parse_value(cast, block[key], key)
-
     try:
-        reject_unknown_keys(doc, ("network", "agents", "noise_sigma"), "scenario")
-        net_doc = doc["network"]
-        reject_unknown_keys(
-            net_doc, ("routes", "merge_gap_g", "yield_window_w", "post_merge_time"), "network"
+        fields = read_document(doc, SCENARIO_TYPES, "scenario")
+        net = read_document(fields["network"], NETWORK_TYPES, "network")
+        net["routes"] = tuple(
+            RouteSpec(**read_document(r, ROUTE_TYPES, "route")) for r in net["routes"]
         )
-        for r in net_doc["routes"]:
-            reject_unknown_keys(r, ("pre_merge_time", "has_priority"), "route")
-        for a in doc["agents"]:
-            reject_unknown_keys(a, ("id", "kind", "departure_time", "action_space"), "agent")
-        network = NetworkConfig(
-            routes=tuple(
-                RouteSpec(
-                    pre_merge_time=read(r, "pre_merge_time"),
-                    has_priority=read(r, "has_priority", bool),
-                )
-                for r in net_doc["routes"]
-            ),
-            merge_gap_g=read(net_doc, "merge_gap_g"),
-            yield_window_w=read(net_doc, "yield_window_w"),
-            post_merge_time=read(net_doc, "post_merge_time"),
-        )
-        agents = tuple(
-            AgentSpec(
-                id=read(a, "id", int),
-                kind=str(a["kind"]),
-                departure_time=read(a, "departure_time"),
-                action_space=tuple(parse_value(int, r, "action_space") for r in a["action_space"]),
+        fields["network"] = NetworkConfig(**net)
+        agents = []
+        for a in fields["agents"]:
+            a = read_document(a, AGENT_TYPES, "agent")
+            a["action_space"] = tuple(
+                parse_value(int, r, "agent action_space") for r in a["action_space"]
             )
-            for a in doc["agents"]
-        )
-        noise = parse_value(float, doc.get("noise_sigma", 0.0), "noise_sigma")
+            agents.append(AgentSpec(**a))
+        fields["agents"] = tuple(agents)
+        return Scenario(**fields)
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed scenario document: {exc}") from exc
-    return Scenario(agents=agents, network=network, noise_sigma=noise)
 
 
 def load_scenario(path: str | Path) -> Scenario:

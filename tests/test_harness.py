@@ -18,6 +18,7 @@ from routelab.harness import (
     RunConfig,
     config_from_dict,
     equilibrium_grid,
+    load_config,
     regenerate_report,
     run_experiment,
     sweep_beta,
@@ -26,6 +27,8 @@ from routelab.episode import EPISODE_CSV_HEADER
 from routelab.network import simulate_slots
 from routelab.rewards import RewardConfig
 from routelab.scenarios import (
+    DEFAULT_NOISE_SIGMA,
+    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     two_route_yield_scenario,
@@ -176,6 +179,57 @@ def test_cli_rejects_unknown_run_config_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def small_train_doc(**overrides) -> dict:
+    doc = {
+        "scenario": scenario_to_dict(small_scenario()),
+        "warmup_days": 3,
+        "train_episodes": 2,
+        "eval_episodes": 1,
+        "seeds": [0],
+    }
+    return {**doc, **overrides}
+
+
+def run_train_cli(tmp_path, doc: dict, *flags: str) -> int:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["train", "--config", str(path), *flags, "--out", str(tmp_path / "out")])
+
+
+def test_cli_rejects_learners_for_ids_that_are_not_avs(tmp_path, capsys):
+    ucb = {"algorithm": "ucb"}
+    doc = small_train_doc(learners={"99": ucb, "0": ucb, "1": ucb})  # only 1 is an AV
+    assert run_train_cli(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learners [0, 99]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [(small_train_doc(), ("--seeds", "0,0")), (small_train_doc(seeds=[0, 0]), ())],
+)
+def test_cli_rejects_repeated_seeds(tmp_path, capsys, doc, flags):
+    assert run_train_cli(tmp_path, doc, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seeds [0]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"learner": {"algorithm": "dqn"}}, "unknown algorithm 'dqn'"),
+        ({"learners": {"1": {"algorithm": "q", "epsilon": 0.1}}}, "unknown q learner key"),
+        ({"learners": {"1": {"algorithm": "ucb", "c": "wide"}}}, "ucb learner c"),
+    ],
+)
+def test_bad_learner_spec_fails_at_load(doc, named):
+    with pytest.raises(ConfigurationError, match=named):
+        config_from_dict({"scenario": scenario_to_dict(small_scenario()), **doc})
+
+
 def mistyped_network(**network) -> dict:
     doc = scenario_to_dict(small_scenario())
     doc["network"].update(network)
@@ -205,6 +259,8 @@ def mistyped_network(**network) -> dict:
         ({"reward": {"beta": "2.5"}}, "reward beta"),
         ({"noise_sigma": "2"}, "noise_sigma"),
         ({"out_dir": 5}, "out_dir"),
+        ({"mode": 5}, "run config mode: cannot read 5 as str"),
+        ({"reward": {"scope": 5}}, "reward scope: cannot read 5 as str"),
     ],
 )
 def test_cli_mistyped_value_is_a_configuration_error(tmp_path, capsys, argv, named):
@@ -716,8 +772,48 @@ def test_config_from_dict_roundtrip(tmp_path):
     assert config.reward.beta == 200.0
     assert config.learners_by_id[1]["algorithm"] == "fixed"
     assert config.effective_scenario().noise_sigma == 3.0
-    specs = config.learner_specs(config.scenario)
+    specs = config.learner_specs()
     assert specs[1]["algorithm"] == "fixed"
     assert specs[3]["algorithm"] == "ucb"
     back = config.to_dict()
     assert back["reward"]["scope"] == "system"
+
+
+def test_empty_document_is_the_default_config():
+    assert config_from_dict({}) == RunConfig()
+
+
+def test_to_dict_round_trips(tmp_path):
+    every_key_set = RunConfig(
+        scenario=small_scenario(),
+        learner={"algorithm": "pg", "temperature": 2.0},
+        learners_by_id={3: {"algorithm": "fixed", "route": 1}},
+        reward=RewardConfig(alpha=2.0, beta=0.5, scope="system", tanh_scale=3.0, raw_sum=True),
+        warmup_days=4,
+        train_episodes=5,
+        eval_episodes=6,
+        seeds=(9, 2),
+        mode="stochastic",
+        noise_sigma=1.5,
+        out_dir=tmp_path / "x",
+        jobs=2,
+    )
+    for config in (RunConfig(), every_key_set):
+        doc = json.loads(json.dumps(config.to_dict()))
+        assert config_from_dict(doc) == config
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# The shipped scenario is the built-in world carrying the stochastic mode's default jitter.
+SHIPPED_WORLD = two_route_yield_scenario(noise_sigma=DEFAULT_NOISE_SIGMA)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("train_*.json")), ids=lambda p: p.name)
+def test_shipped_run_configs_load_and_round_trip(path):
+    config = load_config(path)
+    assert config.scenario == SHIPPED_WORLD
+    assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def test_shipped_scenario_is_the_built_in_world():
+    assert load_scenario(CONFIGS / "two_route_yield.json") == SHIPPED_WORLD

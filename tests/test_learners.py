@@ -158,6 +158,19 @@ def test_make_learner_dispatch():
 
 
 @pytest.mark.parametrize(
+    "algorithm, direct",
+    [
+        ("ucb", UcbLearner(2)),
+        ("q", QLearner(2)),
+        ("pg", PolicyGradientLearner(2)),
+        ("fixed", FixedLearner(2)),
+    ],
+)
+def test_make_learner_defaults_are_the_constructors(algorithm, direct):
+    assert vars(make_learner({"algorithm": algorithm}, 2)) == vars(direct)
+
+
+@pytest.mark.parametrize(
     "spec, typo",
     [
         ({"algorithm": "ucb", "c": 3.0}, "C"),
