@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .episode import EPISODE_CSV_HEADER, episode_csv_lines, run_episode
+from .episode import EPISODE_CSV_HEADER, episode_csv_blocks, run_episode
 from .harness import (
     RunConfig,
     equilibrium_grid,
@@ -128,8 +128,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = config.seeds[0]
     engine = RewardEngine(scenario, config.reward)
     log = run_episode(scenario, policies, config.reward, 0, seed, engine)
-    lines = episode_csv_lines([log], scenario, "\n")
-    _emit(",".join(EPISODE_CSV_HEADER) + "\n" + "".join(lines), args.out)
+    (block,) = episode_csv_blocks([log], scenario, "\n")
+    _emit(",".join(EPISODE_CSV_HEADER) + "\n" + block, args.out)
     return 0
 
 

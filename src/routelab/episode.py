@@ -8,7 +8,7 @@ engine's travel-time and AV-score tuples, which a deterministic engine
 shares between every log of the same day. Rewards are derived where they
 are read: extrinsic is ``-travel_time``, a human's intrinsic term is zero,
 and ``shaped = alpha * extrinsic + beta * intrinsic`` under the log's
-``RewardConfig``. ``episode_csv_lines`` streams the logs as CSV lines.
+``RewardConfig``. ``episode_csv_blocks`` streams the logs as CSV, a block per day.
 """
 
 from __future__ import annotations
@@ -105,23 +105,38 @@ def run_episode(
     return EpisodeLog(episode_index, routes, times, intrinsic, seed, reward_config)
 
 
-def episode_csv_lines(
+def episode_csv_blocks(
     logs: Iterable[EpisodeLog], scenario: Scenario, end: str
 ) -> Iterator[str]:
-    """One CSV line per agent per log, departure order, fields per
-    EPISODE_CSV_HEADER, each line ending in ``end``.
+    """One string per log: its agents' CSV lines in departure order, fields
+    per EPISODE_CSV_HEADER, each line ending in ``end``.
 
     Floats are written as their shortest round-trip ``repr``, ints with
     ``str``. No cell needs quoting: ``kind`` is ``human`` or ``av`` and
-    every other cell is a number.
+    every other cell is a number. Travel times are > 0, so extrinsic is
+    ``"-" + repr(t)``. A log with the previous log's ``times`` and
+    ``intrinsic`` tuples (a deterministic engine's repeated day) and equal
+    routes, seed and config reuses its lines with a new episode number.
     """
     av_index = {j: k for k, j in enumerate(scenario.av_ids)}
     agents = [(f",{a.id},{a.kind},", av_index.get(a.id)) for a in scenario.agents]
+    previous = None
     for log in logs:
-        episode, seed, config, scores = log.episode, f",{log.seed}{end}", log.config, log.intrinsic
-        for (cells, k), route, t in zip(agents, log.routes, log.times):
-            m = 0.0 if k is None else scores[k]
-            yield (
-                f"{episode}{cells}{route},{t!r},{-t!r},"
-                f"{m!r},{shaped_reward(-t, m, config)!r}{seed}"
-            )
+        if not (
+            previous is not None
+            and log.times is previous.times
+            and log.intrinsic is previous.intrinsic
+            and (log.routes, log.seed, log.config)
+            == (previous.routes, previous.seed, previous.config)
+        ):
+            seed, config, scores = f",{log.seed}{end}", log.config, log.intrinsic
+            parts = [""]  # the episode number goes before each line
+            for (cells, k), route, t in zip(agents, log.routes, log.times):
+                m = 0.0 if k is None else scores[k]
+                time = repr(t)
+                extrinsic = "-" + time
+                shaped = shaped_reward(-t, m, config)
+                shaped = extrinsic if shaped == -t and shaped else repr(shaped)
+                parts.append(f"{cells}{route},{time},{extrinsic},{m!r},{shaped}{seed}")
+        previous = log
+        yield str(log.episode).join(parts)

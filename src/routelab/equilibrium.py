@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ def beta_max(delta_reward: float, delta_c: float) -> float | None:
     return -delta_reward / delta_c
 
 
-@dataclass(frozen=True)
-class DeviationRecord:
+class DeviationRecord(NamedTuple):
     """Route-switch terms for one (joint action, AV) pair."""
 
     action: tuple[int, ...]
@@ -330,20 +329,19 @@ class EquilibriumAnalyzer:
             delta_seconds[:, slot] = times[high, slot] - times[low, slot]
             if scores is not None:
                 delta_score[:, slot] = scores[high, slot] - scores[low, slot]
+        # One threshold per distinct pair. A float key would merge 0.0 and
+        # -0.0, but no delta is -0.0: x - y is -0.0 only for x = -0.0 and
+        # y = +0.0, and neither table holds -0.0 (travel times are > 0, and a
+        # score sums terms none of which is -0.0).
+        thresholds: dict[tuple[float, float], float | None] = {}
         records = []
         for action, seconds_row, score_row in zip(
             self.profiles(), delta_seconds.tolist(), delta_score.tolist()
         ):
-            for av, seconds, score in zip(self.av_ids, seconds_row, score_row):
-                records.append(
-                    DeviationRecord(
-                        action=action,
-                        av_id=av,
-                        delta_seconds=seconds,
-                        delta_score=score,
-                        beta_threshold=beta_max(config.alpha * (-seconds), score),
-                    )
-                )
+            for av, pair in zip(self.av_ids, zip(seconds_row, score_row)):
+                if pair not in thresholds:
+                    thresholds[pair] = beta_max(config.alpha * (-pair[0]), pair[1])
+                records.append(DeviationRecord(action, av, *pair, thresholds[pair]))
         return records
 
     def verify_equilibrium(

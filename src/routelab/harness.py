@@ -30,7 +30,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_lines
+from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_blocks
 from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, encode_action
 from .humans import freeze_all, run_warmup
 from .learners import TrainResult, make_learner, train
@@ -361,6 +361,14 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         handle.writelines(_csv_lines(itertools.chain([header], rows)))
 
 
+def _write_convergence(path: Path, points_by_seed: Iterable[tuple[int, list]]) -> None:
+    """convergence.csv: one f-string per (episode, phase, proportion) point of each seed."""
+    with _open_csv(path) as handle:
+        handle.write(next(_csv_lines([CONVERGENCE_CSV_HEADER])))
+        for seed, points in points_by_seed:
+            handle.writelines(f"{e},{seed},{phase},{p!r}\r\n" for e, phase, p in points)
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -416,16 +424,16 @@ def write_experiment(result: ExperimentResult) -> None:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    # Each episode row is formatted once and written to both episode files.
+    # Each day's block is formatted once and written to both episode files.
     header = next(_csv_lines([EPISODE_CSV_HEADER]))
     with _open_csv(out / "episodes.csv") as combined:
         combined.write(header)
         for run in result.seed_runs:
             with _open_csv(out / f"seed_{run.seed}" / "episodes.csv") as per_seed:
                 per_seed.write(header)
-                for line in episode_csv_lines(run.all_logs, result.scenario, "\r\n"):
-                    per_seed.write(line)
-                    combined.write(line)
+                for block in episode_csv_blocks(run.all_logs, result.scenario, "\r\n"):
+                    per_seed.write(block)
+                    combined.write(block)
 
     _write_csv(
         out / "summary.csv",
@@ -434,11 +442,7 @@ def write_experiment(result: ExperimentResult) -> None:
     )
 
     proportions = [run.proportions() for run in result.seed_runs]
-    convergence_rows = []
-    for run, points in zip(result.seed_runs, proportions):
-        for episode, phase, proportion in points:
-            convergence_rows.append([episode, run.seed, phase, proportion])
-    _write_csv(out / "convergence.csv", CONVERGENCE_CSV_HEADER, convergence_rows)
+    _write_convergence(out / "convergence.csv", zip([r.seed for r in result.seed_runs], proportions))
 
     with open(out / "convergence.svg", "w", encoding="utf-8") as handle:
         handle.write(convergence_svg(proportions))
@@ -458,16 +462,14 @@ def convergence_svg(proportions: Sequence[list[tuple[int, str, float]]]) -> str:
                 opacity=0.8,
             )
         )
-    per_episode: dict[int, list[float]] = {}
-    for points in proportions:
-        for episode, _, proportion in points:
-            per_episode.setdefault(episode, []).append(proportion)
-    episodes = sorted(per_episode)
+    # Every seed has the same episodes: one row per episode, one column per seed.
+    episodes = list(zip(*proportions))
+    rows = [[p for (_, _, p) in points] for points in episodes]
     series.append(
         Series(
             label="mean over seeds",
-            xs=[float(e) for e in episodes],
-            ys=[float(np.mean(per_episode[e])) for e in episodes],
+            xs=[float(points[0][0]) for points in episodes],
+            ys=np.array(rows).reshape(len(rows), len(proportions)).mean(axis=1).tolist(),
             color="#1f77b4",
             width=2.2,
         )
@@ -592,16 +594,20 @@ def equilibrium_grid(
         with _open_csv(out / "deviations.csv") as handle:
             handle.write(next(_csv_lines([DEVIATIONS_CSV_HEADER])))
             # No cell needs quoting: codes, ids and floats hold no comma, quote or newline.
-            records = analyzer.deviation_records(canonical)
-            for action, group in itertools.groupby(records, lambda r: r.action):
-                code = encode_action(action)
+            # Each distinct (delta_seconds, delta_score, beta_max) tail is formatted once.
+            tails: dict[tuple, str] = {}
+            for action, group in itertools.groupby(
+                analyzer.deviation_records(canonical), lambda r: r.action
+            ):
+                code, line = encode_action(action), []
                 for r in group:
-                    threshold = (
-                        "indifferent" if r.beta_threshold is None else repr(r.beta_threshold)
-                    )
-                    handle.write(
-                        f"{code},{r.av_id},{r.delta_seconds!r},{r.delta_score!r},{threshold}\r\n"
-                    )
+                    tail = tails.get(r[2:])
+                    if tail is None:
+                        seconds, score, threshold = r[2:]
+                        threshold = "indifferent" if threshold is None else repr(threshold)
+                        tail = tails[r[2:]] = f",{seconds!r},{score!r},{threshold}\r\n"
+                    line.append(f"{code},{r.av_id}{tail}")
+                handle.write("".join(line))
 
     labels = [f"a={r.alpha:g},b={r.beta:g}" for r in reports]
     counts = [float(r.count) for r in reports]
@@ -643,12 +649,14 @@ def regenerate_report(run_dir: str | Path) -> None:
         rows = list(reader)
 
     times_by_kind: dict[str, list[float]] = {"av": [], "human": []}
-    convergence_rows = []
+    convergence: list[tuple[int, list]] = []
     start = 0
     for seed in seeds:
         info = meta["seeds"][str(seed)]
         optimal = {int(k): v for k, v in info["optimal_actions"].items()}
         agent_ids = sorted(int(i) for i in (*info["frozen_profile"], *optimal))
+        points: list[tuple[int, str, float]] = []
+        convergence.append((seed, points))
         for day in range(days):
             day_rows = rows[start : start + len(agent_ids)]
             start += len(agent_ids)
@@ -664,11 +672,11 @@ def regenerate_report(run_dir: str | Path) -> None:
             if day >= train_start:
                 phase = "eval" if day >= eval_start else "train"
                 proportion = proportion_optimal(chosen, optimal.items())
-                convergence_rows.append([day, seed, phase, proportion])
+                points.append((day, phase, proportion))
     if start != len(rows):
         raise ConfigurationError(
             f"episodes.csv has {len(rows) - start} rows beyond the run_meta.json phases"
         )
 
     _write_csv(run_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_from_times(times_by_kind))
-    _write_csv(run_dir / "convergence.csv", CONVERGENCE_CSV_HEADER, convergence_rows)
+    _write_convergence(run_dir / "convergence.csv", convergence)

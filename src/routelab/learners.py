@@ -52,6 +52,8 @@ class UcbLearner:
     DEFAULT_C = 150.0
 
     def __init__(self, n_actions: int, c: float = DEFAULT_C):
+        if not 0.0 <= c < math.inf:
+            raise ConfigurationError(f"ucb c must be finite and >= 0, got {c}")
         self.n_actions = n_actions
         self.c = c
         self.counts = [0] * n_actions
@@ -107,6 +109,11 @@ class QLearner:
         epsilon_start: float = 0.2,
         epsilon_end: float = 0.0,
     ):
+        if not 0.0 < learning_rate <= 1.0:
+            raise ConfigurationError(f"q learning_rate must be in (0, 1], got {learning_rate}")
+        for name, epsilon in (("epsilon_start", epsilon_start), ("epsilon_end", epsilon_end)):
+            if not 0.0 <= epsilon <= 1.0:
+                raise ConfigurationError(f"q {name} must be in [0, 1], got {epsilon}")
         self.n_actions = n_actions
         self.learning_rate = learning_rate
         self.epsilon_start = epsilon_start
@@ -146,8 +153,9 @@ class PolicyGradientLearner:
         learning_rate: float = 0.01,
         temperature: float = 1.0,
     ):
-        if temperature <= 0:
-            raise ConfigurationError("softmax temperature must be > 0")
+        for name, value in (("learning_rate", learning_rate), ("temperature", temperature)):
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"pg {name} must be finite and > 0, got {value}")
         self.n_actions = n_actions
         self.learning_rate = learning_rate
         self.temperature = temperature
@@ -201,6 +209,8 @@ class FixedLearner:
     """Constant-action stand-in, useful as a control arm."""
 
     def __init__(self, n_actions: int, route: int = 0):
+        if route not in range(n_actions):
+            raise ConfigurationError(f"fixed route {route} is outside range({n_actions})")
         self.route = route
 
     def select(self, obs_key: ObsKey | None = None, rng: random.Random | None = None) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from routelab import (
     build_observation,
     run_episode,
 )
-from routelab.episode import EPISODE_CSV_HEADER, episode_csv_lines
+from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks
 
 from conftest import id_view, make_scenario
 
@@ -200,8 +201,8 @@ def test_csv_rows_schema(default_scenario):
         default_scenario, {a.id: 0 for a in default_scenario.agents}
     )
     log = run_episode(default_scenario, policies, RewardConfig(), 7, seed=5)
-    lines = episode_csv_lines([log], default_scenario, "\r\n")
-    rows = list(csv.DictReader(lines, fieldnames=EPISODE_CSV_HEADER))
+    blocks = episode_csv_blocks([log], default_scenario, "\r\n")
+    rows = list(csv.DictReader(io.StringIO("".join(blocks)), fieldnames=EPISODE_CSV_HEADER))
     assert len(rows) == 22
     # DictReader files surplus cells under None and fills missing ones with None.
     assert all(tuple(row) == EPISODE_CSV_HEADER for row in rows)

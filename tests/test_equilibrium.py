@@ -492,3 +492,21 @@ def test_generated_reward_tables_equal_per_profile_rewards(game):
         for p, action in enumerate(analyzer.profiles()):
             per_profile = analyzer.rewards(action, config)
             assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(generated_games())
+def test_generated_deviation_records_hold_no_negative_zero(game):
+    # deviation_records and the deviations.csv writer memoise on the deltas,
+    # where 0.0 and -0.0 would share a key but print differently.
+    scenario, humans = game
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    configs = (
+        RewardConfig(alpha=1.0, beta=0.0, scope="none"),
+        RewardConfig(alpha=-2.0, beta=1.0, scope="system"),
+        *TABLE_CONFIGS,
+    )
+    for config in configs:
+        for r in analyzer.deviation_records(config):
+            assert "-0.0" not in (repr(r.delta_seconds), repr(r.delta_score))
+            assert r.beta_threshold == beta_max(config.alpha * -r.delta_seconds, r.delta_score)

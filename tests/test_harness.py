@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import routelab.harness as harness
 
 from routelab import ConfigurationError, simulate
 from routelab.cli import main
-from routelab.equilibrium import EquilibriumAnalyzer
+from routelab.equilibrium import EquilibriumAnalyzer, encode_action
 from routelab.harness import (
     BETA_SUMMARY_CSV_HEADER,
     CONVERGENCE_CSV_HEADER,
@@ -17,6 +22,7 @@ from routelab.harness import (
     SUMMARY_CSV_HEADER,
     RunConfig,
     config_from_dict,
+    convergence_svg,
     equilibrium_grid,
     load_config,
     regenerate_report,
@@ -228,6 +234,49 @@ def test_cli_rejects_repeated_seeds(tmp_path, capsys, doc, flags):
 def test_bad_learner_spec_fails_at_load(doc, named):
     with pytest.raises(ConfigurationError, match=named):
         config_from_dict({"scenario": scenario_to_dict(small_scenario()), **doc})
+
+
+def test_cli_rejects_a_fixed_route_outside_the_action_space(tmp_path, capsys, monkeypatch):
+    def no_warmup(*args):
+        raise AssertionError("warm-up ran")
+
+    monkeypatch.setattr(harness, "run_warmup", no_warmup)
+    doc = small_train_doc(learner={"algorithm": "fixed", "route": 5})
+    assert run_train_cli(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fixed route 5 is outside range(2)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "learner, named",
+    [
+        ({"algorithm": "ucb", "c": -1.0}, "ucb c"),
+        ({"algorithm": "ucb", "c": math.inf}, "ucb c"),
+        ({"algorithm": "ucb", "c": math.nan}, "ucb c"),
+        ({"algorithm": "q", "learning_rate": -1.0}, "q learning_rate"),
+        ({"algorithm": "q", "learning_rate": 0.0}, "q learning_rate"),
+        ({"algorithm": "q", "learning_rate": 1.5}, "q learning_rate"),
+        ({"algorithm": "q", "learning_rate": math.nan}, "q learning_rate"),
+        ({"algorithm": "q", "epsilon_start": 7.0}, "q epsilon_start"),
+        ({"algorithm": "q", "epsilon_start": -0.1}, "q epsilon_start"),
+        ({"algorithm": "q", "epsilon_end": 1.5}, "q epsilon_end"),
+        ({"algorithm": "q", "epsilon_end": math.nan}, "q epsilon_end"),
+        ({"algorithm": "pg", "learning_rate": 0.0}, "pg learning_rate"),
+        ({"algorithm": "pg", "learning_rate": math.inf}, "pg learning_rate"),
+        ({"algorithm": "pg", "temperature": -1.0}, "pg temperature"),
+        ({"algorithm": "pg", "temperature": math.nan}, "pg temperature"),
+        ({"algorithm": "pg", "temperature": math.inf}, "pg temperature"),
+        ({"algorithm": "fixed", "route": -1}, "fixed route"),
+    ],
+)
+def test_cli_rejects_learner_hyperparameters_out_of_range(tmp_path, capsys, learner, named):
+    assert run_train_cli(tmp_path, small_train_doc(learners={"3": learner})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def mistyped_network(**network) -> dict:
@@ -673,6 +722,56 @@ def test_equilibria_grid_simulates_each_profile_once(tmp_path, monkeypatch):
     results = equilibrium_grid(config, [1.0], [0.0, 10.0], "system")
     assert [r.beta for r in results] == [0.0, 10.0]
     assert len(calls) == len(set(calls)) == 8
+
+
+@pytest.mark.parametrize("scope", ["av-group", "system"])
+def test_deviations_csv_is_the_records_one_at_a_time(tmp_path, monkeypatch, scope):
+    records = []
+    deviation_records = EquilibriumAnalyzer.deviation_records
+
+    def spy(analyzer, config):
+        records.extend(deviation_records(analyzer, config))
+        return records
+
+    monkeypatch.setattr(EquilibriumAnalyzer, "deviation_records", spy)
+    scenario = make_scenario(
+        [0.0, 1.0, 2.0, 3.0, 4.0, 200.0],
+        av_flags=[False, True, True, False, True, True],
+        pre_merge=(40.0, 42.0),
+    )
+    config = small_config(tmp_path, scenario=scenario, out_dir=tmp_path / "eq")
+    equilibrium_grid(config, [1.0], [0.0, 1.0], scope)
+    thresholds = [r.beta_threshold for r in records]
+    assert None in thresholds and math.inf in thresholds  # indifferent and inf rows
+    expected = ",".join(DEVIATIONS_CSV_HEADER) + "\r\n"
+    for r in records:
+        threshold = "indifferent" if r.beta_threshold is None else repr(r.beta_threshold)
+        expected += (
+            f"{encode_action(r.action)},{r.av_id},{r.delta_seconds!r},"
+            f"{r.delta_score!r},{threshold}\r\n"
+        )
+    with open(tmp_path / "eq" / "deviations.csv", newline="", encoding="utf-8") as handle:
+        assert handle.read() == expected
+
+
+@pytest.mark.parametrize("n_seeds", range(1, 13))
+def test_convergence_svg_means_are_per_episode_np_mean(monkeypatch, n_seeds):
+    # numpy sums 8 or more values pairwise, so the seed counts straddle it.
+    rng = random.Random(n_seeds)
+    episodes = range(5, 12)
+    proportions = [
+        [(e, "train" if e < 10 else "eval", rng.random()) for e in episodes]
+        for _ in range(n_seeds)
+    ]
+    plotted = []
+    monkeypatch.setattr(harness, "line_plot", lambda series, **_: plotted.append(series) or "")
+    convergence_svg(proportions)
+    (series,) = plotted
+    mean = series[-1]
+    assert mean.xs == [float(e) for e in episodes]
+    assert mean.ys == [
+        float(np.mean([points[k][2] for points in proportions])) for k in range(len(episodes))
+    ]
 
 
 # -- marginal command --------------------------------------------------------------

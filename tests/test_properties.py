@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -44,7 +45,7 @@ from routelab import (
     two_route_yield_scenario,
 )
 from routelab.cli import main
-from routelab.episode import EPISODE_CSV_HEADER, episode_csv_lines, episode_seed
+from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks, episode_seed
 from routelab.harness import _cell
 from routelab.scenarios import scenario_to_dict
 from conftest import id_view, make_scenario
@@ -241,25 +242,59 @@ def csv_writer_lines(logs, scenario, end: str) -> str:
     return out.getvalue()
 
 
+# A day of the stream: ("day", k) plays joint action variant k on the shared
+# engine; ("copy", field) copies the previous log with the next episode number
+# and, unless field is "episode", a new value of that field, which the writer
+# must not mistake for a repeated day.
+STREAM_DAYS = st.one_of(
+    st.tuples(st.just("day"), st.integers(0, 2)),
+    st.tuples(
+        st.just("copy"),
+        st.sampled_from(("episode", "seed", "config", "routes", "times", "intrinsic")),
+    ),
+)
+
+
 @PROPERTY_SETTINGS
-@given(st.one_of(cases(), cases(noisy=True)), st.sampled_from((0.0, 200.0)))
-def test_episode_lines_match_csv_writer(case, beta):
+@given(
+    st.one_of(cases(), cases(noisy=True)),
+    st.sampled_from((1.0, 0.5, -2.0)),
+    st.sampled_from((0.0, 200.0, -3.0)),
+    st.sampled_from(("av-group", "system")),
+    st.lists(STREAM_DAYS, min_size=1, max_size=8),
+)
+def test_episode_lines_match_csv_writer(case, alpha, beta, scope, stream):
     scenario, action, seed = case
-    config = RewardConfig(beta=beta)
+    config = RewardConfig(alpha=alpha, beta=beta, scope=scope)
+    n_routes = len(scenario.network.routes)
+    variants = [action, {i: 0 for i in action}, {i: (r + 1) % n_routes for i, r in action.items()}]
     stochastic = scenario.noise_sigma > 0
-    logs = [
-        run_episode(
-            scenario,
-            constant_policies(action),
-            config,
-            day,
-            episode_seed(seed, day, stochastic),
-        )
-        for day in range(3)
-    ]
+    # One engine for the stream: a deterministic one returns the very same
+    # tuples for a repeated day, as in training.
+    engine = RewardEngine(scenario, config)
+    logs = []
+    for day, (kind, arg) in enumerate(stream):
+        if kind == "day" or not logs:
+            policies = constant_policies(variants[arg if kind == "day" else 0])
+            logs.append(
+                run_episode(
+                    scenario, policies, config, day, episode_seed(seed, day, stochastic), engine
+                )
+            )
+            continue
+        last = logs[-1]
+        changes = {
+            "episode": {},
+            "seed": {"seed": last.seed + 1},
+            "config": {"config": RewardConfig(alpha=-alpha, beta=beta + 1.0, scope=scope)},
+            "routes": {"routes": scenario.routes_of(variants[2])},
+            "times": {"times": tuple(t + 1.0 for t in last.times)},
+            "intrinsic": {"intrinsic": tuple(m + 1.0 for m in last.intrinsic)},
+        }[arg]
+        logs.append(dataclasses.replace(last, episode=day, **changes))
     for end in ("\r\n", "\n"):
-        expected = csv_writer_lines(logs, scenario, end)
-        assert "".join(episode_csv_lines(logs, scenario, end)) == expected
+        expected = [csv_writer_lines([log], scenario, end) for log in logs]
+        assert list(episode_csv_blocks(logs, scenario, end)) == expected
 
 
 @PROPERTY_SETTINGS
@@ -281,4 +316,4 @@ def test_simulate_stdout_is_header_and_episode_lines(case, beta):
             assert main(["simulate", "--config", str(path), "--action", routes]) == 0
     log = run_episode(scenario, constant_policies(action), RewardConfig(beta=beta), 0, seed)
     header = ",".join(EPISODE_CSV_HEADER) + "\n"
-    assert stdout.getvalue() == header + "".join(episode_csv_lines([log], scenario, "\n"))
+    assert stdout.getvalue() == header + "".join(episode_csv_blocks([log], scenario, "\n"))
