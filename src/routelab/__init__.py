@@ -6,7 +6,7 @@ counterfactual marginal-cost reward shaping for AV learners, and exhaustive
 equilibrium analysis, tied together by an experiment CLI.
 """
 
-from .episode import EpisodeLog, Observation, build_observation, run_episode
+from .episode import EpisodeLog, run_episode
 from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, beta_max
 from .humans import HumanState, freeze_all, initial_human_states, run_warmup
 from .learners import (

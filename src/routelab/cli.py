@@ -124,10 +124,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         constant = dict(zip((a.id for a in scenario.agents), routes))
     else:
         constant = {a.id: args.route for a in scenario.agents}
-    policies = {i: (lambda obs, r=constant[i]: r) for i in constant}
-    seed = config.seeds[0]
     engine = RewardEngine(scenario, config.reward)
-    log = run_episode(scenario, policies, config.reward, 0, seed, engine)
+    log = run_episode(engine, scenario.routes_of(constant), 0, config.seeds[0])
     (block,) = episode_csv_blocks([log], scenario, "\n")
     _emit(",".join(EPISODE_CSV_HEADER) + "\n" + block, args.out)
     return 0

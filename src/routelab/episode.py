@@ -1,8 +1,11 @@
 """One-day sequential episode: agents pick routes in departure order.
 
-Each agent is queried exactly once per episode with an observation built
-from the choices of everyone who departed earlier (a running route
-histogram, kept as the day goes), and the reward engine resolves the merge.
+Each departure slot has one chooser: a fixed route, or a callable asked once
+per day with the route counts of everyone who departed earlier (a running
+histogram, kept as the day goes). The reward engine then resolves the merge.
+Warm-up, training, evaluation and ``routelab simulate`` all play their days
+through ``run_episode``.
+
 An ``EpisodeLog`` keeps the day by departure slot: the route tuple, and the
 engine's travel-time and AV-score tuples, which a deterministic engine
 shares between every log of the same day. Rewards are derived where they
@@ -14,12 +17,14 @@ and ``shaped = alpha * extrinsic + beta * intrinsic`` under the log's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .network import ConfigurationError, Scenario
 from .rewards import RewardConfig, RewardEngine, shaped_reward
 
-PolicyFn = Callable[["Observation"], int]
+# A slot's chooser: its fixed route, or a function from the earlier
+# departures' route counts to a route.
+Chooser = int | Callable[[tuple[int, ...]], int]
 
 EPISODE_CSV_HEADER = (
     "episode",
@@ -32,14 +37,6 @@ EPISODE_CSV_HEADER = (
     "shaped",
     "seed",
 )
-
-
-class Observation(NamedTuple):
-    """What an agent sees before choosing: departures so far, per route."""
-
-    route_counts: tuple[int, ...]
-    agent_id: int
-    episode: int
 
 
 @dataclass(slots=True)
@@ -61,48 +58,34 @@ def episode_seed(run_seed: int, episode_index: int, stochastic: bool) -> int:
     return run_seed * 1_000_003 + episode_index + 1
 
 
-def build_observation(
-    scenario: Scenario,
-    partial_choices: Mapping[int, int],
-    agent_id: int,
-    episode: int = 0,
-) -> Observation:
-    """Histogram of the routes chosen by agents that already departed.
-
-    ``run_episode`` keeps the same histogram as a running count instead of
-    recounting it for every agent.
-    """
-    counts = [0] * len(scenario.network.routes)
-    for route in partial_choices.values():
-        counts[route] += 1
-    return Observation(route_counts=tuple(counts), agent_id=agent_id, episode=episode)
-
-
 def run_episode(
-    scenario: Scenario,
-    policies: Mapping[int, PolicyFn],
-    reward_config: RewardConfig,
-    episode_index: int,
-    seed: int,
-    engine: RewardEngine | None = None,
+    engine: RewardEngine, choosers: Sequence[Chooser], episode: int, seed: int
 ) -> EpisodeLog:
-    """Play one day: sequential choices, then one engine evaluation."""
-    if engine is None:
-        engine = RewardEngine(scenario, reward_config)
+    """Play one day: a route per departure slot, then one engine evaluation.
+
+    ``choosers[k]`` decides slot ``k``. An int is a fixed route, which its
+    caller checks once per run. A callable gets the tuple of route counts of
+    slots ``0 .. k-1``; the route it returns is checked against the slot's
+    action space. The log's reward definition is ``engine.config``.
+    """
+    scenario = engine.scenario
     counts = [0] * len(scenario.network.routes)
     chosen = []
-    for agent in scenario.agents:  # departure order by construction
-        route = policies[agent.id](Observation(tuple(counts), agent.id, episode_index))
-        if route not in agent.action_space:
-            raise ConfigurationError(
-                f"policy for agent {agent.id} returned route {route}, "
-                f"outside its action space {agent.action_space}"
-            )
+    for chooser, agent in zip(choosers, scenario.agents, strict=True):
+        if isinstance(chooser, int):
+            route = chooser
+        else:
+            route = chooser(tuple(counts))
+            if route not in agent.action_space:
+                raise ConfigurationError(
+                    f"agent {agent.id} chose route {route}, "
+                    f"outside its action space {agent.action_space}"
+                )
         chosen.append(route)
         counts[route] += 1
     routes = tuple(chosen)
     times, intrinsic = engine.evaluate(routes, seed)
-    return EpisodeLog(episode_index, routes, times, intrinsic, seed, reward_config)
+    return EpisodeLog(episode, routes, times, intrinsic, seed, engine.config)
 
 
 def episode_csv_blocks(

@@ -24,6 +24,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -284,17 +285,20 @@ class ExperimentResult:
                     pooled[kind].append(t)
         return pooled
 
+    @cached_property
+    def proportions(self) -> list[list[tuple[int, str, float]]]:
+        """Each seed run's ``SeedRun.proportions`` rows, computed once."""
+        return [run.proportions() for run in self.seed_runs]
+
     def eval_proportion_optimal(self) -> float:
-        values = [
-            p for run in self.seed_runs for (_, phase, p) in run.proportions() if phase == "eval"
-        ]
+        values = [p for rows in self.proportions for (_, phase, p) in rows if phase == "eval"]
         return float(np.mean(values)) if values else math.nan
 
     def mean_training_proportions(self) -> list[float]:
         """Seed-averaged proportion on the optimal action per training episode."""
         per_seed = []
-        for run in self.seed_runs:
-            per_seed.append([p for (_, phase, p) in run.proportions() if phase == "train"])
+        for rows in self.proportions:
+            per_seed.append([p for (_, phase, p) in rows if phase == "train"])
         if not per_seed or not per_seed[0]:
             return []
         return [float(np.mean(col)) for col in zip(*per_seed)]
@@ -441,11 +445,11 @@ def write_experiment(result: ExperimentResult) -> None:
         summary_from_times(result.eval_times_by_kind()),
     )
 
-    proportions = [run.proportions() for run in result.seed_runs]
-    _write_convergence(out / "convergence.csv", zip([r.seed for r in result.seed_runs], proportions))
+    seeds = [run.seed for run in result.seed_runs]
+    _write_convergence(out / "convergence.csv", zip(seeds, result.proportions))
 
     with open(out / "convergence.svg", "w", encoding="utf-8") as handle:
-        handle.write(convergence_svg(proportions))
+        handle.write(convergence_svg(result.proportions))
 
 
 def convergence_svg(proportions: Sequence[list[tuple[int, str, float]]]) -> str:

@@ -93,24 +93,19 @@ def run_warmup(
     come from per-agent streams keyed by (seed, agent id) so one agent's
     trajectory does not depend on how often others draw.
     """
-    config = RewardConfig(alpha=1.0, beta=0.0, scope="none")
-    engine = RewardEngine(scenario, config)
+    engine = RewardEngine(scenario, RewardConfig(alpha=1.0, beta=0.0, scope="none"))
     humans = initial_human_states(scenario)
-    rngs = {
-        agent.id: random.Random(f"{seed}:{agent.id}:human") for agent in scenario.agents
-    }
+    # initial_human_states keys the states in departure-slot order.
+    choosers = [
+        lambda counts, choose=state.choose, rng=random.Random(f"{seed}:{i}:human"): choose(rng)
+        for i, state in humans.items()
+    ]
     logs: list[EpisodeLog] = []
     for day in range(days):
         progress = day / (days - 1) if days > 1 else 1.0
         for state in humans.values():
             state.epsilon = DEFAULT_EPSILON_START * (1.0 - progress)
-        policies = {
-            i: (lambda obs, s=humans[i], r=rngs[i]: s.choose(r)) for i in humans
-        }
-        log = run_episode(
-            scenario, policies, config, day, episode_seed(seed, day, stochastic), engine
-        )
-        # initial_human_states keys the states in departure-slot order.
+        log = run_episode(engine, choosers, day, episode_seed(seed, day, stochastic))
         for state, route, t in zip(humans.values(), log.routes, log.times):
             state.update(route, t)
         logs.append(log)

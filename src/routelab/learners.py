@@ -1,10 +1,10 @@
 """Learning agents for AVs: UCB bandit, tabular Q, and policy gradient.
 
 All three act once per episode on a tiny discrete action space, so tabular
-state is enough. Q and policy-gradient condition on the observation's
-route-count tuple; UCB is stateless across observations (a pure bandit).
-Each learner exposes ``select`` (training, with exploration), ``greedy``
-(evaluation, exploration-free) and ``update``.
+state is enough. Q and policy-gradient condition on the route counts of
+earlier departures; UCB ignores them (a pure bandit). Each learner acts on
+indices into its AV's action space and exposes ``select`` (training, with
+exploration), ``greedy`` (evaluation, exploration-free) and ``update``.
 
 Reward magnitudes vary hugely with the shaping coefficient, so the UCB
 index normalises means by their spread before adding the exploration bonus;
@@ -272,84 +272,57 @@ def train(
 
     Training queries ``select`` (with exploration) and updates each learner
     from its shaped reward; evaluation freezes the learners and replays the
-    greedy policy with no updates.
+    greedy policy with no updates. A learner acts on indices into its AV's
+    action space: index ``a`` is route ``action_space[a]``.
     """
-    av_ids = scenario.av_ids
-    for av in av_ids:
-        if av not in learner_specs:
-            raise ConfigurationError(f"no learner spec for AV {av}")
-    for human in scenario.human_ids:
-        if human not in frozen_humans:
-            raise ConfigurationError(f"no frozen route for human {human}")
+    # Frozen humans are fixed routes; each AV gets a training and an evaluation chooser.
+    avs = []  # (learner, action space, departure slot) in av_ids order
+    training, evaluation = [], []
+    for slot, agent in enumerate(scenario.agents):
+        space = agent.action_space
+        if agent.kind == "human":
+            route = frozen_humans.get(agent.id)
+            if route not in space:
+                raise ConfigurationError(
+                    f"human {agent.id} has no frozen route in its action space {space}"
+                )
+            training.append(route)
+            evaluation.append(route)
+            continue
+        if agent.id not in learner_specs:
+            raise ConfigurationError(f"no learner spec for AV {agent.id}")
+        learner = make_learner(learner_specs[agent.id], len(space))
+        rng = random.Random(f"{seed}:{agent.id}:policy")
+        training.append(lambda counts, f=learner.select, r=rng, s=space: s[f(counts, r)])
+        evaluation.append(lambda counts, f=learner.greedy, s=space: s[f(counts)])
+        avs.append((learner, space, slot))
 
     engine = RewardEngine(scenario, reward_config)
-    learners = {
-        av: make_learner(learner_specs[av], len(scenario.agent(av).action_space))
-        for av in av_ids
-    }
-    rngs = {av: random.Random(f"{seed}:{av}:policy") for av in av_ids}
-    human_policies = {
-        i: (lambda obs, route=frozen_humans[i]: route) for i in scenario.human_ids
-    }
-
-    seen: dict[int, tuple[ObsKey, int]] = {}
-
-    def make_training_policy(av: int):
-        learner = learners[av]
-        rng = rngs[av]
-
-        def policy(obs):
-            key = obs.route_counts
-            action = learner.select(key, rng)
-            seen[av] = (key, action)
-            return action
-
-        return policy
-
-    training_policies = dict(human_policies)
-    for av in av_ids:
-        training_policies[av] = make_training_policy(av)
-
-    train_logs: list[EpisodeLog] = []
-    for e in range(train_episodes):
-        seen.clear()
-        for av in av_ids:
-            learners[av].on_episode(e, train_episodes)
-        episode_index = episode_offset + e
+    route_ids = range(len(scenario.network.routes))
+    logs: list[EpisodeLog] = []
+    for e in range(train_episodes + eval_episodes):
+        learning = e < train_episodes
+        if learning:
+            for learner, _, _ in avs:
+                learner.on_episode(e, train_episodes)
+        episode = episode_offset + e
         log = run_episode(
-            scenario,
-            training_policies,
-            reward_config,
-            episode_index,
-            episode_seed(seed, episode_index, stochastic),
             engine,
+            training if learning else evaluation,
+            episode,
+            episode_seed(seed, episode, stochastic),
         )
-        for av, slot, m in zip(av_ids, scenario.av_slots, log.intrinsic):
-            key, action = seen[av]
-            learners[av].update(key, action, shaped_reward(-log.times[slot], m, reward_config))
-        train_logs.append(log)
-
-    eval_policies = dict(human_policies)
-    for av in av_ids:
-        eval_policies[av] = (
-            lambda obs, learner=learners[av]: learner.greedy(obs.route_counts)
-        )
-    eval_logs: list[EpisodeLog] = []
-    for e in range(eval_episodes):
-        episode_index = episode_offset + train_episodes + e
-        log = run_episode(
-            scenario,
-            eval_policies,
-            reward_config,
-            episode_index,
-            episode_seed(seed, episode_index, stochastic),
-            engine,
-        )
-        eval_logs.append(log)
+        if learning:
+            routes = log.routes
+            for (learner, space, slot), m in zip(avs, log.intrinsic):
+                counts = tuple(map(routes[:slot].count, route_ids))  # what the chooser saw
+                reward = shaped_reward(-log.times[slot], m, reward_config)
+                learner.update(counts, space.index(routes[slot]), reward)
+        logs.append(log)
 
     return TrainResult(
         seed=seed,
-        train_logs=train_logs,
-        eval_logs=eval_logs,
+        train_logs=logs[:train_episodes],
+        eval_logs=logs[train_episodes:],
         simulations_run=engine.simulations_run,
     )

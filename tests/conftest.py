@@ -51,6 +51,16 @@ def make_scenario(
     return Scenario(agents=agents, network=network, noise_sigma=noise_sigma)
 
 
+def build_observation(scenario: Scenario, partial_choices) -> tuple[int, ...]:
+    """Route counts of the agents that already departed, recounted from
+    ``partial_choices`` (agent id -> route): the reference for the running
+    counts that ``run_episode`` hands each chooser."""
+    counts = [0] * len(scenario.network.routes)
+    for route in partial_choices.values():
+        counts[route] += 1
+    return tuple(counts)
+
+
 def id_view(log, scenario: Scenario) -> SimpleNamespace:
     """An ``EpisodeLog`` keyed by agent id: ``action``, ``extrinsic``,
     ``intrinsic`` and ``shaped`` dicts and a ``TravelTimeVector`` of ``times``.

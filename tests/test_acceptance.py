@@ -361,11 +361,11 @@ def test_criterion_8_determinism_and_cache(tmp_path, world):
     # (b) a memoised shaped episode equals one built directly from the kernel,
     # and so does its repeat, which the memo serves without simulating
     config = RewardConfig(alpha=1.0, beta=200.0, scope="system")
-    action_policy = {a.id: (lambda obs, r=(1 if a.id in (1, 9) else 0): r) for a in scenario.agents}
+    routes = scenario.routes_of({a.id: 1 if a.id in (1, 9) else 0 for a in scenario.agents})
     engine = RewardEngine(scenario, config)
-    log_cached = id_view(run_episode(scenario, action_policy, config, 0, 0, engine), scenario)
+    log_cached = id_view(run_episode(engine, routes, 0, 0), scenario)
     simulated = engine.simulations_run
-    log_repeat = id_view(run_episode(scenario, action_policy, config, 0, 0, engine), scenario)
+    log_repeat = id_view(run_episode(engine, routes, 0, 0), scenario)
     base = simulate(scenario, log_cached.action, 0)
     matrix = RewardEngine(scenario, config).marginal_matrix(log_cached.action, 0)
     direct_shaped = {

@@ -13,27 +13,23 @@ from routelab import (
     ConfigurationError,
     NetworkConfig,
     RewardConfig,
+    RewardEngine,
     RouteSpec,
     Scenario,
-    build_observation,
     run_episode,
 )
 from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks
 
-from conftest import id_view, make_scenario
+from conftest import build_observation, id_view, make_scenario
 
 
-def constant_policies(scenario, route_by_id):
-    return {i: (lambda obs, r=route_by_id[i]: r) for i in route_by_id}
+def play(scenario, choosers, config, episode, seed):
+    return run_episode(RewardEngine(scenario, config), choosers, episode, seed)
 
 
 def test_all_route0_extrinsic_is_minus_50(default_scenario):
-    policies = constant_policies(
-        default_scenario, {a.id: 0 for a in default_scenario.agents}
-    )
-    log = id_view(
-        run_episode(default_scenario, policies, RewardConfig(), 0, seed=0), default_scenario
-    )
+    routes = default_scenario.routes_of({a.id: 0 for a in default_scenario.agents})
+    log = id_view(play(default_scenario, routes, RewardConfig(), 0, seed=0), default_scenario)
     assert all(log.extrinsic[a.id] == -50.0 for a in default_scenario.agents)
     assert all(v == 0 for v in log.action.values())
 
@@ -42,9 +38,7 @@ def test_beta_zero_shaped_equals_extrinsic(default_scenario):
     config = RewardConfig(alpha=1.0, beta=0.0, scope="av-group")
     routes = {a.id: (1 if a.id % 3 == 0 else 0) for a in default_scenario.agents}
     log = id_view(
-        run_episode(
-            default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
-        ),
+        play(default_scenario, default_scenario.routes_of(routes), config, 0, seed=0),
         default_scenario,
     )
     assert log.shaped == log.extrinsic
@@ -55,26 +49,32 @@ def test_last_agent_sees_all_other_choices(default_scenario):
     seen = {}
 
     def spy_policy(agent_id):
-        def policy(obs):
-            seen[agent_id] = obs.route_counts
+        def chooser(counts):
+            seen[agent_id] = counts
             return routes[agent_id]
 
-        return policy
+        return chooser
 
-    policies = {a.id: spy_policy(a.id) for a in default_scenario.agents}
-    run_episode(default_scenario, policies, RewardConfig(), 0, seed=0)
+    choosers = [spy_policy(a.id) for a in default_scenario.agents]
+    play(default_scenario, choosers, RewardConfig(), 0, seed=0)
     last = default_scenario.agents[-1].id
     assert sum(seen[last]) == 21
     assert seen[last] == (18, 3)
 
 
+def test_fixed_routes_count_for_later_choosers(default_scenario):
+    seen = []
+    choosers = [1] * 21 + [lambda counts: seen.append(counts) or 0]
+    log = play(default_scenario, choosers, RewardConfig(), 0, seed=0)
+    assert seen == [(0, 21)]
+    assert log.routes == (1,) * 21 + (0,)
+
+
 def test_observation_histograms(default_scenario):
-    assert build_observation(default_scenario, {}, 0).route_counts == (0, 0)
-    obs = build_observation(default_scenario, {0: 0, 1: 0, 2: 1}, 3)
-    assert obs.route_counts == (2, 1)
-    eleventh = default_scenario.agents[10].id
+    assert build_observation(default_scenario, {}) == (0, 0)
+    assert build_observation(default_scenario, {0: 0, 1: 0, 2: 1}) == (2, 1)
     partial = {a.id: a.id % 2 for a in default_scenario.agents[:10]}
-    assert sum(build_observation(default_scenario, partial, eleventh).route_counts) == 10
+    assert sum(build_observation(default_scenario, partial)) == 10
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -110,31 +110,32 @@ def test_observations_equal_build_observation(n_routes, av_flags, policy_seed, e
     seen = {}
 
     def random_policy(agent_id):
-        def policy(obs):
-            seen[agent_id] = obs
+        def chooser(counts):
+            seen[agent_id] = counts
             return rng.randrange(n_routes)
 
-        return policy
+        return chooser
 
-    policies = {a.id: random_policy(a.id) for a in scenario.agents}
-    log = id_view(run_episode(scenario, policies, RewardConfig(), episode, seed=0), scenario)
+    choosers = [random_policy(a.id) for a in scenario.agents]
+    log = id_view(play(scenario, choosers, RewardConfig(), episode, seed=0), scenario)
+    assert log.episode == episode
     for rank, agent in enumerate(scenario.agents):
         earlier = {a.id: log.action[a.id] for a in scenario.agents[:rank]}
-        assert seen[agent.id] == build_observation(scenario, earlier, agent.id, episode)
+        assert seen[agent.id] == build_observation(scenario, earlier)
 
 
 def test_sequentiality_of_observations(default_scenario):
     seen = {}
 
     def spy_policy(agent_id):
-        def policy(obs):
-            seen[agent_id] = sum(obs.route_counts)
+        def chooser(counts):
+            seen[agent_id] = sum(counts)
             return 0
 
-        return policy
+        return chooser
 
-    policies = {a.id: spy_policy(a.id) for a in default_scenario.agents}
-    run_episode(default_scenario, policies, RewardConfig(), 0, seed=0)
+    choosers = [spy_policy(a.id) for a in default_scenario.agents]
+    play(default_scenario, choosers, RewardConfig(), 0, seed=0)
     for rank, agent in enumerate(default_scenario.agents):
         assert seen[agent.id] == rank
 
@@ -144,13 +145,7 @@ def test_episode_purity(default_scenario):
     routes = {a.id: (1 if a.id % 4 == 1 else 0) for a in default_scenario.agents}
     logs = [
         id_view(
-            run_episode(
-                default_scenario,
-                constant_policies(default_scenario, routes),
-                config,
-                3,
-                seed=17,
-            ),
+            play(default_scenario, default_scenario.routes_of(routes), config, 3, seed=17),
             default_scenario,
         )
         for _ in range(2)
@@ -164,9 +159,7 @@ def test_reward_identity(default_scenario):
     config = RewardConfig(alpha=0.7, beta=35.0, scope="av-group", tanh_scale=2.0)
     routes = {a.id: rng.randint(0, 1) for a in default_scenario.agents}
     log = id_view(
-        run_episode(
-            default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
-        ),
+        play(default_scenario, default_scenario.routes_of(routes), config, 0, seed=0),
         default_scenario,
     )
     for agent in default_scenario.agents:
@@ -178,9 +171,7 @@ def test_humans_log_zero_intrinsic(default_scenario):
     config = RewardConfig(alpha=1.0, beta=200.0, scope="system")
     routes = {a.id: (1 if a.id == 1 else 0) for a in default_scenario.agents}
     log = id_view(
-        run_episode(
-            default_scenario, constant_policies(default_scenario, routes), config, 0, seed=0
-        ),
+        play(default_scenario, default_scenario.routes_of(routes), config, 0, seed=0),
         default_scenario,
     )
     for human in default_scenario.human_ids:
@@ -191,16 +182,14 @@ def test_humans_log_zero_intrinsic(default_scenario):
 
 def test_policy_outside_action_space_names_agent():
     scenario = make_scenario([0.0, 4.0])
-    policies = {0: lambda obs: 0, 1: lambda obs: 5}
+    choosers = [lambda counts: 0, lambda counts: 5]
     with pytest.raises(ConfigurationError, match="agent 1"):
-        run_episode(scenario, policies, RewardConfig(), 0, seed=0)
+        play(scenario, choosers, RewardConfig(), 0, seed=0)
 
 
 def test_csv_rows_schema(default_scenario):
-    policies = constant_policies(
-        default_scenario, {a.id: 0 for a in default_scenario.agents}
-    )
-    log = run_episode(default_scenario, policies, RewardConfig(), 7, seed=5)
+    routes = default_scenario.routes_of({a.id: 0 for a in default_scenario.agents})
+    log = play(default_scenario, routes, RewardConfig(), 7, seed=5)
     blocks = episode_csv_blocks([log], default_scenario, "\r\n")
     rows = list(csv.DictReader(io.StringIO("".join(blocks)), fieldnames=EPISODE_CSV_HEADER))
     assert len(rows) == 22

@@ -229,7 +229,7 @@ def test_verification_closure_with_cold_cache():
 def test_three_route_network_end_to_end():
     # K parallel routes work everywhere except the binary deviation analysis.
     from routelab import NetworkConfig, RouteSpec, Scenario, AgentSpec, simulate
-    from routelab.episode import build_observation
+    from conftest import build_observation
 
     network = NetworkConfig(
         routes=(
@@ -253,8 +253,7 @@ def test_three_route_network_end_to_end():
     scenario = Scenario(agents=agents, network=network)
     times = simulate(scenario, {0: 0, 1: 1, 2: 2, 3: 0}, seed=0)
     assert times[2] == 55.0 + 10.0  # free-flow on the third route
-    obs = build_observation(scenario, {0: 0, 1: 2}, 2)
-    assert obs.route_counts == (1, 0, 1)
+    assert build_observation(scenario, {0: 0, 1: 2}) == (1, 0, 1)
 
     analyzer = EquilibriumAnalyzer(scenario, {0: 0, 2: 0})
     report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=0.0, scope="none"))

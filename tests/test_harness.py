@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import random
@@ -624,6 +625,29 @@ def test_sweep_beta_artifacts_and_selfish_baseline(tmp_path):
     assert (tmp_path / "sweep" / "beta_0" / "episodes.csv").read_bytes() == (
         tmp_path / "selfish" / "episodes.csv"
     ).read_bytes()
+
+
+def test_sweep_beta_scores_each_logged_day_once(tmp_path, monkeypatch):
+    # 2 seeds x 2 betas x 110 days: 440 calls, one per logged day. Each
+    # SeedRun's proportions used to be rebuilt four times per sweep point.
+    calls = []
+    score = harness.proportion_optimal
+    monkeypatch.setattr(
+        harness, "proportion_optimal", lambda *args: calls.append(1) or score(*args)
+    )
+    config = small_config(tmp_path, train_episodes=100, eval_episodes=10, out_dir=tmp_path / "s")
+    sweep_beta(config, [0.0, 10.0])
+    assert len(calls) == 440
+    # The sweep's own artifacts are byte for byte those of the four-fold code.
+    assert {
+        name: hashlib.sha256((tmp_path / "s" / name).read_bytes()).hexdigest()
+        for name in ("beta_summary.csv", "convergence_overlay.svg")
+    } == {
+        "beta_summary.csv": "87bd99ce8b50532472a3dc7a27a5dcac141567ed2e796d4b4503127b86e5bc14",
+        "convergence_overlay.svg": (
+            "05ef8cfcbb483408032ed35a945769b66b09009aea017f6b0fb5fe7d6865a907"
+        ),
+    }
 
 
 def test_sweep_beta_rejects_empty_list(tmp_path):

@@ -6,17 +6,22 @@ import random
 import pytest
 
 from routelab import (
+    AgentSpec,
     ConfigurationError,
     FixedLearner,
     PolicyGradientLearner,
+    NetworkConfig,
     QLearner,
     RewardConfig,
+    RouteSpec,
+    Scenario,
     UcbLearner,
     freeze_all,
     make_learner,
     run_warmup,
     train,
 )
+from routelab.learners import ALGORITHMS
 
 from conftest import id_view, make_scenario
 
@@ -278,6 +283,48 @@ def test_train_requires_specs_and_frozen_routes():
     specs = {av: {"algorithm": "ucb"} for av in scenario.av_ids}
     with pytest.raises(ConfigurationError):
         train(scenario, specs, RewardConfig(), 1, 1, 0, {})
+
+
+def test_train_rejects_a_frozen_route_outside_the_action_space():
+    scenario, frozen = small_world()
+    specs = {av: {"algorithm": "ucb"} for av in scenario.av_ids}
+    with pytest.raises(ConfigurationError, match="human 2"):
+        train(scenario, specs, RewardConfig(), 1, 1, 0, {**frozen, 2: 5})
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_learner_trains_avs_whose_action_space_is_not_a_range(algorithm):
+    # Three routes; humans may take any, AVs only routes 1 and 2. A learner
+    # acts on indices into its AV's space: index a is route (1, 2)[a].
+    network = NetworkConfig(
+        routes=(RouteSpec(40.0, False), RouteSpec(50.0, True), RouteSpec(46.0, True)),
+        merge_gap_g=2.0,
+        yield_window_w=6.0,
+        post_merge_time=10.0,
+    )
+    scenario = Scenario(
+        agents=tuple(
+            AgentSpec(i, "av" if i % 2 else "human", 4.0 * i, (1, 2) if i % 2 else (0, 1, 2))
+            for i in range(6)
+        ),
+        network=network,
+    )
+    frozen = {i: 0 for i in scenario.human_ids}
+    spec = {"algorithm": algorithm, **({"route": 1} if algorithm == "fixed" else {})}
+    specs = {av: spec for av in scenario.av_ids}
+    config = RewardConfig(beta=200.0)
+    result = viewed(train(scenario, specs, config, 40, 5, 0, frozen), scenario)
+    av_routes = [
+        tuple(log.action[av] for av in scenario.av_ids)
+        for log in result.train_logs + result.eval_logs
+    ]
+    assert len(av_routes) == 45
+    assert all(route in (1, 2) for routes in av_routes for route in routes)
+    if algorithm == "fixed":
+        assert set(av_routes) == {(2, 2, 2)}
+    if algorithm == "ucb":
+        # Unpulled actions are forced first, lowest index first.
+        assert av_routes[:2] == [(1, 1, 1), (2, 2, 2)]
 
 
 @pytest.mark.parametrize("algorithm", ["q", "pg"])

@@ -4,11 +4,14 @@
 example ``RewardEngine.evaluate``, ``humans.run_episode`` and
 ``UcbLearner.update``), so renaming one breaks ``--trace 1``. This installs
 its spans in a fresh interpreter that writes no bytecode, so nothing under
-``perfbench/`` changes.
+``perfbench/`` changes. A day loop that stops calling a wrapped binding would
+go dark in ``--trace 1`` without failing it, so a tiny traced train run also
+counts the calls each day loop makes through them.
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,12 +23,33 @@ INSTALL = (
 )
 
 
-def test_traced_pass_finds_every_binding_it_wraps():
+TRAIN = INSTALL.replace("spans.Tracer()", "tracer := spans.Tracer()") + (
+    "; import json, routelab.harness as h; from routelab.rewards import RewardConfig; "
+    "h.run_experiment(h.RunConfig(reward=RewardConfig(beta=200.0), warmup_days=5, "
+    "train_episodes=7, eval_episodes=3, seeds=(0, 1), out_dir=sys.argv[1])); "
+    "print(json.dumps(tracer.calls()))"
+)
+
+
+def run_fresh(*argv: str) -> str:
     done = subprocess.run(
-        [sys.executable, "-B", "-c", INSTALL],
+        [sys.executable, "-B", "-c", *argv],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_traced_pass_finds_every_binding_it_wraps():
+    run_fresh(INSTALL)
+
+
+def test_traced_train_days_go_through_the_wrapped_bindings(tmp_path):
+    calls = json.loads(run_fresh(TRAIN, str(tmp_path / "run")))
+    assert calls["episode.run_episode"] == (5 + 7 + 3) * 2  # every day of both seeds
+    assert calls["humans.run_warmup"] == calls["learners.train"] == 2
+    assert calls["humans.choose_update"] > 0
+    assert calls["learners.select_update"] > 0

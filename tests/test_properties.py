@@ -225,10 +225,6 @@ def test_monotone_marks_the_two_route_yield_regime():
     assert not window_shorter_than_gap_scenario().monotone
 
 
-def constant_policies(action):
-    return {i: (lambda obs, r=route: r) for i, route in action.items()}
-
-
 def csv_writer_lines(logs, scenario, end: str) -> str:
     """Episode rows as ``csv.writer`` writes them, each cell through ``harness._cell``."""
     out = io.StringIO()
@@ -275,12 +271,8 @@ def test_episode_lines_match_csv_writer(case, alpha, beta, scope, stream):
     logs = []
     for day, (kind, arg) in enumerate(stream):
         if kind == "day" or not logs:
-            policies = constant_policies(variants[arg if kind == "day" else 0])
-            logs.append(
-                run_episode(
-                    scenario, policies, config, day, episode_seed(seed, day, stochastic), engine
-                )
-            )
+            routes = scenario.routes_of(variants[arg if kind == "day" else 0])
+            logs.append(run_episode(engine, routes, day, episode_seed(seed, day, stochastic)))
             continue
         last = logs[-1]
         changes = {
@@ -314,6 +306,7 @@ def test_simulate_stdout_is_header_and_episode_lines(case, beta):
         path.write_text(json.dumps(doc), encoding="utf-8")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             assert main(["simulate", "--config", str(path), "--action", routes]) == 0
-    log = run_episode(scenario, constant_policies(action), RewardConfig(beta=beta), 0, seed)
+    engine = RewardEngine(scenario, RewardConfig(beta=beta))
+    log = run_episode(engine, scenario.routes_of(action), 0, seed)
     header = ",".join(EPISODE_CSV_HEADER) + "\n"
     assert stdout.getvalue() == header + "".join(episode_csv_blocks([log], scenario, "\n"))

@@ -456,8 +456,7 @@ def test_evaluate_rejects_routes_that_do_not_fit(default_scenario, routes):
 
 
 def _fixed_day(scenario):
-    routes = {a.id: a.id % 4 // 2 for a in scenario.agents}
-    return {i: (lambda obs, r=r: r) for i, r in routes.items()}
+    return scenario.routes_of({a.id: a.id % 4 // 2 for a in scenario.agents})
 
 
 def test_mutating_an_episode_log_leaves_the_memo_intact(default_scenario):
@@ -465,13 +464,14 @@ def test_mutating_an_episode_log_leaves_the_memo_intact(default_scenario):
 
     config = RewardConfig(beta=200.0, scope="system")
     engine = RewardEngine(default_scenario, config)
-    policies = _fixed_day(default_scenario)
-    first = run_episode(default_scenario, policies, config, 0, 0, engine)
+    routes = _fixed_day(default_scenario)
+    first = run_episode(engine, routes, 0, 0)
     for values in (first.times, first.intrinsic):
         with pytest.raises(TypeError):
             values[0] = 123.0
-    later = id_view(run_episode(default_scenario, policies, config, 1, 0, engine), default_scenario)
-    fresh = id_view(run_episode(default_scenario, policies, config, 1, 0), default_scenario)
+    later = id_view(run_episode(engine, routes, 1, 0), default_scenario)
+    fresh_engine = RewardEngine(default_scenario, config)
+    fresh = id_view(run_episode(fresh_engine, routes, 1, 0), default_scenario)
     assert later.times.times == fresh.times.times
     assert later.intrinsic == fresh.intrinsic
     assert later.shaped == fresh.shaped
@@ -483,8 +483,8 @@ def test_logs_of_one_deterministic_day_share_the_memo_tuples(default_scenario):
 
     for config in (RewardConfig(beta=200.0, scope="av-group"), RewardConfig()):
         engine = RewardEngine(default_scenario, config)
-        policies = _fixed_day(default_scenario)
-        first = run_episode(default_scenario, policies, config, 0, 0, engine)
-        second = run_episode(default_scenario, policies, config, 1, 0, engine)
+        routes = _fixed_day(default_scenario)
+        first = run_episode(engine, routes, 0, 0)
+        second = run_episode(engine, routes, 1, 0)
         assert second.times is first.times and second.intrinsic is first.intrinsic
         assert second.routes == first.routes and second.config is config
