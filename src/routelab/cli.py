@@ -199,7 +199,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="scenario JSON path (overrides config)")
     parser.add_argument("--seed", type=int, help="single seed (overrides config list)")
     parser.add_argument("--seeds", help="comma-separated seed list")
-    parser.add_argument("--jobs", type=int, help="concurrent seeds/sweep points")
+    parser.add_argument("--jobs", type=int, help="forked processes for seeds/sweep points")
     parser.add_argument("--out", help="output directory or file")
     parser.add_argument("--scope", choices=SCOPES)
     parser.add_argument("--mode", choices=("deterministic", "stochastic"))

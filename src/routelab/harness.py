@@ -22,12 +22,14 @@ import dataclasses
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -93,6 +95,8 @@ class RunConfig:
             raise ConfigurationError(f"seeds {repeated} are listed more than once")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.jobs > 1 and not hasattr(os, "fork"):
+            raise ConfigurationError(f"jobs {self.jobs} needs os.fork, which this platform lacks")
         strangers = sorted(set(self.learners_by_id).difference(self.scenario.av_ids))
         if strangers:
             raise ConfigurationError(f"learners {strangers} are not AVs of the scenario")
@@ -266,6 +270,74 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
     return SeedRun(seed, scenario, warmup_logs, result, frozen_humans)
 
 
+# -- forked workers -----------------------------------------------------------
+
+
+def fork_map(fn: Callable, items: Sequence, jobs: int) -> list:
+    """``[fn(item) for item in items]``, with up to ``jobs`` processes sharing the work.
+
+    The items are split into ``min(jobs, len(items))`` interleaved shares
+    (``items[k::n]``). This process runs share 0; each other share runs in a
+    forked child, which pickles its results back through a pipe. The results
+    come back in input order, so they do not depend on scheduling. An
+    exception in any share is raised here, after every child has been reaped.
+    A child copies only the calling thread, so call this with no other
+    Python threads running.
+    """
+    n = min(jobs, len(items)) or 1
+    children: dict[int, tuple] = {}  # share -> (pid, read end of its pipe)
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(fn, items[k::n], write)
+            os.close(write)
+            children[k] = (pid, os.fdopen(read, "rb"))
+        results = [None] * len(items)
+        results[0::n] = [fn(item) for item in items[0::n]]
+        for k in range(1, n):
+            pid, pipe = children[k]
+            with pipe:
+                reply = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[k]
+            if status or not reply:
+                raise RuntimeError(
+                    f"the worker for {list(items[k::n])} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without sending its results"
+                )
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results[k::n] = value
+        return results
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fn: Callable, share: Sequence, write: int) -> NoReturn:
+    """Run one share in a forked child, send its reply and exit, whatever happens."""
+    status = 1
+    try:
+        try:
+            reply = pickle.dumps((True, [fn(item) for item in share]))
+        except BaseException as exc:
+            try:
+                reply = pickle.dumps((False, exc))
+                pickle.loads(reply)
+            except Exception:
+                reply = pickle.dumps((False, RuntimeError(repr(exc))))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 # -- experiment (multi-seed) --------------------------------------------------
 
 
@@ -276,7 +348,9 @@ class ExperimentResult:
     seed_runs: list[SeedRun]
     out_dir: Path
 
+    @cached_property
     def eval_times_by_kind(self) -> dict[str, list[float]]:
+        """Eval-phase travel times of every seed, pooled by agent kind, computed once."""
         pooled: dict[str, list[float]] = {"av": [], "human": []}
         kinds = [a.kind for a in self.scenario.agents]
         for run in self.seed_runs:
@@ -321,13 +395,7 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     scenario = config.effective_scenario()
     if not scenario.av_ids:
         raise ConfigurationError("training needs at least one AV in the scenario")
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            seed_runs = list(
-                pool.map(lambda s: run_seed(config, scenario, s), config.seeds)
-            )
-    else:
-        seed_runs = [run_seed(config, scenario, s) for s in config.seeds]
+    seed_runs = fork_map(lambda s: run_seed(config, scenario, s), config.seeds, config.jobs)
     # Seeds mostly freeze the same humans: one optimum per frozen profile.
     optima: dict[tuple, dict[int, int]] = {}
     for run in seed_runs:
@@ -442,7 +510,7 @@ def write_experiment(result: ExperimentResult) -> None:
     _write_csv(
         out / "summary.csv",
         SUMMARY_CSV_HEADER,
-        summary_from_times(result.eval_times_by_kind()),
+        summary_from_times(result.eval_times_by_kind),
     )
 
     seeds = [run.seed for run in result.seed_runs]
@@ -507,19 +575,16 @@ def sweep_beta(config: RunConfig, betas: Sequence[float]) -> dict[float, Experim
             jobs=1,
         )
 
-    if config.jobs > 1:
-        # Sweep points share the jobs budget; per-run output directories are
-        # disjoint, so concurrent writes cannot collide.
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            runs = list(pool.map(lambda b: run_experiment(sub_config(b)), betas))
-    else:
-        runs = [run_experiment(sub_config(beta)) for beta in betas]
+    # Sweep points share the jobs budget, each point running its seeds in turn.
+    # Each point writes its own directory, so forked points cannot collide, and
+    # its result comes back with the eval times and proportions it wrote.
+    runs = fork_map(lambda beta: run_experiment(sub_config(beta)), betas, config.jobs)
     results = dict(zip(betas, runs))
 
     rows = []
     for beta in betas:
         result = results[beta]
-        pooled = result.eval_times_by_kind()
+        pooled = result.eval_times_by_kind
         first = result.first_convergence_episode()
         rows.append(
             [

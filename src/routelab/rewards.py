@@ -177,8 +177,7 @@ class RewardEngine:
 
     A deterministic engine memoises every day it evaluates; a noisy one keeps
     nothing. It takes no lock, as each run, analyzer and CLI call builds its
-    own engine; threads sharing one still see whole entries, but may simulate
-    a day twice and miscount ``simulations_run``.
+    own engine.
     """
 
     def __init__(self, scenario: Scenario, config: RewardConfig):

@@ -79,7 +79,7 @@ def experiment(algo: str, mode: str, beta: float, scope: str, train_episodes: in
 
 
 def eval_means(result) -> tuple[float, float]:
-    pooled = result.eval_times_by_kind()
+    pooled = result.eval_times_by_kind
     return float(np.mean(pooled["av"])), float(np.mean(pooled["human"]))
 
 

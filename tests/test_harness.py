@@ -4,8 +4,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -593,14 +599,188 @@ def test_unknown_nested_scenario_keys_rejected(where, key):
         scenario_from_dict(doc)
 
 
-def test_jobs_parallel_matches_serial(tmp_path):
-    serial = small_config(tmp_path, out_dir=tmp_path / "serial", jobs=1)
-    parallel = small_config(tmp_path, out_dir=tmp_path / "parallel", jobs=2)
-    run_experiment(serial)
-    run_experiment(parallel)
-    assert (tmp_path / "serial" / "episodes.csv").read_bytes() == (
-        tmp_path / "parallel" / "episodes.csv"
-    ).read_bytes()
+def artifacts(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but config.json, which names the output directory."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "config.json"
+    }
+
+
+def count_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_parallel_matches_serial(tmp_path, monkeypatch):
+    # Three seeds in two shares, (0, 2) here and (1,) in the child, come back in seed order.
+    forks = count_forks(monkeypatch)
+    seeds = (0, 1, 2)
+    run_experiment(small_config(tmp_path, out_dir=tmp_path / "serial", seeds=seeds, jobs=1))
+    assert forks == []
+    run_experiment(small_config(tmp_path, out_dir=tmp_path / "parallel", seeds=seeds, jobs=2))
+    assert len(forks) == 1
+    serial = artifacts(tmp_path / "serial")
+    assert "seed_2/episodes.csv" in serial and "convergence.svg" in serial
+    assert artifacts(tmp_path / "parallel") == serial
+    assert_no_child_left()
+
+
+def test_jobs_beyond_the_seed_count_fork_one_child(tmp_path, monkeypatch):
+    forks = count_forks(monkeypatch)
+    run_experiment(small_config(tmp_path, out_dir=tmp_path / "serial", jobs=1))
+    run_experiment(small_config(tmp_path, out_dir=tmp_path / "parallel", jobs=4))
+    assert len(forks) == 1
+    assert artifacts(tmp_path / "parallel") == artifacts(tmp_path / "serial")
+    assert_no_child_left()
+
+
+def test_sweep_beta_parallel_matches_serial(tmp_path):
+    sweep_beta(small_config(tmp_path, out_dir=tmp_path / "serial", jobs=1), [0.0, 10.0])
+    sweep_beta(small_config(tmp_path, out_dir=tmp_path / "parallel", jobs=2), [0.0, 10.0])
+    serial = artifacts(tmp_path / "serial")
+    assert "beta_10/seed_1/episodes.csv" in serial and "beta_summary.csv" in serial
+    assert artifacts(tmp_path / "parallel") == serial
+    assert_no_child_left()
+
+
+def test_importing_the_harness_loads_no_pool_module():
+    root = Path(__file__).resolve().parent.parent
+    probe = (
+        "import sys; import routelab.harness; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", probe],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def tiny_config(tmp_path, **overrides):
+    phases = dict(warmup_days=3, train_episodes=2, eval_episodes=1, jobs=2)
+    return small_config(tmp_path, **{**phases, **overrides})
+
+
+def fail_on_seed(monkeypatch, failing_seed, fail):
+    run_seed = harness.run_seed
+
+    def patched(config, scenario, seed):
+        if seed == failing_seed:
+            fail()
+        return run_seed(config, scenario, seed)
+
+    monkeypatch.setattr(harness, "run_seed", patched)
+
+
+def test_a_child_exception_is_raised_again_with_its_type_and_message(tmp_path, monkeypatch):
+    def fail():
+        raise ConfigurationError("seed 1 cannot run")
+
+    fail_on_seed(monkeypatch, 1, fail)
+    with pytest.raises(ConfigurationError, match="^seed 1 cannot run$"):
+        run_experiment(tiny_config(tmp_path))
+    assert_no_child_left()
+    assert run_train_cli(tmp_path, small_train_doc(seeds=[0, 1]), "--jobs", "2") == 2
+    assert_no_child_left()
+
+
+def test_a_child_that_exits_without_a_result_is_named(tmp_path, monkeypatch):
+    fail_on_seed(monkeypatch, 1, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"worker for \[1\] exited with status 3"):
+        run_experiment(tiny_config(tmp_path))
+    assert_no_child_left()
+
+
+def test_a_failing_parent_share_kills_its_children(tmp_path, monkeypatch):
+    run_seed = harness.run_seed
+
+    def patched(config, scenario, seed):
+        if seed == 0:
+            raise ConfigurationError("seed 0 cannot run")
+        time.sleep(60)  # the child would outlive the test if it were waited for
+        return run_seed(config, scenario, seed)
+
+    monkeypatch.setattr(harness, "run_seed", patched)
+    start = time.monotonic()
+    with pytest.raises(ConfigurationError, match="seed 0 cannot run"):
+        run_experiment(tiny_config(tmp_path))
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None
+
+
+class Unrebuildable(Exception):
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [Unpicklable("no pickle"), Unrebuildable("no rebuild", 7)],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_an_exception_that_cannot_travel_comes_back_as_its_repr(exc):
+    def fn(item):
+        if item == 1:
+            raise exc
+        return item
+
+    with pytest.raises(RuntimeError) as caught:
+        harness.fork_map(fn, [0, 1], 2)
+    assert str(caught.value) == repr(exc)
+    assert_no_child_left()
+
+
+def test_a_child_never_returns_into_the_caller(monkeypatch):
+    # A child that cannot even pickle its error still exits, from its finally.
+    parent = os.getpid()
+
+    def dumps(_):
+        raise pickle.PicklingError("no pickling here")
+
+    monkeypatch.setattr(harness, "pickle", SimpleNamespace(dumps=dumps, loads=pickle.loads))
+    with pytest.raises(RuntimeError, match=r"worker for \[1\] exited with status 1"):
+        harness.fork_map(lambda item: item, [0, 1], 2)
+    assert os.getpid() == parent
+    assert_no_child_left()
+
+
+def test_fork_map_deals_interleaved_shares_and_keeps_input_order():
+    items = list(range(7))
+    assert harness.fork_map(lambda item: item * item, items, 3) == [i * i for i in items]
+    pids = harness.fork_map(lambda item: os.getpid(), items, 3)
+    # The caller runs items 0, 3 and 6; each child runs one other share.
+    assert set(pids[0::3]) == {os.getpid()}
+    assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+    assert len(set(pids)) == 3
+    assert_no_child_left()
+
+
+def test_jobs_above_one_need_fork(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert small_config(tmp_path, jobs=1).jobs == 1
+    with pytest.raises(ConfigurationError, match="os.fork"):
+        small_config(tmp_path, jobs=2)
+    assert run_train_cli(tmp_path, small_train_doc(seeds=[0, 1]), "--jobs", "2") == 2
 
 
 # -- sweep-beta -----------------------------------------------------------------
@@ -648,6 +828,24 @@ def test_sweep_beta_scores_each_logged_day_once(tmp_path, monkeypatch):
             "05ef8cfcbb483408032ed35a945769b66b09009aea017f6b0fb5fe7d6865a907"
         ),
     }
+
+
+def test_sweep_beta_pools_eval_times_once_per_point(tmp_path, monkeypatch):
+    # Each point's pooled eval times feed both its summary.csv and its
+    # beta_summary.csv row; they used to be pooled once for each.
+    calls = []
+    pool = harness.ExperimentResult.eval_times_by_kind.func
+    monkeypatch.setattr(
+        harness.ExperimentResult.eval_times_by_kind,
+        "func",
+        lambda result: calls.append(1) or pool(result),
+    )
+    sweep_beta(small_config(tmp_path, out_dir=tmp_path / "serial"), [0.0, 10.0])
+    assert len(calls) == 2
+    # At jobs 2 the second point pools in the child, and its result brings the times back.
+    calls.clear()
+    sweep_beta(small_config(tmp_path, out_dir=tmp_path / "parallel", jobs=2), [0.0, 10.0])
+    assert len(calls) == 1
 
 
 def test_sweep_beta_rejects_empty_list(tmp_path):
