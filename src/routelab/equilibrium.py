@@ -19,12 +19,14 @@ extrinsic table ``E`` (profiles x AVs, minus travel time), the total travel
 times, and per externality scope an intrinsic table ``M`` of the same shape.
 The rewards at any grid point are then ``alpha * E + beta * M``. The Nash test
 compares each profile's row with the rows of its single-AV neighbours, and
-the deviation terms are differences of two rows. Each profile is one kernel
-call. The run without AV ``k`` does not depend on ``k``'s route, so it is
-kept once, as a row of slot ``k``'s counterfactual table (the full run with
-``k`` NaN and the sparse entries applied), and every ``M`` is scored from
-those tables at once. A selfish setting (beta = 0 or scope "none") builds
-no such table, so it costs one simulation per profile.
+the deviation terms are differences of two rows. The run without AV ``k``
+does not depend on ``k``'s route, so it is kept once, as a row of slot
+``k``'s counterfactual table (travel times by slot, NaN at ``k``), and every
+``M`` is scored from those tables at once. The tables are filled by the
+batched kernel ``network.simulate_rosters``, ``ROSTER_LANES`` rosters per
+call, so a fill's extra memory does not grow with the profile count. A
+selfish setting (beta = 0 or scope "none") builds no counterfactual table,
+so it costs one simulated roster per profile.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .network import ConfigurationError, Scenario, counterfactual_row, simulate_slots
+from .network import ConfigurationError, Scenario, simulate_rosters
 # intrinsic_reward is unused here. It stays bound in this module because the
 # benchmark's traced pass (perfbench/worker.py) wraps
 # equilibrium.intrinsic_reward; without it --trace 1 fails.
 from .rewards import RewardConfig, RewardEngine, intrinsic_reward, shaped_reward
 
 DEFAULT_ENUMERATION_BOUND = 2**20
+ROSTER_LANES = 2048  # rosters per simulate_rosters call: a pass's memory is O(lanes)
 STRICTNESS_TOLERANCE = 1e-9
 
 
@@ -184,32 +187,54 @@ class EquilibriumAnalyzer:
         return rows // (stride * len(self.spaces[slot])) * stride + rows % stride
 
     def _simulate(self, counterfactuals: bool) -> None:
-        """Full runs and, if asked, counterfactual tables: one kernel call per profile.
+        """Fill the full runs, if not yet filled, and if asked the counterfactual tables.
 
-        A call removes exactly the AVs at the first route of their space.
+        The rosters go to ``simulate_rosters`` in passes of at most
+        ``ROSTER_LANES``: first the full run of every profile, then per AV
+        slot ``k`` the rows of its table, each the profile with ``k`` on the
+        first route of its space and ``k``'s slot absent.
         """
-        slots = range(len(self.spaces) if counterfactuals else 0)
-        rows = [self._counterfactual_rows(k).tolist() for k in slots]
-        withouts = [np.empty((self.space_size // len(self.spaces[k]), len(self._ids))) for k in slots]
-        full = np.empty((self.space_size, len(self._ids)))
-        routes = list(self.scenario.routes_of(self.full_action(self.profile_at(0))))
-        for p, action in enumerate(self.profiles()):
-            for c, route in zip(self._av_columns, action):
-                routes[c] = route
-            removed = [k for k in slots if action[k] == self.spaces[k][0]]
-            base, sparse = simulate_slots(
-                self.scenario, tuple(routes), [self._av_columns[k] for k in removed]
-            )
-            full[p] = base
-            for k, changes in zip(removed, sparse):
-                withouts[k][rows[k][p]] = counterfactual_row(base, self._av_columns[k], changes)
+        n = len(self._ids)
+        segments = ([None] if self._full is None else []) + list(
+            range(len(self.spaces) if counterfactuals else 0)
+        )
+        tables = [
+            np.empty((self.space_size // (1 if k is None else len(self.spaces[k])), n))
+            for k in segments
+        ]
+        starts = np.cumsum([0] + [len(table) for table in tables]).tolist()
+        spaces = [np.array(space) for space in self.spaces]
+        template = np.array(self.scenario.routes_of(self.full_action(self.profile_at(0))))
+        for start in range(0, starts[-1], ROSTER_LANES):
+            end = min(start + ROSTER_LANES, starts[-1])
+            profile = np.empty(end - start, dtype=np.intp)
+            present = np.ones((end - start, n), dtype=bool)
+            parts = []
+            for k, table, first in zip(segments, tables, starts):
+                lo, hi = max(first, start), min(first + len(table), end)
+                if lo >= hi:
+                    continue
+                rows, lanes = slice(lo - first, hi - first), slice(lo - start, hi - start)
+                profile[lanes] = np.arange(rows.start, rows.stop)
+                if k is not None:  # table row -> profile, with k's digit 0
+                    stride = self._strides[k]
+                    high, low = np.divmod(profile[lanes], stride)
+                    profile[lanes] = high * (stride * len(spaces[k])) + low
+                    present[lanes, self._av_columns[k]] = False
+                parts.append((table, rows, lanes))
+            routes = np.tile(template, (end - start, 1))
+            for space, stride, c in zip(spaces, self._strides, self._av_columns):
+                routes[:, c] = space[profile // stride % len(space)]
+            times = simulate_rosters(self.scenario, routes, present)
+            for table, rows, lanes in parts:
+                table[rows] = times[lanes]
         if self._full is None:
+            self._full = tables.pop(0)
             self.simulations_run += self.space_size
-            self._total_times = [sum(row) for row in full.tolist()]  # in departure order
-        self._full = full
+            self._total_times = [sum(row) for row in self._full.tolist()]  # in departure order
         if counterfactuals:
-            self.simulations_run += sum(map(len, withouts))
-            self._withouts = withouts
+            self.simulations_run += sum(map(len, tables))
+            self._withouts = tables
 
     def _base_tables(self) -> tuple[np.ndarray, list[float]]:
         """``E`` (minus each AV's travel time) and the total travel times, one row per profile."""

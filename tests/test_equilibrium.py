@@ -493,6 +493,26 @@ def test_generated_reward_tables_equal_per_profile_rewards(game):
             assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
 
 
+def test_reward_tables_equal_per_profile_rewards_beyond_64_agents():
+    # The batched fill has no cap on the roster size: 70 drivers, 1 s apart
+    # with a 2 s gap, so the queue spans the day and a removal moves many.
+    n = 70
+    avs = {5, 30, 52, 69}
+    scenario = make_scenario(
+        [float(i) for i in range(n)], av_flags=[i in avs for i in range(n)], pre_merge=(40.0, 42.0)
+    )
+    humans = {i: i % 3 % 2 for i in range(n) if i not in avs}
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    configs = (RewardConfig(alpha=1.0, beta=0.0, scope="none"), *TABLE_CONFIGS)
+    tables = [analyzer.reward_table(config) for config in configs]
+    assert analyzer.simulations_run == 16 + 4 * 8
+    for config, table in zip(configs, tables):
+        for p, action in enumerate(analyzer.profiles()):
+            per_profile = analyzer.rewards(action, config)
+            assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
+    assert len({row.tobytes() for row in tables[1]}) > 1  # the scores differ, so the check bites
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(generated_games())
 def test_generated_deviation_records_hold_no_negative_zero(game):

@@ -37,7 +37,7 @@ from routelab.harness import (
     sweep_beta,
 )
 from routelab.episode import EPISODE_CSV_HEADER
-from routelab.network import simulate_slots
+from routelab.network import simulate_rosters
 from routelab.rewards import RewardConfig
 from routelab.scenarios import (
     DEFAULT_NOISE_SIGMA,
@@ -930,20 +930,31 @@ def test_cli_equilibria_grid(tmp_path, capsys):
 
 
 def test_equilibria_grid_simulates_each_profile_once(tmp_path, monkeypatch):
-    # The selfish point comes first, yet the shaped fill must serve it.
+    # The selfish point comes first, yet the shaped fill must serve it. Each
+    # roster is a (routes, present) row handed to the batched kernel.
     import routelab.equilibrium as equilibrium
 
-    calls = []
+    rosters, analyzers = [], []
 
-    def counting(*args):
-        calls.append(args[1])
-        return simulate_slots(*args)
+    def counting(scenario, routes, present):
+        rosters.extend(zip(map(tuple, routes.tolist()), map(tuple, present.tolist())))
+        return simulate_rosters(scenario, routes, present)
 
-    monkeypatch.setattr(equilibrium, "simulate_slots", counting)
+    enumerate_nash = EquilibriumAnalyzer.enumerate_nash
+
+    def spy(analyzer, *args):
+        analyzers.append(analyzer)
+        return enumerate_nash(analyzer, *args)
+
+    monkeypatch.setattr(equilibrium, "simulate_rosters", counting)
+    monkeypatch.setattr(EquilibriumAnalyzer, "enumerate_nash", spy)
     config = small_config(tmp_path, out_dir=tmp_path / "eq")
     results = equilibrium_grid(config, [1.0], [0.0, 10.0], "system")
     assert [r.beta for r in results] == [0.0, 10.0]
-    assert len(calls) == len(set(calls)) == 8
+    full = [routes for routes, present in rosters if all(present)]
+    assert len(full) == len(set(full)) == 8  # every profile of 3 binary AVs
+    assert len(rosters) == len(set(rosters)) == 8 + 3 * 4  # one AV absent, on its first route
+    assert analyzers[0].simulations_run == len(rosters)
 
 
 @pytest.mark.parametrize("scope", ["av-group", "system"])

@@ -6,7 +6,8 @@ example ``RewardEngine.evaluate``, ``humans.run_episode`` and
 its spans in a fresh interpreter that writes no bytecode, so nothing under
 ``perfbench/`` changes. A day loop that stops calling a wrapped binding would
 go dark in ``--trace 1`` without failing it, so a tiny traced train run also
-counts the calls each day loop makes through them.
+counts the calls each day loop makes through them, and a tiny traced
+equilibrium grid counts the analyses it runs through them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ TRAIN = INSTALL.replace("spans.Tracer()", "tracer := spans.Tracer()") + (
     "; import json, routelab.harness as h; from routelab.rewards import RewardConfig; "
     "h.run_experiment(h.RunConfig(reward=RewardConfig(beta=200.0), warmup_days=5, "
     "train_episodes=7, eval_episodes=3, seeds=(0, 1), out_dir=sys.argv[1])); "
+    "print(json.dumps(tracer.calls()))"
+)
+
+
+GRID = INSTALL.replace("spans.Tracer()", "tracer := spans.Tracer()") + (
+    "; import json, routelab as r, routelab.harness as h; "
+    "net = r.NetworkConfig((r.RouteSpec(40.0, False), r.RouteSpec(50.0, True)), 2.0, 6.0, 10.0); "
+    "agents = tuple(r.AgentSpec(i, 'av' if i % 2 else 'human', 4.0 * i, (0, 1)) for i in range(6)); "
+    "config = h.RunConfig(scenario=r.Scenario(agents, net), warmup_days=5, seeds=(0,), "
+    "out_dir=sys.argv[1]); "
+    "h.equilibrium_grid(config, [1.0], [0.0, 10.0], 'system'); "
     "print(json.dumps(tracer.calls()))"
 )
 
@@ -53,3 +65,10 @@ def test_traced_train_days_go_through_the_wrapped_bindings(tmp_path):
     assert calls["humans.run_warmup"] == calls["learners.train"] == 2
     assert calls["humans.choose_update"] > 0
     assert calls["learners.select_update"] > 0
+
+
+def test_traced_grid_goes_through_the_wrapped_bindings(tmp_path):
+    calls = json.loads(run_fresh(GRID, str(tmp_path / "grid")))
+    assert calls["harness.equilibrium_grid"] == 1
+    assert calls["equilibrium.enumerate_nash"] == 2  # one per beta
+    assert calls["equilibrium.deviation_records"] == 1

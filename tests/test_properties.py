@@ -7,7 +7,10 @@ departure slots, or noise keyed by slot, shows. Times are
 drawn partly from a coarse grid, so arrivals and passage times tie often,
 and partly from arbitrary floats. The simulator must agree exactly with the
 independent oracle in ``oracle_sim.py``, and the batched leave-one-out runs
-with runs of the reduced roster simulated from scratch.
+with runs of the reduced roster simulated from scratch. The analyzer's
+roster kernel must give ``simulate_slots``' floats and the oracle's on
+batches that mix full rosters with rosters short of one slot, and the noise
+draws those of a fresh generator per agent.
 
 Marginal-cost entries are <= 0 only in the two-route yield regime with a
 window at least the gap (``Scenario.monotone``); a pinned test shows a
@@ -23,10 +26,14 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import math
+import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +54,7 @@ from routelab import (
 from routelab.cli import main
 from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks, episode_seed
 from routelab.harness import _cell
+from routelab.network import _arrival_noise, counterfactual_row, simulate_rosters, simulate_slots
 from routelab.scenarios import scenario_to_dict
 from conftest import id_view, make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
@@ -65,16 +73,21 @@ def grid_or_float(grid, low, high):
 
 
 @st.composite
-def cases(draw, noisy: bool = False, yield_regime: bool = False):
+def cases(draw, noisy: bool = False, yield_regime: bool = False, on_grid: bool = False):
     """(scenario, joint action, seed) for one generated world.
 
     ``yield_regime`` keeps to two routes, one of them yielding, with a
-    window at least the gap, as in the default calibration.
+    window at least the gap, as in the default calibration. ``on_grid``
+    draws every time from the round values only, so that ties abound.
     """
+
+    def value(grid, low, high):
+        return st.sampled_from(grid) if on_grid else grid_or_float(grid, low, high)
+
     n_routes = 2 if yield_regime else draw(st.integers(2, 4))
     pre_merge = draw(
         st.lists(
-            grid_or_float([5.0, 10.0, 20.0, 40.0, 50.0], 1.0, 60.0),
+            value([5.0, 10.0, 20.0, 40.0, 50.0], 1.0, 60.0),
             min_size=n_routes,
             max_size=n_routes,
         )
@@ -83,8 +96,8 @@ def cases(draw, noisy: bool = False, yield_regime: bool = False):
         yielding = draw(st.integers(0, 1))
     else:
         yielding = draw(st.one_of(st.none(), st.integers(0, n_routes - 1)))
-    gap = draw(grid_or_float([0.5, 1.0, 2.0, 3.0], 0.01, 8.0))
-    window = draw(grid_or_float([0.0, 2.0, 4.0, 6.0], 0.0, 12.0))
+    gap = draw(value([0.5, 1.0, 2.0, 3.0], 0.01, 8.0))
+    window = draw(value([0.0, 2.0, 4.0, 6.0], 0.0, 12.0))
     network = NetworkConfig(
         routes=tuple(
             RouteSpec(pre_merge_time=p, has_priority=k != yielding)
@@ -92,10 +105,10 @@ def cases(draw, noisy: bool = False, yield_regime: bool = False):
         ),
         merge_gap_g=gap,
         yield_window_w=gap + window if yield_regime else window,
-        post_merge_time=draw(grid_or_float([0.0, 10.0], 0.0, 20.0)),
+        post_merge_time=draw(value([0.0, 10.0], 0.0, 20.0)),
     )
     steps = draw(
-        st.lists(grid_or_float([0.5, 1.0, 2.0, 4.0], 0.01, 10.0), min_size=1, max_size=25)
+        st.lists(value([0.5, 1.0, 2.0, 4.0], 0.01, 10.0), min_size=1, max_size=25)
     )
     # Ids in no particular order, so that an id is not its departure slot.
     ids = draw(st.lists(st.integers(0, 99), min_size=len(steps), max_size=len(steps), unique=True))
@@ -162,6 +175,63 @@ def test_batch_rows_match_single_runs(case):
             assert row.times == simulate(reduced, rest, seed).times
         else:
             assert row.times == {}
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**63),
+    st.lists(st.integers(-5, 10**6), max_size=25),
+    st.floats(0.001, 60.0),
+)
+def test_arrival_noise_matches_one_fresh_generator_per_agent(seed, ids, sigma):
+    expected = [random.Random(f"{seed}:{i}").uniform(-sigma, sigma) for i in ids]
+    assert _arrival_noise(seed, ids, sigma) == expected
+
+
+@st.composite
+def roster_batches(draw):
+    """(scenario, routes, present, drawn): a deterministic world and rosters of it.
+
+    Each joint action comes as its full roster and as one roster without
+    each slot in turn, so one batch mixes both kinds. Besides the drawn
+    joint actions, a world with at most 81 joint actions brings every one of
+    them, so that exact ties between routes are common; ``drawn`` marks the
+    lanes of the drawn ones. Lanes come in a drawn order.
+    """
+    scenario, action, _ = draw(st.one_of(cases(), cases(on_grid=True)))
+    n, n_routes = len(scenario.agents), len(scenario.network.routes)
+    first = tuple(action[i] for i in scenario.ids)
+    extra = st.lists(st.integers(0, n_routes - 1), min_size=n, max_size=n).map(tuple)
+    joints = [first, *draw(st.lists(extra, max_size=2))]
+    drawn = len(joints)
+    if n_routes**n <= 81:
+        joints += itertools.product(range(n_routes), repeat=n)
+    lanes = [
+        (joint, [k != absent for k in range(n)], j < drawn)
+        for j, joint in enumerate(joints)
+        for absent in (None, *range(n))
+    ]
+    routes, present, drawn = zip(*draw(st.permutations(lanes)))
+    return scenario, np.array(routes), np.array(present), drawn
+
+
+@PROPERTY_SETTINGS
+@given(roster_batches())
+def test_roster_kernel_matches_slot_kernel_and_oracle(batch):
+    scenario, routes, present, drawn = batch
+    times = simulate_rosters(scenario, routes, present)
+    assert times.shape == routes.shape
+    for row, joint, drives, check in zip(times.tolist(), routes.tolist(), present.tolist(), drawn):
+        removed = [k for k, here in enumerate(drives) if not here]
+        full, sparse = simulate_slots(scenario, tuple(joint), removed)
+        expected = counterfactual_row(full, removed[0], sparse[0]) if removed else full
+        assert list(map(math.isnan, row)) == [not here for here in drives]
+        kept = [k for k, here in enumerate(drives) if here]
+        assert [row[k] for k in kept] == [expected[k] for k in kept]
+        if check:
+            ids = [scenario.ids[k] for k in kept]
+            oracle = oracle_subset_times(scenario, dict(zip(scenario.ids, joint)), ids)
+            assert [row[k] for k in kept] == [oracle[i] for i in ids]
 
 
 @PROPERTY_SETTINGS
