@@ -18,9 +18,10 @@ The analyzer exploits the same affinity. It scores every profile once: an
 extrinsic table ``E`` (profiles x AVs, minus travel time), the total travel
 times, and per externality scope an intrinsic table ``M`` of the same shape.
 The rewards at any grid point are then ``alpha * E + beta * M``. The Nash test
-compares each profile's row with the rows of its single-AV neighbours, and
-the deviation terms are differences of two rows. The run without AV ``k``
-does not depend on ``k``'s route, so it is kept once, as a row of slot
+compares each profile's row with the rows of its single-AV neighbours. The
+deviation terms are differences of two rows, kept once per distinct pair
+(with its ``beta_max``) and indexed per (profile, AV). The run without AV
+``k`` does not depend on ``k``'s route, so it is kept once, as a row of slot
 ``k``'s counterfactual table (travel times by slot, NaN at ``k``), and every
 ``M`` is scored from those tables at once. The tables are filled by the
 batched kernel ``network.simulate_rosters``, ``ROSTER_LANES`` rosters per
@@ -34,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,14 +75,12 @@ def beta_max(delta_reward: float, delta_c: float) -> float | None:
     return -delta_reward / delta_c
 
 
-class DeviationRecord(NamedTuple):
-    """Route-switch terms for one (joint action, AV) pair."""
+class DeviationTable(NamedTuple):
+    """Route-switch terms of every (joint action, AV) pair, each distinct pair stored once."""
 
-    action: tuple[int, ...]
-    av_id: int
-    delta_seconds: float  # travel time on high route minus low route
-    delta_score: float  # intrinsic score change across the same switch
-    beta_threshold: float | None
+    index: np.ndarray  # profile p, AV slot k -> position in pairs
+    pairs: list[tuple[float, float]]  # (high minus low route: travel time, intrinsic score)
+    thresholds: list[float | None]  # beta_max of each pair
 
 
 @dataclass
@@ -96,9 +95,13 @@ class EquilibriumReport:
 
 
 def encode_action(action: tuple[int, ...]) -> str:
-    if all(route < 10 for route in action):
-        return "".join(str(route) for route in action)
-    return "-".join(str(route) for route in action)
+    return join_routes([str(route) for route in action])
+
+
+def join_routes(routes: Sequence[str]) -> str:
+    """A joint action's code from its route strings: dashed if some route has two digits."""
+    code = "".join(routes)
+    return code if len(code) == len(routes) else "-".join(routes)
 
 
 class EquilibriumAnalyzer:
@@ -109,9 +112,9 @@ class EquilibriumAnalyzer:
     of its route in ``spaces[k]`` and whose last slot varies fastest. Every
     table has one row per profile:
 
-    - ``E``: the extrinsic reward, minus each AV's travel time, one column
-      per AV slot;
-    - the totals: the total travel time of all drivers;
+    - the full runs: every driver's travel time, one column per slot. ``E``,
+      the extrinsic reward, is minus the AV columns, and ``system_optimum``
+      sums each row once;
     - ``M``: each AV's intrinsic score, one column per AV slot and one table
       per (scope, tanh_scale, raw_sum), since only those settings change it.
 
@@ -154,8 +157,8 @@ class EquilibriumAnalyzer:
         self._av_columns = [self._ids.index(av) for av in self.av_ids]
         self._full: np.ndarray | None = None  # travel times, profiles x agents
         self._withouts: list[np.ndarray] | None = None  # per slot, runs without it
-        self._total_times: list[float] | None = None
         self._m: dict[tuple[str, float, bool], np.ndarray] = {}
+        self._optimum: tuple[list[tuple[int, ...]], float] | None = None
 
     # -- joint-action plumbing -------------------------------------------
 
@@ -231,16 +234,15 @@ class EquilibriumAnalyzer:
         if self._full is None:
             self._full = tables.pop(0)
             self.simulations_run += self.space_size
-            self._total_times = [sum(row) for row in self._full.tolist()]  # in departure order
         if counterfactuals:
             self.simulations_run += sum(map(len, tables))
             self._withouts = tables
 
-    def _base_tables(self) -> tuple[np.ndarray, list[float]]:
-        """``E`` (minus each AV's travel time) and the total travel times, one row per profile."""
+    def _full_runs(self) -> np.ndarray:
+        """Travel times by slot of every profile's full run, one row per profile."""
         if self._full is None:
             self._simulate(counterfactuals=False)
-        return -self._full[:, self._av_columns], self._total_times
+        return self._full
 
     def _intrinsic_table(self, config: RewardConfig) -> np.ndarray:
         """``M``: each AV's intrinsic score under ``config``, one row per profile.
@@ -274,9 +276,9 @@ class EquilibriumAnalyzer:
         settings cost one simulation per profile.
         """
         if not config.needs_intrinsic:
-            return config.alpha * self._base_tables()[0]
+            return config.alpha * -self._full_runs()[:, self._av_columns]
         m = self._intrinsic_table(config)  # first: its fill includes the full runs
-        return config.alpha * self._base_tables()[0] + config.beta * m
+        return config.alpha * -self._full_runs()[:, self._av_columns] + config.beta * m
 
     def rewards(self, action: tuple[int, ...], config: RewardConfig) -> dict[int, float]:
         """Shaped reward per AV in one profile: one ``evaluate`` on a cold engine.
@@ -327,47 +329,45 @@ class EquilibriumAnalyzer:
 
         The scan keeps a running best in enumeration order: a total more than
         the tolerance below it starts a new optimum set, one within the
-        tolerance of it joins the set.
+        tolerance of it joins the set. It runs once per analyzer.
         """
-        best_total = math.inf
-        optima: list[int] = []
-        for p, total in enumerate(self._base_tables()[1]):
-            if total < best_total - STRICTNESS_TOLERANCE:
-                best_total = total
-                optima = [p]
-            elif total <= best_total + STRICTNESS_TOLERANCE:
-                optima.append(p)
-        return [self.profile_at(p) for p in optima], best_total
+        if self._optimum is None:
+            best_total = math.inf
+            optima: list[int] = []
+            totals = np.cumsum(self._full_runs(), axis=1)[:, -1]  # each row in slot order
+            for p, total in enumerate(totals.tolist()):
+                if total < best_total - STRICTNESS_TOLERANCE:
+                    best_total = total
+                    optima = [p]
+                elif total <= best_total + STRICTNESS_TOLERANCE:
+                    optima.append(p)
+            self._optimum = [self.profile_at(p) for p in optima], best_total
+        return list(self._optimum[0]), self._optimum[1]
 
-    def deviation_records(self, config: RewardConfig) -> list[DeviationRecord]:
-        """One record per (joint action, AV) if every action space is binary, else none."""
+    def deviation_records(self, config: RewardConfig) -> DeviationTable | None:
+        """Every (joint action, AV) pair's route-switch terms if every action space is binary."""
         if any(len(space) != 2 for space in self.spaces):
-            return []
-        times = -self._base_tables()[0]
-        scores = None if config.scope == "none" else self._intrinsic_table(config)
-        delta_seconds = np.empty_like(times)
-        delta_score = np.zeros_like(times)
+            return None
+        times = self._full_runs()[:, self._av_columns]
+        scores = np.zeros_like(times) if config.scope == "none" else self._intrinsic_table(config)
+        # One complex key per cell, set part by part so both deltas keep every bit.
+        # Equal keys merge 0.0 and -0.0, but no delta is -0.0: x - y is -0.0 only
+        # for x = -0.0 and y = +0.0, and neither table holds -0.0 (travel times
+        # are > 0, and a score sums terms none of which is -0.0).
+        deltas = np.empty(times.shape, dtype=complex)
         for slot, space in enumerate(self.spaces):
             low, high = (
                 self._neighbours(slot, space.index(route)) for route in sorted(space)
             )
-            delta_seconds[:, slot] = times[high, slot] - times[low, slot]
-            if scores is not None:
-                delta_score[:, slot] = scores[high, slot] - scores[low, slot]
-        # One threshold per distinct pair. A float key would merge 0.0 and
-        # -0.0, but no delta is -0.0: x - y is -0.0 only for x = -0.0 and
-        # y = +0.0, and neither table holds -0.0 (travel times are > 0, and a
-        # score sums terms none of which is -0.0).
-        thresholds: dict[tuple[float, float], float | None] = {}
-        records = []
-        for action, seconds_row, score_row in zip(
-            self.profiles(), delta_seconds.tolist(), delta_score.tolist()
-        ):
-            for av, pair in zip(self.av_ids, zip(seconds_row, score_row)):
-                if pair not in thresholds:
-                    thresholds[pair] = beta_max(config.alpha * (-pair[0]), pair[1])
-                records.append(DeviationRecord(action, av, *pair, thresholds[pair]))
-        return records
+            deltas.real[:, slot] = times[high, slot] - times[low, slot]
+            deltas.imag[:, slot] = scores[high, slot] - scores[low, slot]
+        keys, index = np.unique(deltas, return_inverse=True)
+        pairs = list(zip(keys.real.tolist(), keys.imag.tolist()))
+        return DeviationTable(
+            index.reshape(times.shape),
+            pairs,
+            [beta_max(config.alpha * -seconds, score) for seconds, score in pairs],
+        )
 
     def verify_equilibrium(
         self, action: tuple[int, ...], config: RewardConfig, tolerance: float = STRICTNESS_TOLERANCE

@@ -34,7 +34,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, 
 import numpy as np
 
 from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_blocks
-from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, encode_action
+from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, encode_action, join_routes
 from .humans import freeze_all, run_warmup
 from .learners import TrainResult, make_learner, train
 from .network import ConfigurationError, Scenario, parse_value, read_document
@@ -659,24 +659,21 @@ def equilibrium_grid(
 
     # Deviation terms do not depend on (alpha, beta); the threshold column is
     # reported at alpha = 1, the canonical unshaped preference.
-    if scope != "none" and all(len(s) == 2 for s in analyzer.spaces):
+    table = None if scope == "none" else analyzer.deviation_records(canonical)
+    if table is not None:
         with _open_csv(out / "deviations.csv") as handle:
             handle.write(next(_csv_lines([DEVIATIONS_CSV_HEADER])))
             # No cell needs quoting: codes, ids and floats hold no comma, quote or newline.
-            # Each distinct (delta_seconds, delta_score, beta_max) tail is formatted once.
-            tails: dict[tuple, str] = {}
-            for action, group in itertools.groupby(
-                analyzer.deviation_records(canonical), lambda r: r.action
-            ):
-                code, line = encode_action(action), []
-                for r in group:
-                    tail = tails.get(r[2:])
-                    if tail is None:
-                        seconds, score, threshold = r[2:]
-                        threshold = "indifferent" if threshold is None else repr(threshold)
-                        tail = tails[r[2:]] = f",{seconds!r},{score!r},{threshold}\r\n"
-                    line.append(f"{code},{r.av_id}{tail}")
-                handle.write("".join(line))
+            # Each distinct pair's tail is formatted once, each profile's code built once.
+            tails = [
+                f",{seconds!r},{score!r},{'indifferent' if t is None else repr(t)}\r\n"
+                for (seconds, score), t in zip(table.pairs, table.thresholds)
+            ]
+            avs = [f",{av}" for av in analyzer.av_ids]
+            digits = [[str(route) for route in space] for space in analyzer.spaces]
+            codes = map(join_routes, itertools.product(*digits))  # encode_action, per profile
+            for code, row in zip(codes, table.index.tolist()):
+                handle.write(code + code.join([av + tails[i] for av, i in zip(avs, row)]))
 
     labels = [f"a={r.alpha:g},b={r.beta:g}" for r in reports]
     counts = [float(r.count) for r in reports]

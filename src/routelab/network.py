@@ -437,7 +437,9 @@ def simulate_rosters(scenario: Scenario, routes, present):
     the absent slots, whose queue never passes. A lane short of a vehicle
     spends its last step passing the sentinel slot ``n`` into a spare column.
     """
-    import numpy as np  # here, so that this module's top level stays free of numpy
+    # A local import, yet `import routelab.network` loads numpy anyway: the package
+    # __init__ imports .equilibrium and .rewards. A numpy-free path starts there.
+    import numpy as np
 
     departures, pre_merge, priority = scenario.slot_tables
     net = scenario.network

@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -84,10 +85,30 @@ def id_view(log, scenario: Scenario) -> SimpleNamespace:
     )
 
 
+class DeviationRow(NamedTuple):
+    action: tuple[int, ...]
+    av_id: int
+    delta_seconds: float
+    delta_score: float
+    beta_threshold: float | None
+
+
+def deviation_rows(analyzer, table) -> list[DeviationRow]:
+    """``analyzer.deviation_records``' table as one row per (joint action, AV),
+    profile by profile, then AV by AV: the order of deviations.csv."""
+    return [
+        DeviationRow(action, av, *table.pairs[i], table.thresholds[i])
+        for action, row in zip(analyzer.profiles(), table.index.tolist())
+        for av, i in zip(analyzer.av_ids, row)
+    ]
+
+
 def deviation_terms(analyzer, action, av_id, config) -> tuple[float, float]:
     """(delta_seconds, delta_score) of ``analyzer.deviation_records(config)``'s
-    record for AV ``av_id`` in joint action ``action``."""
-    (record,) = (
-        r for r in analyzer.deviation_records(config) if r.action == action and r.av_id == av_id
+    row for AV ``av_id`` in joint action ``action``."""
+    (row,) = (
+        r
+        for r in deviation_rows(analyzer, analyzer.deviation_records(config))
+        if r.action == action and r.av_id == av_id
     )
-    return record.delta_seconds, record.delta_score
+    return row.delta_seconds, row.delta_score

@@ -30,7 +30,7 @@ from routelab.episode import run_episode
 from routelab.rewards import MarginalCostMatrix, intrinsic_reward
 from routelab.scenarios import two_route_yield_scenario
 
-from conftest import id_view, make_scenario
+from conftest import deviation_rows, id_view, make_scenario
 
 ALL_ROUTE_0 = (0,) * 10
 N_AVS = 10
@@ -156,7 +156,8 @@ def test_criterion_3_affine_and_beta_max(shared_analyzer):
     # Sign-flip thresholds are rare under uniform sampling, so collect them
     # from a full pass and check the bisection agreement on a batch of them.
     finite_cases = []
-    for record in analyzer.deviation_records(scope_config(1.0)):  # by profile, then AV
+    table = analyzer.deviation_records(scope_config(1.0))
+    for record in deviation_rows(analyzer, table):  # by profile, then AV
         threshold = beta_max(-record.delta_seconds, record.delta_score)
         if threshold is not None and 0.0 < threshold < math.inf:
             slot = analyzer.av_ids.index(record.av_id)

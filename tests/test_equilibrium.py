@@ -23,7 +23,7 @@ from routelab import (
 )
 from routelab.equilibrium import EquilibriumAnalyzer, encode_action
 
-from conftest import deviation_terms, make_scenario
+from conftest import deviation_rows, deviation_terms, make_scenario
 
 
 def small_game(n_av=4, n_human=2):
@@ -81,6 +81,19 @@ def test_single_av_system_optimum_is_fastest_route():
     assert total == 50.0
 
 
+def test_system_optimum_scans_once_per_analyzer():
+    scenario, humans = small_game(n_av=3)
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    optima, total = analyzer.system_optimum()
+    assert optima == [(0, 0, 0)]
+    optima.append((1, 1, 1))  # the caller's list: the stored optimum stays as it was
+    # A second scan of these runs would find the slowest profile instead.
+    analyzer._full = -analyzer._full
+    for beta in (0.0, 1.0, 10.0):
+        report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=beta, scope="system"))
+        assert (report.optima, report.optimum_total_time) == ([(0, 0, 0)], total)
+
+
 def test_deviation_terms_without_conflicts():
     # One AV alone: switching routes changes only its own time.
     scenario = make_scenario([0.0], av_flags=[True])
@@ -94,7 +107,7 @@ def test_deviation_terms_without_conflicts():
 def test_deviation_terms_need_binary_spaces():
     scenario = make_scenario([0.0], av_flags=[True], action_space=(0,))
     analyzer = EquilibriumAnalyzer(scenario, {})
-    assert analyzer.deviation_records(RewardConfig()) == []
+    assert analyzer.deviation_records(RewardConfig()) is None
 
 
 def test_beta_max_cases():
@@ -259,7 +272,7 @@ def test_three_route_network_end_to_end():
     report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=0.0, scope="none"))
     assert analyzer.space_size == 9
     assert report.equilibria == [(0, 0)]
-    assert analyzer.deviation_records(RewardConfig()) == []  # binary-only analysis skipped
+    assert analyzer.deviation_records(RewardConfig()) is None  # binary-only analysis skipped
 
 
 def test_enumeration_bound_guard():
@@ -278,7 +291,9 @@ def test_analyzer_requires_deterministic_mode():
 def test_deviation_records_and_encoding():
     scenario, humans = small_game(n_av=2, n_human=1)
     analyzer = EquilibriumAnalyzer(scenario, humans)
-    records = analyzer.deviation_records(RewardConfig(alpha=1.0, scope="system", beta=1.0))
+    table = analyzer.deviation_records(RewardConfig(alpha=1.0, scope="system", beta=1.0))
+    assert table.index.shape == (4, 2)
+    records = deviation_rows(analyzer, table)
     assert len(records) == 4 * 2  # profiles x AVs
     assert encode_action((0, 1)) == "01"
     by_key = {(r.action, r.av_id): r for r in records}
@@ -421,13 +436,14 @@ def test_verify_equilibrium_builds_no_table(monkeypatch):
 
 
 @st.composite
-def generated_games(draw):
-    """(scenario, frozen humans) with 1-4 AVs, 0-3 humans and 2-3 routes.
+def generated_games(draw, min_avs=1, binary=False):
+    """(scenario, frozen humans) with ``min_avs``-4 AVs, 0-3 humans and 2-3 routes.
 
     AV action spaces are ordered subsets of the routes, so some hold one
-    route and some do not start at route 0. Half the calibrations are
-    monotone (``Scenario.monotone``); the others have a window below the gap
-    or a third route, where removing a vehicle can delay another.
+    route (unless ``binary``: then each holds two) and some do not start at
+    route 0. Half the calibrations are monotone (``Scenario.monotone``); the
+    others have a window below the gap or a third route, where removing a
+    vehicle can delay another.
     """
     monotone = draw(st.booleans())
     n_routes = 2 if monotone else draw(st.integers(2, 3))
@@ -446,14 +462,14 @@ def generated_games(draw):
         yield_window_w=window,
         post_merge_time=10.0,
     )
-    n_avs, n_humans = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    n_avs, n_humans = draw(st.integers(min_avs, 4)), draw(st.integers(0, 3))
     kinds = draw(st.permutations(["av"] * n_avs + ["human"] * n_humans))
     departure, agents, humans = 0.0, [], {}
     for i, kind in enumerate(kinds):
         departure += draw(st.sampled_from([1.0, 0.5, 2.0]))
         space = tuple(range(n_routes))
         if kind == "av":
-            size = draw(st.sampled_from([2, 1, n_routes]))
+            size = 2 if binary else draw(st.sampled_from([2, 1, n_routes]))
             space = draw(st.permutations(space))[:size]
         else:
             humans[i] = draw(st.sampled_from(space))
@@ -526,6 +542,34 @@ def test_generated_deviation_records_hold_no_negative_zero(game):
         *TABLE_CONFIGS,
     )
     for config in configs:
-        for r in analyzer.deviation_records(config):
+        table = analyzer.deviation_records(config)
+        if table is None:
+            assert any(len(space) != 2 for space in analyzer.spaces)
+            continue
+        for r in deviation_rows(analyzer, table):
             assert "-0.0" not in (repr(r.delta_seconds), repr(r.delta_score))
             assert r.beta_threshold == beta_max(config.alpha * -r.delta_seconds, r.delta_score)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(generated_games(min_avs=2, binary=True))
+def test_generated_deviation_tables_index_each_cells_deltas(game):
+    scenario, humans = game
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    rows = {action: p for p, action in enumerate(analyzer.profiles())}
+    times = analyzer._full_runs()[:, analyzer._av_columns].tolist()
+    for config in (RewardConfig(alpha=-2.0, beta=1.0, scope="system"), *TABLE_CONFIGS):
+        table = analyzer.deviation_records(config)
+        scores = analyzer._intrinsic_table(config).tolist()
+        assert table.index.shape == (analyzer.space_size, len(analyzer.av_ids))
+        assert len(set(table.pairs)) == len(table.pairs)  # no two pairs compare equal
+        for (seconds, score), threshold in zip(table.pairs, table.thresholds):
+            assert threshold == beta_max(config.alpha * -seconds, score)
+        for action, p in rows.items():
+            for k, space in enumerate(analyzer.spaces):
+                low, high = (
+                    rows[action[:k] + (route,) + action[k + 1 :]] for route in sorted(space)
+                )
+                expected = (times[high][k] - times[low][k], scores[high][k] - scores[low][k])
+                pair = table.pairs[table.index[p, k]]
+                assert list(map(float.hex, pair)) == list(map(float.hex, expected))

@@ -47,7 +47,7 @@ from routelab.scenarios import (
     two_route_yield_scenario,
 )
 
-from conftest import make_scenario
+from conftest import deviation_rows, make_scenario
 
 
 def small_scenario():
@@ -963,8 +963,9 @@ def test_deviations_csv_is_the_records_one_at_a_time(tmp_path, monkeypatch, scop
     deviation_records = EquilibriumAnalyzer.deviation_records
 
     def spy(analyzer, config):
-        records.extend(deviation_records(analyzer, config))
-        return records
+        table = deviation_records(analyzer, config)
+        records.extend(deviation_rows(analyzer, table))
+        return table
 
     monkeypatch.setattr(EquilibriumAnalyzer, "deviation_records", spy)
     scenario = make_scenario(
@@ -985,6 +986,30 @@ def test_deviations_csv_is_the_records_one_at_a_time(tmp_path, monkeypatch, scop
         )
     with open(tmp_path / "eq" / "deviations.csv", newline="", encoding="utf-8") as handle:
         assert handle.read() == expected
+
+
+def test_deviations_csv_codes_are_dashed_where_a_route_has_two_digits(tmp_path):
+    from routelab import AgentSpec, NetworkConfig, RouteSpec, Scenario
+
+    network = NetworkConfig(
+        routes=tuple(RouteSpec(40.0 + k, has_priority=k != 0) for k in range(11)),
+        merge_gap_g=2.0,
+        yield_window_w=6.0,
+        post_merge_time=10.0,
+    )
+    agents = tuple(
+        AgentSpec(i, "av" if i % 2 else "human", 2.0 * i, (0, 10) if i % 2 else (0, 1))
+        for i in range(6)
+    )
+    scenario = Scenario(agents=agents, network=network)
+    config = small_config(tmp_path, scenario=scenario, out_dir=tmp_path / "eq")
+    equilibrium_grid(config, [1.0], [0.0, 1.0], "av-group")
+    codes = [row[0] for row in read_csv(tmp_path / "eq" / "deviations.csv")[1:]]
+    analyzer = EquilibriumAnalyzer(scenario, dict.fromkeys(scenario.human_ids, 0))
+    assert codes == [encode_action(a) for a in analyzer.profiles() for _ in analyzer.av_ids]
+    assert codes[:3] == ["000"] * 3  # every AV on route 0: one digit each, no dashes
+    assert all(("-" in code) == ("10" in code) for code in codes)
+    assert "0-10-0" in codes
 
 
 @pytest.mark.parametrize("n_seeds", range(1, 13))
