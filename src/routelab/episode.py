@@ -11,13 +11,15 @@ engine's travel-time and AV-score tuples, which a deterministic engine
 shares between every log of the same day. Rewards are derived where they
 are read: extrinsic is ``-travel_time``, a human's intrinsic term is zero,
 and ``shaped = alpha * extrinsic + beta * intrinsic`` under the log's
-``RewardConfig``. ``episode_csv_blocks`` streams the logs as CSV, a block per day.
+``RewardConfig``. ``episode_csv_blocks`` streams the logs as CSV, a block per day,
+and formats a day that recurs anywhere among the logs once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .network import ConfigurationError, Scenario
 from .rewards import RewardConfig, RewardEngine, shaped_reward
@@ -89,7 +91,7 @@ def run_episode(
 
 
 def episode_csv_blocks(
-    logs: Iterable[EpisodeLog], scenario: Scenario, end: str
+    logs: Sequence[EpisodeLog], scenario: Scenario, end: str
 ) -> Iterator[str]:
     """One string per log: its agents' CSV lines in departure order, fields
     per EPISODE_CSV_HEADER, each line ending in ``end``.
@@ -97,21 +99,22 @@ def episode_csv_blocks(
     Floats are written as their shortest round-trip ``repr``, ints with
     ``str``. No cell needs quoting: ``kind`` is ``human`` or ``av`` and
     every other cell is a number. Travel times are > 0, so extrinsic is
-    ``"-" + repr(t)``. A log with the previous log's ``times`` and
-    ``intrinsic`` tuples (a deterministic engine's repeated day) and equal
-    routes, seed and config reuses its lines with a new episode number.
+    ``"-" + repr(t)``. A deterministic engine gives every log of a day the
+    same ``times`` and ``intrinsic`` tuples: logs sharing both, with equal
+    routes, seed and config, share one formatting wherever they recur. Only
+    days whose ``times`` tuple recurs are kept, so a noisy run holds none
+    (the logs keep the keyed tuples alive, so their ids stay unique).
     """
     av_index = {j: k for k, j in enumerate(scenario.av_ids)}
     agents = [(f",{a.id},{a.kind},", av_index.get(a.id)) for a in scenario.agents]
-    previous = None
+    recurring = {t for t, n in Counter(id(log.times) for log in logs).items() if n > 1}
+    formatted: dict[tuple, list[str]] = {}
     for log in logs:
-        if not (
-            previous is not None
-            and log.times is previous.times
-            and log.intrinsic is previous.intrinsic
-            and (log.routes, log.seed, log.config)
-            == (previous.routes, previous.seed, previous.config)
-        ):
+        key = None
+        if id(log.times) in recurring:
+            key = (id(log.times), id(log.intrinsic), log.routes, log.seed, log.config)
+        parts = formatted.get(key)
+        if parts is None:
             seed, config, scores = f",{log.seed}{end}", log.config, log.intrinsic
             parts = [""]  # the episode number goes before each line
             for (cells, k), route, t in zip(agents, log.routes, log.times):
@@ -121,5 +124,6 @@ def episode_csv_blocks(
                 shaped = shaped_reward(-t, m, config)
                 shaped = extrinsic if shaped == -t and shaped else repr(shaped)
                 parts.append(f"{cells}{route},{time},{extrinsic},{m!r},{shaped}{seed}")
-        previous = log
+            if key is not None:
+                formatted[key] = parts
         yield str(log.episode).join(parts)

@@ -5,14 +5,16 @@ Every run writes a self-describing directory:
     out/
       config.json        resolved run configuration (scenario inlined)
       run_meta.json      per-seed frozen profiles, optimal actions, phases
-      seed_<s>/episodes.csv
-      episodes.csv       all seeds concatenated
+      seed_<s>/episodes.csv  written by the process that ran the seed
+      episodes.csv       all seeds concatenated, copied from the seed files
       summary.csv        eval-phase travel times by group
       convergence.csv    per-episode proportion of AVs on the optimal action
       convergence.svg
 
 Deterministic runs are byte-reproducible: same config, same files. CSV
 lines end in CRLF; floats are written as their shortest round-trip ``repr``.
+A failed run writes no ``config.json``, ``run_meta.json`` or aggregate
+file, though a seed that finished may have written its ``seed_<s>`` file.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import pickle
+import shutil
 import signal
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -395,7 +398,16 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     scenario = config.effective_scenario()
     if not scenario.av_ids:
         raise ConfigurationError("training needs at least one AV in the scenario")
-    seed_runs = fork_map(lambda s: run_seed(config, scenario, s), config.seeds, config.jobs)
+
+    def run_share_seed(seed: int) -> SeedRun:
+        run = run_seed(config, scenario, seed)  # in the process that runs this seed's share
+        if write:
+            with _open_csv(config.out_dir / f"seed_{seed}" / "episodes.csv") as handle:
+                handle.write(next(_csv_lines([EPISODE_CSV_HEADER])))
+                handle.writelines(episode_csv_blocks(run.all_logs, scenario, "\r\n"))
+        return run
+
+    seed_runs = fork_map(run_share_seed, config.seeds, config.jobs)
     # Seeds mostly freeze the same humans: one optimum per frozen profile.
     optima: dict[tuple, dict[int, int]] = {}
     for run in seed_runs:
@@ -461,6 +473,9 @@ def summary_from_times(times_by_kind: Mapping[str, Sequence[float]]) -> list[lis
 
 
 def write_experiment(result: ExperimentResult) -> None:
+    """Write every file but the ``seed_<s>/episodes.csv`` files, which
+    ``run_experiment``'s shares have written: ``episodes.csv`` is their bytes
+    in seed order, with the first file's header and no later one's."""
     out = result.out_dir
     out.mkdir(parents=True, exist_ok=True)
     config_doc = result.config.to_dict()
@@ -496,16 +511,12 @@ def write_experiment(result: ExperimentResult) -> None:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    # Each day's block is formatted once and written to both episode files.
-    header = next(_csv_lines([EPISODE_CSV_HEADER]))
-    with _open_csv(out / "episodes.csv") as combined:
-        combined.write(header)
-        for run in result.seed_runs:
-            with _open_csv(out / f"seed_{run.seed}" / "episodes.csv") as per_seed:
-                per_seed.write(header)
-                for block in episode_csv_blocks(run.all_logs, result.scenario, "\r\n"):
-                    per_seed.write(block)
-                    combined.write(block)
+    with open(out / "episodes.csv", "wb") as combined:
+        for k, run in enumerate(result.seed_runs):
+            with open(out / f"seed_{run.seed}" / "episodes.csv", "rb") as per_seed:
+                if k:
+                    per_seed.readline()  # the header, already written
+                shutil.copyfileobj(per_seed, combined)
 
     _write_csv(
         out / "summary.csv",

@@ -73,8 +73,9 @@ class UcbLearner:
             if self.counts[a] == 0:
                 return a
         c_eff = self.c / self.reward_scale()
+        log_total = math.log(self.total)
         indices = [
-            self.means[a] + c_eff * math.sqrt(math.log(self.total) / self.counts[a])
+            self.means[a] + c_eff * math.sqrt(log_total / self.counts[a])
             for a in range(self.n_actions)
         ]
         return _argmax_lowest(indices)
@@ -277,6 +278,7 @@ def train(
     """
     # Frozen humans are fixed routes; each AV gets a training and an evaluation chooser.
     avs = []  # (learner, action space, departure slot) in av_ids order
+    seen: list[ObsKey] = []  # per AV: the route counts its training chooser was last given
     training, evaluation = [], []
     for slot, agent in enumerate(scenario.agents):
         space = agent.action_space
@@ -293,12 +295,17 @@ def train(
             raise ConfigurationError(f"no learner spec for AV {agent.id}")
         learner = make_learner(learner_specs[agent.id], len(space))
         rng = random.Random(f"{seed}:{agent.id}:policy")
-        training.append(lambda counts, f=learner.select, r=rng, s=space: s[f(counts, r)])
+
+        def choose(counts, select=learner.select, r=rng, s=space, k=len(avs)):
+            seen[k] = counts  # what update gets after the day
+            return s[select(counts, r)]
+
+        training.append(choose)
+        seen.append(())
         evaluation.append(lambda counts, f=learner.greedy, s=space: s[f(counts)])
         avs.append((learner, space, slot))
 
     engine = RewardEngine(scenario, reward_config)
-    route_ids = range(len(scenario.network.routes))
     logs: list[EpisodeLog] = []
     for e in range(train_episodes + eval_episodes):
         learning = e < train_episodes
@@ -313,11 +320,9 @@ def train(
             episode_seed(seed, episode, stochastic),
         )
         if learning:
-            routes = log.routes
-            for (learner, space, slot), m in zip(avs, log.intrinsic):
-                counts = tuple(map(routes[:slot].count, route_ids))  # what the chooser saw
+            for (learner, space, slot), m, counts in zip(avs, log.intrinsic, seen):
                 reward = shaped_reward(-log.times[slot], m, reward_config)
-                learner.update(counts, space.index(routes[slot]), reward)
+                learner.update(counts, space.index(log.routes[slot]), reward)
         logs.append(log)
 
     return TrainResult(

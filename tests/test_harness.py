@@ -686,16 +686,39 @@ def fail_on_seed(monkeypatch, failing_seed, fail):
     monkeypatch.setattr(harness, "run_seed", patched)
 
 
+RUN_FILES = (
+    "config.json",
+    "run_meta.json",
+    "episodes.csv",
+    "summary.csv",
+    "convergence.csv",
+    "convergence.svg",
+)
+
+
+def assert_no_run_files(out: Path) -> None:
+    """A failed run writes none of its run-level files; a finished seed may leave its own."""
+    assert [name for name in RUN_FILES if (out / name).exists()] == []
+
+
 def test_a_child_exception_is_raised_again_with_its_type_and_message(tmp_path, monkeypatch):
     def fail():
         raise ConfigurationError("seed 1 cannot run")
 
     fail_on_seed(monkeypatch, 1, fail)
-    with pytest.raises(ConfigurationError, match="^seed 1 cannot run$"):
-        run_experiment(tiny_config(tmp_path))
-    assert_no_child_left()
-    assert run_train_cli(tmp_path, small_train_doc(seeds=[0, 1]), "--jobs", "2") == 2
-    assert_no_child_left()
+    for jobs in (1, 2):
+        config = tiny_config(tmp_path, out_dir=tmp_path / f"jobs_{jobs}", jobs=jobs)
+        with pytest.raises(ConfigurationError, match="^seed 1 cannot run$"):
+            run_experiment(config)
+        assert_no_child_left()
+        assert_no_run_files(config.out_dir)
+        # Seed 0 ran first (jobs 1) or in the calling process's share (jobs 2).
+        assert (config.out_dir / "seed_0" / "episodes.csv").is_file()
+        cli_dir = tmp_path / f"cli_{jobs}"
+        cli_dir.mkdir()
+        assert run_train_cli(cli_dir, small_train_doc(seeds=[0, 1]), "--jobs", str(jobs)) == 2
+        assert_no_child_left()
+        assert_no_run_files(cli_dir / "out")
 
 
 def test_a_child_that_exits_without_a_result_is_named(tmp_path, monkeypatch):
@@ -703,6 +726,27 @@ def test_a_child_that_exits_without_a_result_is_named(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match=r"worker for \[1\] exited with status 3"):
         run_experiment(tiny_config(tmp_path))
     assert_no_child_left()
+    assert_no_run_files(tmp_path / "run")
+
+
+def test_each_share_formats_only_its_own_seeds(tmp_path, monkeypatch):
+    # The child's calls append to its own copy of the list, never to this one.
+    formatted = []
+    blocks = harness.episode_csv_blocks
+
+    def spy(logs, scenario, end):
+        formatted.append({log.seed for log in logs})
+        return blocks(logs, scenario, end)
+
+    monkeypatch.setattr(harness, "episode_csv_blocks", spy)
+    seeds = (0, 1, 2)
+    run_experiment(small_config(tmp_path, out_dir=tmp_path / "parallel", seeds=seeds, jobs=2))
+    assert formatted == [{0}, {2}]
+    assert_no_child_left()
+    formatted.clear()
+    run_experiment(small_config(tmp_path, out_dir=tmp_path / "serial", seeds=seeds, jobs=1))
+    assert formatted == [{0}, {1}, {2}]
+    assert artifacts(tmp_path / "parallel") == artifacts(tmp_path / "serial")
 
 
 def test_a_failing_parent_share_kills_its_children(tmp_path, monkeypatch):

@@ -17,7 +17,9 @@ window at least the gap (``Scenario.monotone``); a pinned test shows a
 counterexample outside it. The reward engine's memoised scores must equal
 the matrix scored column by column, on first sight of a day and on its
 repeat. Episode CSV lines must equal what ``csv.writer`` writes, both in
-artifacts and on ``routelab simulate``'s stdout.
+artifacts and on ``routelab simulate``'s stdout, and a day's block must not
+depend on which other days share the call. A trained learner must update on
+the observation it selected on.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -44,13 +47,17 @@ from routelab import (
     RewardEngine,
     RouteSpec,
     Scenario,
+    freeze_all,
     intrinsic_reward,
+    run_warmup,
     simulate,
     simulate_batch,
     simulate_without,
     run_episode,
+    train,
     two_route_yield_scenario,
 )
+import routelab.learners as learners
 from routelab.cli import main
 from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks, episode_seed
 from routelab.harness import _cell
@@ -73,18 +80,26 @@ def grid_or_float(grid, low, high):
 
 
 @st.composite
-def cases(draw, noisy: bool = False, yield_regime: bool = False, on_grid: bool = False):
+def cases(
+    draw,
+    noisy: bool = False,
+    yield_regime: bool = False,
+    on_grid: bool = False,
+    n_routes: int | None = None,
+):
     """(scenario, joint action, seed) for one generated world.
 
     ``yield_regime`` keeps to two routes, one of them yielding, with a
     window at least the gap, as in the default calibration. ``on_grid``
     draws every time from the round values only, so that ties abound.
+    ``n_routes`` fixes the route count, else 2-4 are drawn.
     """
 
     def value(grid, low, high):
         return st.sampled_from(grid) if on_grid else grid_or_float(grid, low, high)
 
-    n_routes = 2 if yield_regime else draw(st.integers(2, 4))
+    if n_routes is None:
+        n_routes = 2 if yield_regime else draw(st.integers(2, 4))
     pre_merge = draw(
         st.lists(
             value([5.0, 10.0, 20.0, 40.0, 50.0], 1.0, 60.0),
@@ -357,6 +372,81 @@ def test_episode_lines_match_csv_writer(case, alpha, beta, scope, stream):
     for end in ("\r\n", "\n"):
         expected = [csv_writer_lines([log], scenario, end) for log in logs]
         assert list(episode_csv_blocks(logs, scenario, end)) == expected
+
+
+def trained_logs(scenario, frozen, algorithm, beta, seed, days=12):
+    """A seed's training and evaluation run; the humans keep their ``frozen`` routes."""
+    stochastic = scenario.noise_sigma > 0
+    specs = {av: {"algorithm": algorithm} for av in scenario.av_ids}
+    config = RewardConfig(beta=beta)
+    return train(
+        scenario, specs, config, days, 4, seed, frozen, stochastic=stochastic, episode_offset=days
+    )
+
+
+# Each example trains a seed: fewer examples keep these within the suite's budget.
+TRAINING_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=40)
+
+
+@TRAINING_SETTINGS
+@given(
+    st.one_of(cases(), cases(noisy=True)),
+    st.sampled_from((0.0, 200.0)),
+    st.randoms(use_true_random=False),
+)
+def test_episode_blocks_do_not_depend_on_the_other_days(case, beta, rng):
+    # Warm-up and training logs, each listed twice and shuffled together, so
+    # that repeated days, noisy ones included, are seldom neighbours.
+    scenario, action, seed = case
+    humans, warmup = run_warmup(scenario, 12, seed, stochastic=scenario.noise_sigma > 0)
+    profile = freeze_all(humans)
+    frozen = {i: profile[i] for i in scenario.human_ids}
+    result = trained_logs(scenario, frozen, "ucb", beta, seed)
+    logs = (warmup + result.train_logs + result.eval_logs) * 2
+    rng.shuffle(logs)
+    for end in ("\r\n", "\n"):
+        expected = [next(episode_csv_blocks([log], scenario, end)) for log in logs]
+        assert list(episode_csv_blocks(logs, scenario, end)) == expected
+
+
+@TRAINING_SETTINGS
+@given(
+    st.one_of(cases(n_routes=3), cases(noisy=True, n_routes=3)),
+    st.sampled_from(("ucb", "q", "pg")),
+)
+def test_learners_update_on_the_observation_they_selected_on(case, algorithm):
+    scenario, action, seed = case
+    calls = []  # per AV in departure order: ("select" | "update", observation)
+    make_learner = learners.make_learner
+
+    def spied(spec, n_actions):
+        learner, seen = make_learner(spec, n_actions), []
+        select, update = learner.select, learner.update
+
+        def spy_select(obs, rng):
+            seen.append(("select", obs))
+            return select(obs, rng)
+
+        def spy_update(obs, index, reward):
+            seen.append(("update", obs))
+            update(obs, index, reward)
+
+        learner.select, learner.update = spy_select, spy_update
+        calls.append(seen)
+        return learner
+
+    frozen = {i: action[i] for i in scenario.human_ids}
+    with mock.patch.object(learners, "make_learner", spied):
+        result = trained_logs(scenario, frozen, algorithm, 200.0, seed)
+    slots = [k for k, agent in enumerate(scenario.agents) if agent.kind == "av"]
+    assert len(calls) == len(slots)
+    for slot, seen in zip(slots, calls):
+        expected = []
+        for log in result.train_logs:
+            earlier = log.routes[:slot]
+            observed = tuple(earlier.count(route) for route in range(3))
+            expected += [("select", observed), ("update", observed)]
+        assert seen == expected
 
 
 @PROPERTY_SETTINGS
