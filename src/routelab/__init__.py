@@ -38,7 +38,6 @@ from .rewards import (
 )
 from .scenarios import (
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     two_route_yield_network,

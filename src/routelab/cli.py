@@ -194,20 +194,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, noise: bool = False, warmup: bool = False, training: bool = False
+) -> None:
+    """The config flags a subcommand reads: the shared six, then the groups it asks for."""
     parser.add_argument("--config", help="run-config JSON path")
     parser.add_argument("--scenario", help="scenario JSON path (overrides config)")
     parser.add_argument("--seed", type=int, help="single seed (overrides config list)")
     parser.add_argument("--seeds", help="comma-separated seed list")
-    parser.add_argument("--jobs", type=int, help="forked processes for seeds/sweep points")
     parser.add_argument("--out", help="output directory or file")
     parser.add_argument("--scope", choices=SCOPES)
-    parser.add_argument("--mode", choices=("deterministic", "stochastic"))
-    parser.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    parser.add_argument("--warmup-days", type=int, dest="warmup_days")
-    parser.add_argument("--episodes", type=int, help="training episodes")
-    parser.add_argument("--eval-episodes", type=int, dest="eval_episodes")
-    parser.add_argument("--algorithm", choices=ALGORITHMS)
+    if noise or training:
+        parser.add_argument("--mode", choices=("deterministic", "stochastic"))
+        parser.add_argument("--noise-sigma", type=float, dest="noise_sigma")
+    if warmup or training:
+        parser.add_argument("--warmup-days", type=int, dest="warmup_days")
+    if training:
+        parser.add_argument("--jobs", type=int, help="forked processes for seeds/sweep points")
+        parser.add_argument("--episodes", type=int, help="training episodes")
+        parser.add_argument("--eval-episodes", type=int, dest="eval_episodes")
+        parser.add_argument("--algorithm", choices=ALGORITHMS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,29 +224,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one episode with constant routes")
-    _add_common(p)
+    _add_common(p, noise=True)
     p.add_argument("--route", type=int, default=0, help="route for every agent")
     p.add_argument("--action", help="per-agent route list, departure order")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="full pipeline: warm-up, train, evaluate")
-    _add_common(p)
+    _add_common(p, training=True)
     p.add_argument("--beta", help="shaping coefficient override")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep-beta", help="repeat train over a beta list")
-    _add_common(p)
+    _add_common(p, training=True)
     p.add_argument("--beta", help="comma-separated beta values", required=True)
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("equilibria", help="enumerate Nash equilibria on a grid")
-    _add_common(p)
+    _add_common(p, warmup=True)
     p.add_argument("--alpha", help="comma-separated alpha values (default 1)")
     p.add_argument("--beta", help="comma-separated beta values (default 0)")
     p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("marginal", help="marginal cost matrix for one joint action")
-    _add_common(p)
+    _add_common(p, warmup=True)
     p.add_argument("--action", required=True, help="per-AV route list, e.g. [1,0,1,0,0,0,1,0,1,1]")
     p.set_defaults(func=cmd_marginal)
 

@@ -23,11 +23,12 @@ deviation terms are differences of two rows, kept once per distinct pair
 (with its ``beta_max``) and indexed per (profile, AV). The run without AV
 ``k`` does not depend on ``k``'s route, so it is kept once, as a row of slot
 ``k``'s counterfactual table (travel times by slot, NaN at ``k``), and every
-``M`` is scored from those tables at once. The tables are filled by the
-batched kernel ``network.simulate_rosters``, ``ROSTER_LANES`` rosters per
-call, so a fill's extra memory does not grow with the profile count. A
-selfish setting (beta = 0 or scope "none") builds no counterfactual table,
-so it costs one simulated roster per profile.
+``M`` is scored from those tables at once. A fill is one list of rosters in
+table order, each a profile and the slot it leaves absent, and the batched
+kernel ``network.simulate_rosters`` takes it ``ROSTER_LANES`` rosters per
+call, so a pass's route and presence matrices do not grow with the profile
+count. A selfish setting (beta = 0 or scope "none") builds no
+counterfactual table, so it costs one simulated roster per profile.
 """
 
 from __future__ import annotations
@@ -141,11 +142,8 @@ class EquilibriumAnalyzer:
                 raise ConfigurationError(f"no frozen route for human {human}")
         self.av_ids = scenario.av_ids
         self.spaces = [scenario.agent(av).action_space for av in self.av_ids]
-        self._strides = []
-        size = 1
-        for space in reversed(self.spaces):
-            self._strides.insert(0, size)
-            size *= len(space)
+        self._strides = [math.prod(map(len, self.spaces[k + 1 :])) for k in range(len(self.spaces))]
+        size = math.prod(map(len, self.spaces))
         if size > bound:
             raise ConfigurationError(
                 f"joint-action space has {size} profiles, above the bound {bound}; "
@@ -192,51 +190,40 @@ class EquilibriumAnalyzer:
     def _simulate(self, counterfactuals: bool) -> None:
         """Fill the full runs, if not yet filled, and if asked the counterfactual tables.
 
-        The rosters go to ``simulate_rosters`` in passes of at most
-        ``ROSTER_LANES``: first the full run of every profile, then per AV
-        slot ``k`` the rows of its table, each the profile with ``k`` on the
-        first route of its space and ``k``'s slot absent.
+        The fill is one roster list in table order: each roster's profile and
+        the column of the slot it leaves absent (``n``, none, for a full run).
+        It holds every profile if the full runs are missing, then per AV slot
+        ``k`` the profiles with ``k`` on the first route of its space, ``k``
+        absent. The list goes to ``simulate_rosters`` in passes of at most
+        ``ROSTER_LANES`` into one array, which ``np.split`` cuts into the tables.
         """
         n = len(self._ids)
-        segments = ([None] if self._full is None else []) + list(
-            range(len(self.spaces) if counterfactuals else 0)
-        )
-        tables = [
-            np.empty((self.space_size // (1 if k is None else len(self.spaces[k])), n))
-            for k in segments
-        ]
-        starts = np.cumsum([0] + [len(table) for table in tables]).tolist()
+        rows = np.arange(self.space_size)
+        profiles, columns = [rows if self._full is None else rows[:0]], [n]
+        if counterfactuals:
+            profiles += [
+                np.flatnonzero(rows // stride % len(space) == 0)
+                for space, stride in zip(self.spaces, self._strides)
+            ]
+            columns += self._av_columns
+        sizes = [len(p) for p in profiles]
+        profile, absent = np.concatenate(profiles), np.repeat(columns, sizes)
+        times = np.empty((len(profile), n))
         spaces = [np.array(space) for space in self.spaces]
         template = np.array(self.scenario.routes_of(self.full_action(self.profile_at(0))))
-        for start in range(0, starts[-1], ROSTER_LANES):
-            end = min(start + ROSTER_LANES, starts[-1])
-            profile = np.empty(end - start, dtype=np.intp)
-            present = np.ones((end - start, n), dtype=bool)
-            parts = []
-            for k, table, first in zip(segments, tables, starts):
-                lo, hi = max(first, start), min(first + len(table), end)
-                if lo >= hi:
-                    continue
-                rows, lanes = slice(lo - first, hi - first), slice(lo - start, hi - start)
-                profile[lanes] = np.arange(rows.start, rows.stop)
-                if k is not None:  # table row -> profile, with k's digit 0
-                    stride = self._strides[k]
-                    high, low = np.divmod(profile[lanes], stride)
-                    profile[lanes] = high * (stride * len(spaces[k])) + low
-                    present[lanes, self._av_columns[k]] = False
-                parts.append((table, rows, lanes))
-            routes = np.tile(template, (end - start, 1))
+        for start in range(0, len(profile), ROSTER_LANES):
+            lanes = slice(start, start + ROSTER_LANES)
+            routes = np.tile(template, (len(profile[lanes]), 1))
             for space, stride, c in zip(spaces, self._strides, self._av_columns):
-                routes[:, c] = space[profile // stride % len(space)]
-            times = simulate_rosters(self.scenario, routes, present)
-            for table, rows, lanes in parts:
-                table[rows] = times[lanes]
+                routes[:, c] = space[profile[lanes] // stride % len(space)]
+            present = np.arange(n) != absent[lanes, None]
+            times[lanes] = simulate_rosters(self.scenario, routes, present)
+        full, *withouts = np.split(times, np.cumsum(sizes)[:-1])
+        self.simulations_run += len(profile)
         if self._full is None:
-            self._full = tables.pop(0)
-            self.simulations_run += self.space_size
+            self._full = full
         if counterfactuals:
-            self.simulations_run += sum(map(len, tables))
-            self._withouts = tables
+            self._withouts = withouts
 
     def _full_runs(self) -> np.ndarray:
         """Travel times by slot of every profile's full run, one row per profile."""
@@ -275,10 +262,10 @@ class EquilibriumAnalyzer:
         ``M`` is built only when the intrinsic term has weight, so selfish
         settings cost one simulation per profile.
         """
-        if not config.needs_intrinsic:
-            return config.alpha * -self._full_runs()[:, self._av_columns]
-        m = self._intrinsic_table(config)  # first: its fill includes the full runs
-        return config.alpha * -self._full_runs()[:, self._av_columns] + config.beta * m
+        # M first: its fill includes the full runs.
+        m = self._intrinsic_table(config) if config.needs_intrinsic else None
+        e = config.alpha * -self._full_runs()[:, self._av_columns]
+        return e if m is None else e + config.beta * m
 
     def rewards(self, action: tuple[int, ...], config: RewardConfig) -> dict[int, float]:
         """Shaped reward per AV in one profile: one ``evaluate`` on a cold engine.

@@ -31,8 +31,7 @@ import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -403,7 +402,7 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
         run = run_seed(config, scenario, seed)  # in the process that runs this seed's share
         if write:
             with _open_csv(config.out_dir / f"seed_{seed}" / "episodes.csv") as handle:
-                handle.write(next(_csv_lines([EPISODE_CSV_HEADER])))
+                handle.write(_line(EPISODE_CSV_HEADER))
                 handle.writelines(episode_csv_blocks(run.all_logs, scenario, "\r\n"))
         return run
 
@@ -426,13 +425,9 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
 # -- artifact writers ---------------------------------------------------------
 
 
-def _csv_lines(rows: Iterable[Sequence]) -> Iterator[str]:
-    """One CSV line per row, each cell formatted by ``_cell``."""
-    line: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=line.append))
-    for row in rows:
-        writer.writerow([_cell(value) for value in row])
-        yield line.pop()
+def _line(row: Sequence) -> str:
+    """One CSV line, each cell formatted by ``_cell``; no cell ever needs quoting."""
+    return ",".join(map(_cell, row)) + "\r\n"
 
 
 def _open_csv(path: Path) -> TextIO:
@@ -442,13 +437,13 @@ def _open_csv(path: Path) -> TextIO:
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with _open_csv(path) as handle:
-        handle.writelines(_csv_lines(itertools.chain([header], rows)))
+        handle.writelines(map(_line, itertools.chain([header], rows)))
 
 
 def _write_convergence(path: Path, points_by_seed: Iterable[tuple[int, list]]) -> None:
     """convergence.csv: one f-string per (episode, phase, proportion) point of each seed."""
     with _open_csv(path) as handle:
-        handle.write(next(_csv_lines([CONVERGENCE_CSV_HEADER])))
+        handle.write(_line(CONVERGENCE_CSV_HEADER))
         for seed, points in points_by_seed:
             handle.writelines(f"{e},{seed},{phase},{p!r}\r\n" for e, phase, p in points)
 
@@ -476,27 +471,19 @@ def write_experiment(result: ExperimentResult) -> None:
     """Write every file but the ``seed_<s>/episodes.csv`` files, which
     ``run_experiment``'s shares have written: ``episodes.csv`` is their bytes
     in seed order, with the first file's header and no later one's."""
-    out = result.out_dir
+    out, config = result.out_dir, result.config
     out.mkdir(parents=True, exist_ok=True)
-    config_doc = result.config.to_dict()
     with open(out / "config.json", "w", encoding="utf-8") as handle:
-        json.dump(config_doc, handle, indent=2, sort_keys=True)
+        json.dump(config.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
+    lengths = (config.warmup_days, config.train_episodes, config.eval_episodes)
+    bounds = [0, *itertools.accumulate(lengths)]
     meta = {
-        "seed_order": list(result.config.seeds),
+        "seed_order": list(config.seeds),
         "phases": {
-            "warmup": [0, result.config.warmup_days],
-            "train": [
-                result.config.warmup_days,
-                result.config.warmup_days + result.config.train_episodes,
-            ],
-            "eval": [
-                result.config.warmup_days + result.config.train_episodes,
-                result.config.warmup_days
-                + result.config.train_episodes
-                + result.config.eval_episodes,
-            ],
+            phase: [start, end]
+            for phase, start, end in zip(("warmup", "train", "eval"), bounds, bounds[1:])
         },
         "seeds": {
             str(run.seed): {
@@ -673,7 +660,7 @@ def equilibrium_grid(
     table = None if scope == "none" else analyzer.deviation_records(canonical)
     if table is not None:
         with _open_csv(out / "deviations.csv") as handle:
-            handle.write(next(_csv_lines([DEVIATIONS_CSV_HEADER])))
+            handle.write(_line(DEVIATIONS_CSV_HEADER))
             # No cell needs quoting: codes, ids and floats hold no comma, quote or newline.
             # Each distinct pair's tail is formatted once, each profile's code built once.
             tails = [

@@ -92,18 +92,10 @@ def line_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    y_range: tuple[float, float] | None = None,
+    y_range: tuple[float, float],
 ) -> str:
     xs = [x for s in series for x in s.xs] or [0.0, 1.0]
-    ys = [y for s in series for y in s.ys] or [0.0, 1.0]
-    x_min, x_max = min(xs), max(xs)
-    if y_range is not None:
-        y_min, y_max = y_range
-    else:
-        y_min, y_max = min(ys), max(ys)
-        pad = 0.05 * ((y_max - y_min) or 1.0)
-        y_min, y_max = y_min - pad, y_max + pad
-    parts, sx, sy = _axes(x_min, x_max, y_min, y_max, xlabel, ylabel, title)
+    parts, sx, sy = _axes(min(xs), max(xs), *y_range, xlabel, ylabel, title)
     legend_y = MARGIN_TOP + 10
     for k, s in enumerate(series):
         color = s.color or PALETTE[k % len(PALETTE)]

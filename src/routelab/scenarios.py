@@ -19,6 +19,7 @@ The JSON schema mirrors the dataclass fields one to one::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -90,27 +91,8 @@ def two_route_yield_scenario(
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "network": {
-            "routes": [
-                {"pre_merge_time": r.pre_merge_time, "has_priority": r.has_priority}
-                for r in scenario.network.routes
-            ],
-            "merge_gap_g": scenario.network.merge_gap_g,
-            "yield_window_w": scenario.network.yield_window_w,
-            "post_merge_time": scenario.network.post_merge_time,
-        },
-        "agents": [
-            {
-                "id": a.id,
-                "kind": a.kind,
-                "departure_time": a.departure_time,
-                "action_space": list(a.action_space),
-            }
-            for a in scenario.agents
-        ],
-        "noise_sigma": scenario.noise_sigma,
-    }
+    """The scenario's JSON document: its dataclass fields, arrays as tuples (JSON arrays)."""
+    return dataclasses.asdict(scenario)
 
 
 # Each scenario document key, by level, and the JSON type parse_value reads it as.
@@ -148,9 +130,3 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, encoding="utf-8") as handle:
         return scenario_from_dict(json.load(handle))
 
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scenario_to_dict(scenario), handle, indent=2)
-        handle.write("\n")

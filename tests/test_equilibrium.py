@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import routelab.equilibrium
 import routelab.rewards
 from routelab import (
     AgentSpec,
@@ -573,3 +574,29 @@ def test_generated_deviation_tables_index_each_cells_deltas(game):
                 expected = (times[high][k] - times[low][k], scores[high][k] - scores[low][k])
                 pair = table.pairs[table.index[p, k]]
                 assert list(map(float.hex, pair)) == list(map(float.hex, expected))
+
+
+def filled_tables(scenario, humans, shaped_first):
+    """Everything a fill leaves behind, as bytes, after one order of table requests."""
+    selfish = RewardConfig(alpha=1.0, beta=0.0, scope="none")
+    analyzer = EquilibriumAnalyzer(scenario, humans)
+    for config in (*TABLE_CONFIGS, selfish) if shaped_first else (selfish, *TABLE_CONFIGS):
+        analyzer.reward_table(config)
+    return (
+        analyzer._full.tobytes(),
+        [without.tobytes() for without in analyzer._withouts],
+        [analyzer.reward_table(config).tobytes() for config in (selfish, *TABLE_CONFIGS)],
+        analyzer.simulations_run,
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(generated_games(), st.booleans())
+def test_generated_fills_do_not_depend_on_the_pass_width(game, shaped_first):
+    # Widths of 1, 3 and 7 rosters make passes cross from the full runs into
+    # the counterfactual tables, and from one table into the next.
+    expected = filled_tables(*game, shaped_first)
+    for lanes in (1, 3, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(routelab.equilibrium, "ROSTER_LANES", lanes)
+            assert filled_tables(*game, shaped_first) == expected

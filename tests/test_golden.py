@@ -2,7 +2,8 @@
 
 Each run below writes its artifacts to a fresh directory; every file except
 ``config.json`` (which embeds the output directory) must hash to the value
-recorded here. A refactor that claims "same results" keeps these unchanged;
+recorded here. ``config.json`` is pinned by its own run, whose output
+directory is relative. A refactor that claims "same results" keeps these unchanged;
 a change that alters results on purpose must say so and record new digests.
 The stochastic run guards how noisy 17-digit floats are written. The kernel
 digest pins the raw travel times of ``simulate_batch`` (full run and every
@@ -63,6 +64,9 @@ NON_MONOTONE_GRID_DIGESTS = {
 
 # 10 generated worlds x 20 seeded days: 3-4 routes, window below the gap,
 # shuffled non-contiguous agent ids, every other world noisy.
+# A run config that sets every key to something other than its default.
+CONFIG_JSON_DIGEST = "ead447edda9f19ab117bf7a47bd3326c563d9c128153e99c3c7729c5e7f6d23d"
+
 KERNEL_DIGEST = "99fe4cfe37b4599ace6943d952180d4af99c78dd2de4afb71bbc0c8b482e8364"
 
 
@@ -98,6 +102,34 @@ def test_shaped_stochastic_experiment_digests(tmp_path):
     config = shaped_experiment(tmp_path / "run", "stochastic")
     run_experiment(config)
     assert digests(config.out_dir) == STOCHASTIC_EXPERIMENT_DIGESTS
+
+
+def test_config_json_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    network = two_route_yield_network(pre_merge=(40.0, 44.5), merge_gap=3.0, yield_window=1.0)
+    base = two_route_yield_scenario(
+        n_agents=6, av_ids=(1, 3), headway=1.5, noise_sigma=0.5, network=network
+    )
+    agents = tuple(
+        dataclasses.replace(a, action_space=(1, 0)) if a.id == 3 else a for a in base.agents
+    )
+    config = RunConfig(
+        scenario=dataclasses.replace(base, agents=agents),
+        learner={"algorithm": "q", "learning_rate": 0.3},
+        learners_by_id={3: {"algorithm": "fixed", "route": 1}},
+        reward=RewardConfig(alpha=2.0, beta=0.7, scope="system", tanh_scale=0.25, raw_sum=True),
+        warmup_days=3,
+        train_episodes=2,
+        eval_episodes=1,
+        seeds=(2, 0),
+        mode="stochastic",
+        noise_sigma=1.25,
+        out_dir="run",
+    )
+    run_experiment(config)
+    assert hashlib.sha256((tmp_path / "run" / "config.json").read_bytes()).hexdigest() == (
+        CONFIG_JSON_DIGEST
+    )
 
 
 def grid_digests(config):

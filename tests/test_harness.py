@@ -918,6 +918,34 @@ def test_cli_sweep_rejects_betas_that_share_a_directory(tmp_path, capsys, betas)
     assert not out.exists()
 
 
+IGNORED_FLAG_VALUES = {
+    "--mode": "stochastic",
+    "--noise-sigma": "1",
+    "--warmup-days": "5",
+    "--jobs": "2",
+    "--episodes": "5",
+    "--eval-episodes": "5",
+    "--algorithm": "q",
+}
+TRAINING_FLAGS = ("--jobs", "--episodes", "--eval-episodes", "--algorithm")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["simulate"], flag) for flag in ("--warmup-days", *TRAINING_FLAGS)]
+    + [
+        (argv, flag)
+        for argv in (["equilibria"], ["marginal", "--action", "0"])
+        for flag in ("--mode", "--noise-sigma", *TRAINING_FLAGS)
+    ],
+)
+def test_cli_rejects_flags_the_subcommand_would_ignore(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, flag, IGNORED_FLAG_VALUES[flag]])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["train"], ["sweep-beta", "--beta", "0,1", "--jobs", "2"]])
 def test_cli_rejects_a_scenario_without_avs(tmp_path, capsys, command):
     doc = {
