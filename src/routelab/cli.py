@@ -69,17 +69,9 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         learner = {"algorithm": args.algorithm}
 
     updates = {"reward": reward, "seeds": seeds, "learner": learner}
-    for field, attr in (
-        ("warmup_days", "warmup_days"),
-        ("train_episodes", "episodes"),
-        ("eval_episodes", "eval_episodes"),
-        ("mode", "mode"),
-        ("noise_sigma", "noise_sigma"),
-        ("jobs", "jobs"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[field] = value
+    for field in ("warmup_days", "train_episodes", "eval_episodes", "mode", "noise_sigma", "jobs"):
+        if getattr(args, field, None) is not None:
+            updates[field] = getattr(args, field)
     if getattr(args, "out", None):
         updates["out_dir"] = Path(args.out)
     return dataclasses.replace(config, **updates)
@@ -142,7 +134,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"seed {run.seed}: humans frozen to route"
             f"{'s' if len(routes) > 1 else ''} {profile}"
         )
-    print(f"run artifacts written to {result.out_dir}")
+    print(f"run artifacts written to {config.out_dir}")
     return 0
 
 
@@ -211,7 +203,7 @@ def _add_common(
         parser.add_argument("--warmup-days", type=int, dest="warmup_days")
     if training:
         parser.add_argument("--jobs", type=int, help="forked processes for seeds/sweep points")
-        parser.add_argument("--episodes", type=int, help="training episodes")
+        parser.add_argument("--episodes", type=int, dest="train_episodes", help="training episodes")
         parser.add_argument("--eval-episodes", type=int, dest="eval_episodes")
         parser.add_argument("--algorithm", choices=ALGORITHMS)
 

@@ -46,7 +46,7 @@ from .network import ConfigurationError, Scenario, simulate_rosters
 # equilibrium.intrinsic_reward; without it --trace 1 fails.
 from .rewards import RewardConfig, RewardEngine, intrinsic_reward, shaped_reward
 
-DEFAULT_ENUMERATION_BOUND = 2**20
+ENUMERATION_BOUND = 2**20  # most profiles an analyzer enumerates
 ROSTER_LANES = 2048  # rosters per simulate_rosters call: a pass's memory is O(lanes)
 STRICTNESS_TOLERANCE = 1e-9
 
@@ -86,13 +86,13 @@ class DeviationTable(NamedTuple):
 
 @dataclass
 class EquilibriumReport:
+    """One grid point's pure Nash equilibria; ``system_optimum`` is the analyzer's."""
+
     alpha: float
     beta: float
     scope: str
     equilibria: list[tuple[int, ...]]
     count: int
-    optima: list[tuple[int, ...]]
-    optimum_total_time: float
 
 
 def encode_action(action: tuple[int, ...]) -> str:
@@ -115,7 +115,7 @@ class EquilibriumAnalyzer:
 
     - the full runs: every driver's travel time, one column per slot. ``E``,
       the extrinsic reward, is minus the AV columns, and ``system_optimum``
-      sums each row once;
+      sums each row;
     - ``M``: each AV's intrinsic score, one column per AV slot and one table
       per (scope, tanh_scale, raw_sum), since only those settings change it.
 
@@ -125,12 +125,7 @@ class EquilibriumAnalyzer:
     score single profiles without the tables.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        humans_profile: Mapping[int, int],
-        bound: int = DEFAULT_ENUMERATION_BOUND,
-    ):
+    def __init__(self, scenario: Scenario, humans_profile: Mapping[int, int]):
         if scenario.noise_sigma != 0:
             raise ConfigurationError(
                 "equilibrium analysis requires deterministic mode (noise_sigma = 0)"
@@ -144,10 +139,10 @@ class EquilibriumAnalyzer:
         self.spaces = [scenario.agent(av).action_space for av in self.av_ids]
         self._strides = [math.prod(map(len, self.spaces[k + 1 :])) for k in range(len(self.spaces))]
         size = math.prod(map(len, self.spaces))
-        if size > bound:
+        if size > ENUMERATION_BOUND:
             raise ConfigurationError(
-                f"joint-action space has {size} profiles, above the bound {bound}; "
-                "shrink the scenario or raise the bound"
+                f"joint-action space has {size} profiles, above the bound {ENUMERATION_BOUND}; "
+                "shrink the scenario or raise ENUMERATION_BOUND"
             )
         self.space_size = size
         self.simulations_run = 0  # the rosters the table fill simulated
@@ -156,7 +151,6 @@ class EquilibriumAnalyzer:
         self._full: np.ndarray | None = None  # travel times, profiles x agents
         self._withouts: list[np.ndarray] | None = None  # per slot, runs without it
         self._m: dict[tuple[str, float, bool], np.ndarray] = {}
-        self._optimum: tuple[list[tuple[int, ...]], float] | None = None
 
     # -- joint-action plumbing -------------------------------------------
 
@@ -300,15 +294,12 @@ class EquilibriumAnalyzer:
                 neighbours = self._neighbours(slot, position)
                 stable &= (neighbours == rows) | ~(rewards[neighbours, slot] > own)
         equilibria = [self.profile_at(int(p)) for p in np.flatnonzero(stable)]
-        optima, best_total = self.system_optimum()
         return EquilibriumReport(
             alpha=config.alpha,
             beta=config.beta,
             scope=config.scope,
             equilibria=equilibria,
             count=len(equilibria),
-            optima=optima,
-            optimum_total_time=best_total,
         )
 
     def system_optimum(self) -> tuple[list[tuple[int, ...]], float]:
@@ -316,20 +307,19 @@ class EquilibriumAnalyzer:
 
         The scan keeps a running best in enumeration order: a total more than
         the tolerance below it starts a new optimum set, one within the
-        tolerance of it joins the set. It runs once per analyzer.
+        tolerance of it joins the set. Returns the optima in enumeration
+        order and their total travel time.
         """
-        if self._optimum is None:
-            best_total = math.inf
-            optima: list[int] = []
-            totals = np.cumsum(self._full_runs(), axis=1)[:, -1]  # each row in slot order
-            for p, total in enumerate(totals.tolist()):
-                if total < best_total - STRICTNESS_TOLERANCE:
-                    best_total = total
-                    optima = [p]
-                elif total <= best_total + STRICTNESS_TOLERANCE:
-                    optima.append(p)
-            self._optimum = [self.profile_at(p) for p in optima], best_total
-        return list(self._optimum[0]), self._optimum[1]
+        best_total = math.inf
+        optima: list[int] = []
+        totals = np.cumsum(self._full_runs(), axis=1)[:, -1]  # each row in slot order
+        for p, total in enumerate(totals.tolist()):
+            if total < best_total - STRICTNESS_TOLERANCE:
+                best_total = total
+                optima = [p]
+            elif total <= best_total + STRICTNESS_TOLERANCE:
+                optima.append(p)
+        return [self.profile_at(p) for p in optima], best_total
 
     def deviation_records(self, config: RewardConfig) -> DeviationTable | None:
         """Every (joint action, AV) pair's route-switch terms if every action space is binary."""

@@ -87,6 +87,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("deterministic", "stochastic"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if self.mode == "stochastic" and self.noise_sigma == 0:
+            raise ConfigurationError("stochastic mode needs noise_sigma > 0")
         for name in ("warmup_days", "train_episodes", "eval_episodes"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
@@ -106,13 +108,9 @@ class RunConfig:
             make_learner(spec, len(self.scenario.agent(av).action_space))
         self.out_dir = Path(self.out_dir)
 
-    @property
-    def stochastic(self) -> bool:
-        return self.mode == "stochastic"
-
     def effective_scenario(self) -> Scenario:
         """Apply the mode: zero noise when deterministic, jitter otherwise."""
-        if not self.stochastic:
+        if self.mode == "deterministic":
             return self.scenario.with_noise(0.0)
         if self.noise_sigma is not None:
             return self.scenario.with_noise(self.noise_sigma)
@@ -250,12 +248,7 @@ def _optimal_actions(
 
 
 def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
-    humans, warmup_logs = run_warmup(
-        scenario,
-        config.warmup_days,
-        seed,
-        stochastic=config.stochastic,
-    )
+    humans, warmup_logs = run_warmup(scenario, config.warmup_days, seed)
     profile = freeze_all(humans)
     frozen_humans = {i: profile[i] for i in scenario.human_ids}
     result = train(
@@ -266,7 +259,6 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
         config.eval_episodes,
         seed,
         frozen_humans,
-        stochastic=config.stochastic,
         episode_offset=config.warmup_days,
     )
     return SeedRun(seed, scenario, warmup_logs, result, frozen_humans)
@@ -348,7 +340,6 @@ class ExperimentResult:
     config: RunConfig
     scenario: Scenario
     seed_runs: list[SeedRun]
-    out_dir: Path
 
     @cached_property
     def eval_times_by_kind(self) -> dict[str, list[float]]:
@@ -379,16 +370,13 @@ class ExperimentResult:
             return []
         return [float(np.mean(col)) for col in zip(*per_seed)]
 
-    def first_convergence_episode(
-        self,
-        threshold: float = CONVERGENCE_THRESHOLD,
-        window: int = CONVERGENCE_WINDOW,
-    ) -> int | None:
-        """First training episode whose trailing full-window mean proportion
-        reaches the threshold; None when it never does."""
+    def first_convergence_episode(self) -> int | None:
+        """First training episode whose trailing ``CONVERGENCE_WINDOW`` mean
+        proportion reaches ``CONVERGENCE_THRESHOLD``; None when it never does."""
         series = self.mean_training_proportions()
+        window = CONVERGENCE_WINDOW
         for e in range(window - 1, len(series)):
-            if float(np.mean(series[e - window + 1 : e + 1])) >= threshold:
+            if float(np.mean(series[e - window + 1 : e + 1])) >= CONVERGENCE_THRESHOLD:
                 return e
         return None
 
@@ -414,9 +402,7 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
         if key not in optima:
             optima[key] = _optimal_actions(scenario, run.frozen_profile)
         run.optimal_actions = optima[key]
-    result = ExperimentResult(
-        config=config, scenario=scenario, seed_runs=seed_runs, out_dir=config.out_dir
-    )
+    result = ExperimentResult(config=config, scenario=scenario, seed_runs=seed_runs)
     if write:
         write_experiment(result)
     return result
@@ -471,7 +457,8 @@ def write_experiment(result: ExperimentResult) -> None:
     """Write every file but the ``seed_<s>/episodes.csv`` files, which
     ``run_experiment``'s shares have written: ``episodes.csv`` is their bytes
     in seed order, with the first file's header and no later one's."""
-    out, config = result.out_dir, result.config
+    config = result.config
+    out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w", encoding="utf-8") as handle:
         json.dump(config.to_dict(), handle, indent=2, sort_keys=True)
@@ -582,16 +569,15 @@ def sweep_beta(config: RunConfig, betas: Sequence[float]) -> dict[float, Experim
     rows = []
     for beta in betas:
         result = results[beta]
-        pooled = result.eval_times_by_kind
-        first = result.first_convergence_episode()
+        (_, av_mean, _), (_, human_mean, _) = summary_from_times(result.eval_times_by_kind)
         rows.append(
             [
                 float(beta),
                 config.reward.scope,
-                float(np.mean(pooled["av"])) if pooled["av"] else math.nan,
-                float(np.mean(pooled["human"])) if pooled["human"] else math.nan,
+                av_mean,
+                human_mean,
                 result.eval_proportion_optimal(),
-                first,
+                result.first_convergence_episode(),
             ]
         )
     _write_csv(out / "beta_summary.csv", BETA_SUMMARY_CSV_HEADER, rows)

@@ -82,16 +82,14 @@ def freeze_all(humans: dict[int, HumanState]) -> dict[int, int]:
 
 
 def run_warmup(
-    scenario: Scenario,
-    days: int,
-    seed: int,
-    stochastic: bool = False,
+    scenario: Scenario, days: int, seed: int
 ) -> tuple[dict[int, HumanState], list[EpisodeLog]]:
     """Simulate the human learning phase; every agent adapts as a human.
 
     Returns the (unfrozen) states and the per-day logs. Exploration draws
     come from per-agent streams keyed by (seed, agent id) so one agent's
-    trajectory does not depend on how often others draw.
+    trajectory does not depend on how often others draw. A noisy scenario
+    (``noise_sigma > 0``) simulates each day under its own ``episode_seed``.
     """
     engine = RewardEngine(scenario, RewardConfig(alpha=1.0, beta=0.0, scope="none"))
     humans = initial_human_states(scenario)
@@ -105,7 +103,7 @@ def run_warmup(
         progress = day / (days - 1) if days > 1 else 1.0
         for state in humans.values():
             state.epsilon = DEFAULT_EPSILON_START * (1.0 - progress)
-        log = run_episode(engine, choosers, day, episode_seed(seed, day, stochastic))
+        log = run_episode(engine, choosers, day, episode_seed(seed, day, scenario.noise_sigma > 0))
         for state, route, t in zip(humans.values(), log.routes, log.times):
             state.update(route, t)
         logs.append(log)

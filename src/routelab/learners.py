@@ -266,7 +266,6 @@ def train(
     eval_episodes: int,
     seed: int,
     frozen_humans: Mapping[int, int],
-    stochastic: bool = False,
     episode_offset: int = 0,
 ) -> TrainResult:
     """Train AV learners against frozen humans for one seed, then evaluate greedily.
@@ -274,7 +273,8 @@ def train(
     Training queries ``select`` (with exploration) and updates each learner
     from its shaped reward; evaluation freezes the learners and replays the
     greedy policy with no updates. A learner acts on indices into its AV's
-    action space: index ``a`` is route ``action_space[a]``.
+    action space: index ``a`` is route ``action_space[a]``. A noisy scenario
+    (``noise_sigma > 0``) simulates each day under its own ``episode_seed``.
     """
     # Frozen humans are fixed routes; each AV gets a training and an evaluation chooser.
     avs = []  # (learner, action space, departure slot) in av_ids order
@@ -317,7 +317,7 @@ def train(
             engine,
             training if learning else evaluation,
             episode,
-            episode_seed(seed, episode, stochastic),
+            episode_seed(seed, episode, scenario.noise_sigma > 0),
         )
         if learning:
             for (learner, space, slot), m, counts in zip(avs, log.intrinsic, seen):

@@ -76,14 +76,6 @@ class ConfigurationError(ValueError):
     """A scenario, action, or runtime parameter violates its contract."""
 
 
-def reject_unknown_keys(doc: Mapping, known: Iterable[str], what: str) -> None:
-    """Fail on keys of a config document that nothing reads, such as typos."""
-    known = sorted(known)
-    unknown = sorted(set(doc).difference(known))
-    if unknown:
-        raise ConfigurationError(f"unknown {what} key(s) {unknown}; known keys are {known}")
-
-
 _DOCUMENT_TYPES = {
     bool: bool, int: (int, float), float: (int, float), str: str, tuple: (list, tuple), dict: dict
 }
@@ -115,10 +107,12 @@ def parse_value(cast: Callable | tuple, value, what: str):
 def read_document(doc: Mapping, types: Mapping[str, Callable | tuple], what: str) -> dict:
     """The keys ``doc`` has, each read by ``parse_value`` as its entry in ``types``.
 
-    A key outside ``types`` is an error. A key the document lacks stays out of
-    the result, so the field it fills keeps its own default.
+    A key outside ``types``, such as a typo, is an error. A key the document
+    lacks stays out of the result, so the field it fills keeps its own default.
     """
-    reject_unknown_keys(doc, types, what)
+    unknown = sorted(set(doc).difference(types))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key(s) {unknown}; known keys are {sorted(types)}")
     return {key: parse_value(types[key], value, f"{what} {key}") for key, value in doc.items()}
 
 

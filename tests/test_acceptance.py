@@ -92,18 +92,19 @@ def test_criterion_1_calibration_gate(world):
     start = time.perf_counter()
     selfish = RewardConfig(alpha=1.0, beta=0.0, scope="none")
     nash = analyzer.enumerate_nash(selfish)
+    optima, _ = analyzer.system_optimum()
     elapsed = time.perf_counter() - start
     ok = (
         nash.count == 1
         and nash.equilibria == [ALL_ROUTE_0]
-        and nash.optima == [ALL_ROUTE_0]
+        and optima == [ALL_ROUTE_0]
         and analyzer.simulations_run <= 1024
         and elapsed < 60.0
     )
     report(
         "criterion 1 (calibration gate)",
         ok,
-        f"equilibria={nash.count}, optima={len(nash.optima)}, "
+        f"equilibria={nash.count}, optima={len(optima)}, "
         f"simulations={analyzer.simulations_run}, {elapsed:.1f}s",
     )
 

@@ -42,8 +42,9 @@ def test_all_route0_unique_equilibrium_and_optimum_selfish():
     report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=0.0, scope="none"))
     assert report.count == 1
     assert report.equilibria == [(0, 0, 0, 0)]
-    assert report.optima == [(0, 0, 0, 0)]
-    assert report.optimum_total_time == 6 * 50.0
+    optima, total = analyzer.system_optimum()
+    assert optima == [(0, 0, 0, 0)]
+    assert total == 6 * 50.0
 
 
 def test_alpha_zero_makes_every_profile_an_equilibrium():
@@ -80,19 +81,6 @@ def test_single_av_system_optimum_is_fastest_route():
     optima, total = analyzer.system_optimum()
     assert optima == [(0,)]
     assert total == 50.0
-
-
-def test_system_optimum_scans_once_per_analyzer():
-    scenario, humans = small_game(n_av=3)
-    analyzer = EquilibriumAnalyzer(scenario, humans)
-    optima, total = analyzer.system_optimum()
-    assert optima == [(0, 0, 0)]
-    optima.append((1, 1, 1))  # the caller's list: the stored optimum stays as it was
-    # A second scan of these runs would find the slowest profile instead.
-    analyzer._full = -analyzer._full
-    for beta in (0.0, 1.0, 10.0):
-        report = analyzer.enumerate_nash(RewardConfig(alpha=1.0, beta=beta, scope="system"))
-        assert (report.optima, report.optimum_total_time) == ([(0, 0, 0)], total)
 
 
 def test_deviation_terms_without_conflicts():
@@ -276,10 +264,11 @@ def test_three_route_network_end_to_end():
     assert analyzer.deviation_records(RewardConfig()) is None  # binary-only analysis skipped
 
 
-def test_enumeration_bound_guard():
+def test_enumeration_bound_guard(monkeypatch):
     scenario, humans = small_game(n_av=4)
+    monkeypatch.setattr(routelab.equilibrium, "ENUMERATION_BOUND", 8)
     with pytest.raises(ConfigurationError, match="shrink"):
-        EquilibriumAnalyzer(scenario, humans, bound=8)
+        EquilibriumAnalyzer(scenario, humans)
 
 
 def test_analyzer_requires_deterministic_mode():

@@ -182,6 +182,24 @@ def test_jobs_below_one_rejected(tmp_path):
             small_config(tmp_path, jobs=jobs)
 
 
+def test_stochastic_mode_without_noise_rejected():
+    with pytest.raises(ConfigurationError, match="stochastic mode needs noise_sigma > 0"):
+        config_from_dict({"mode": "stochastic", "noise_sigma": 0.0})
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep-beta", "--beta", "0,1"]])
+def test_cli_rejects_stochastic_mode_without_noise(tmp_path, capsys, command):
+    scenario_path = write_default_scenario(tmp_path)
+    small = ["--warmup-days", "3", "--episodes", "2", "--eval-episodes", "1", "--seeds", "0"]
+    noise = ["--mode", "stochastic", "--noise-sigma", "0"]
+    out = tmp_path / "run"
+    argv = [*command, "--scenario", str(scenario_path), *small, *noise, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "stochastic mode needs noise_sigma > 0" in err
+    assert not list(tmp_path.rglob("episodes.csv"))
+
+
 def test_cli_rejects_unknown_run_config_key(tmp_path, capsys):
     doc = {"scenario": scenario_to_dict(small_scenario()), "train_epsiodes": 5}
     path = tmp_path / "typo.json"

@@ -376,12 +376,9 @@ def test_episode_lines_match_csv_writer(case, alpha, beta, scope, stream):
 
 def trained_logs(scenario, frozen, algorithm, beta, seed, days=12):
     """A seed's training and evaluation run; the humans keep their ``frozen`` routes."""
-    stochastic = scenario.noise_sigma > 0
     specs = {av: {"algorithm": algorithm} for av in scenario.av_ids}
     config = RewardConfig(beta=beta)
-    return train(
-        scenario, specs, config, days, 4, seed, frozen, stochastic=stochastic, episode_offset=days
-    )
+    return train(scenario, specs, config, days, 4, seed, frozen, episode_offset=days)
 
 
 # Each example trains a seed: fewer examples keep these within the suite's budget.
@@ -398,7 +395,7 @@ def test_episode_blocks_do_not_depend_on_the_other_days(case, beta, rng):
     # Warm-up and training logs, each listed twice and shuffled together, so
     # that repeated days, noisy ones included, are seldom neighbours.
     scenario, action, seed = case
-    humans, warmup = run_warmup(scenario, 12, seed, stochastic=scenario.noise_sigma > 0)
+    humans, warmup = run_warmup(scenario, 12, seed)
     profile = freeze_all(humans)
     frozen = {i: profile[i] for i in scenario.human_ids}
     result = trained_logs(scenario, frozen, "ucb", beta, seed)
