@@ -7,7 +7,7 @@ Subcommands:
     sweep-beta  repeat train for several shaping coefficients
     equilibria  exhaustive Nash enumeration over an (alpha, beta) grid
     marginal    marginal-cost matrix for one AV joint action
-    report      recompute summary/convergence CSVs from an existing run
+    report      rewrite summary.csv, convergence.csv and convergence.svg of a run
 
 Flags given on the command line override the corresponding config fields.
 No environment variables are required. Exit status is 0 exactly when every
@@ -26,12 +26,12 @@ from .episode import EPISODE_CSV_HEADER, episode_csv_blocks, run_episode
 from .harness import (
     RunConfig,
     equilibrium_grid,
+    freeze_humans,
     load_config,
     regenerate_report,
     run_experiment,
     sweep_beta,
 )
-from .humans import freeze_all, run_warmup
 from .learners import ALGORITHMS
 from .network import ConfigurationError
 from .rewards import SCOPES, RewardEngine
@@ -170,9 +170,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--action needs one route per AV ({len(scenario.av_ids)}), got {len(routes)}"
         )
-    humans, _ = run_warmup(scenario, config.warmup_days, config.seeds[0])
-    profile = freeze_all(humans)
-    action = {i: profile[i] for i in scenario.human_ids}
+    action, _ = freeze_humans(scenario, config.warmup_days, config.seeds[0])
     action.update(zip(scenario.av_ids, routes))
     engine = RewardEngine(scenario, config.reward)
     matrix = engine.marginal_matrix(action, config.seeds[0])
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", required=True, help="per-AV route list, e.g. [1,0,1,0,0,0,1,0,1,1]")
     p.set_defaults(func=cmd_marginal)
 
-    p = sub.add_parser("report", help="recompute derived CSVs for a run directory")
+    p = sub.add_parser("report", help="rewrite the derived files of a run directory")
     p.add_argument("--out", required=True, help="existing run directory")
     p.set_defaults(func=cmd_report)
 

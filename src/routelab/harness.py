@@ -15,6 +15,9 @@ Deterministic runs are byte-reproducible: same config, same files. CSV
 lines end in CRLF; floats are written as their shortest round-trip ``repr``.
 A failed run writes no ``config.json``, ``run_meta.json`` or aggregate
 file, though a seed that finished may have written its ``seed_<s>`` file.
+
+One writer derives the last three files from the seed runs; ``routelab
+report`` rebuilds the seed runs from a run's files and calls it again.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import pickle
 import shutil
 import signal
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, NoReturn, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -211,46 +215,38 @@ class SeedRun:
         targets = [(ids.index(av), route) for av, route in self.optimal_actions.items()]
         return [
             (log.episode, phase, proportion_optimal(log.routes, targets))
-            for phase, logs in (
-                ("train", self.result.train_logs),
-                ("eval", self.result.eval_logs),
-            )
+            for phase, logs in (("train", self.result.train_logs), ("eval", self.result.eval_logs))
             for log in logs
         ]
 
 
-def proportion_optimal(routes, targets: Collection[tuple]) -> float:
-    """Fraction of the (key, optimal route) ``targets`` met by ``routes``, by slot or by id."""
-    return sum(1 for key, route in targets if routes[key] == route) / len(targets)
+def proportion_optimal(routes: Sequence[int], targets: Collection[tuple[int, int]]) -> float:
+    """Fraction of the (slot, optimal route) ``targets`` met by the day's ``routes``."""
+    return sum(1 for slot, route in targets if routes[slot] == route) / len(targets)
 
 
-def _optimal_actions(
-    scenario: Scenario, frozen_profile: Mapping[int, int]
-) -> dict[int, int]:
+def _optimal_actions(scenario: Scenario, frozen_profile: Mapping[int, int]) -> dict[int, int]:
     """Per-AV route in the system optimum of the noise-free game.
 
     When several joint actions tie for the optimum, the first of them in
     enumeration order (``itertools.product`` over the AV action spaces, the
-    last AV varying fastest) is the target. Falls back to each AV's
-    free-flow fastest route when the joint-action space is too large to
-    enumerate.
+    last AV varying fastest) is the target. Above ``ENUMERATION_BOUND`` joint
+    actions the analyzer raises ``ConfigurationError``: there is no optimum.
     """
-    try:
-        analyzer = EquilibriumAnalyzer(scenario.with_noise(0.0), frozen_profile)
-        optima, _ = analyzer.system_optimum()
-        return dict(zip(analyzer.av_ids, optima[0]))
-    except ConfigurationError:
-        routes = scenario.network.routes
-        return {
-            av: min(scenario.agent(av).action_space, key=lambda r: routes[r].pre_merge_time)
-            for av in scenario.av_ids
-        }
+    analyzer = EquilibriumAnalyzer(scenario.with_noise(0.0), frozen_profile)
+    optima, _ = analyzer.system_optimum()
+    return dict(zip(analyzer.av_ids, optima[0]))
+
+
+def freeze_humans(scenario: Scenario, days: int, seed: int) -> tuple[dict, list[EpisodeLog]]:
+    """The human warm-up, frozen: each human id's frozen route, and the warm-up day logs."""
+    states, logs = run_warmup(scenario, days, seed)
+    profile = freeze_all(states)
+    return {i: profile[i] for i in scenario.human_ids}, logs
 
 
 def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
-    humans, warmup_logs = run_warmup(scenario, config.warmup_days, seed)
-    profile = freeze_all(humans)
-    frozen_humans = {i: profile[i] for i in scenario.human_ids}
+    frozen_humans, warmup_logs = freeze_humans(scenario, config.warmup_days, seed)
     result = train(
         scenario,
         config.learner_specs(),
@@ -353,6 +349,15 @@ class ExperimentResult:
         return pooled
 
     @cached_property
+    def summary(self) -> list[list]:
+        """summary.csv's rows: each group's eval travel-time mean and std, computed once."""
+        pooled = self.eval_times_by_kind
+        return [
+            [group, float(np.mean(t)), float(np.std(t))] if t else [group, math.nan, math.nan]
+            for group, t in (("avs", pooled["av"]), ("humans", pooled["human"]))
+        ]
+
+    @cached_property
     def proportions(self) -> list[list[tuple[int, str, float]]]:
         """Each seed run's ``SeedRun.proportions`` rows, computed once."""
         return [run.proportions() for run in self.seed_runs]
@@ -361,19 +366,17 @@ class ExperimentResult:
         values = [p for rows in self.proportions for (_, phase, p) in rows if phase == "eval"]
         return float(np.mean(values)) if values else math.nan
 
-    def mean_training_proportions(self) -> list[float]:
-        """Seed-averaged proportion on the optimal action per training episode."""
-        per_seed = []
-        for rows in self.proportions:
-            per_seed.append([p for (_, phase, p) in rows if phase == "train"])
-        if not per_seed or not per_seed[0]:
-            return []
-        return [float(np.mean(col)) for col in zip(*per_seed)]
+    @cached_property
+    def mean_proportions(self) -> list[float]:
+        """Each train, then eval, episode's mean over seeds of ``proportions``, computed once."""
+        # Every seed has the same episodes: one row per episode, one column per seed.
+        rows = [[p for (_, _, p) in points] for points in zip(*self.proportions)]
+        return np.array(rows).reshape(len(rows), len(self.proportions)).mean(axis=1).tolist()
 
     def first_convergence_episode(self) -> int | None:
         """First training episode whose trailing ``CONVERGENCE_WINDOW`` mean
         proportion reaches ``CONVERGENCE_THRESHOLD``; None when it never does."""
-        series = self.mean_training_proportions()
+        series = self.mean_proportions[: self.config.train_episodes]
         window = CONVERGENCE_WINDOW
         for e in range(window - 1, len(series)):
             if float(np.mean(series[e - window + 1 : e + 1])) >= CONVERGENCE_THRESHOLD:
@@ -396,12 +399,9 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
 
     seed_runs = fork_map(run_share_seed, config.seeds, config.jobs)
     # Seeds mostly freeze the same humans: one optimum per frozen profile.
-    optima: dict[tuple, dict[int, int]] = {}
+    optimum = cache(lambda profile: _optimal_actions(scenario, dict(profile)))
     for run in seed_runs:
-        key = tuple(run.frozen_profile.items())
-        if key not in optima:
-            optima[key] = _optimal_actions(scenario, run.frozen_profile)
-        run.optimal_actions = optima[key]
+        run.optimal_actions = optimum(tuple(run.frozen_profile.items()))
     result = ExperimentResult(config=config, scenario=scenario, seed_runs=seed_runs)
     if write:
         write_experiment(result)
@@ -426,31 +426,12 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         handle.writelines(map(_line, itertools.chain([header], rows)))
 
 
-def _write_convergence(path: Path, points_by_seed: Iterable[tuple[int, list]]) -> None:
-    """convergence.csv: one f-string per (episode, phase, proportion) point of each seed."""
-    with _open_csv(path) as handle:
-        handle.write(_line(CONVERGENCE_CSV_HEADER))
-        for seed, points in points_by_seed:
-            handle.writelines(f"{e},{seed},{phase},{p!r}\r\n" for e, phase, p in points)
-
-
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if value is None:
         return ""
     return str(value)
-
-
-def summary_from_times(times_by_kind: Mapping[str, Sequence[float]]) -> list[list]:
-    rows = []
-    for group, key in (("avs", "av"), ("humans", "human")):
-        values = times_by_kind.get(key, [])
-        if values:
-            rows.append([group, float(np.mean(values)), float(np.std(values))])
-        else:
-            rows.append([group, math.nan, math.nan])
-    return rows
 
 
 def write_experiment(result: ExperimentResult) -> None:
@@ -464,14 +445,8 @@ def write_experiment(result: ExperimentResult) -> None:
         json.dump(config.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    lengths = (config.warmup_days, config.train_episodes, config.eval_episodes)
-    bounds = [0, *itertools.accumulate(lengths)]
     meta = {
-        "seed_order": list(config.seeds),
-        "phases": {
-            phase: [start, end]
-            for phase, start, end in zip(("warmup", "train", "eval"), bounds, bounds[1:])
-        },
+        **_meta_from_config(config),
         "seeds": {
             str(run.seed): {
                 "frozen_profile": {str(k): v for k, v in run.frozen_profile.items()},
@@ -492,41 +467,52 @@ def write_experiment(result: ExperimentResult) -> None:
                     per_seed.readline()  # the header, already written
                 shutil.copyfileobj(per_seed, combined)
 
-    _write_csv(
-        out / "summary.csv",
-        SUMMARY_CSV_HEADER,
-        summary_from_times(result.eval_times_by_kind),
-    )
-
-    seeds = [run.seed for run in result.seed_runs]
-    _write_convergence(out / "convergence.csv", zip(seeds, result.proportions))
-
-    with open(out / "convergence.svg", "w", encoding="utf-8") as handle:
-        handle.write(convergence_svg(result.proportions))
+    _write_derived(result)
 
 
-def convergence_svg(proportions: Sequence[list[tuple[int, str, float]]]) -> str:
-    """Per-seed proportion curves plus their mean, from ``SeedRun.proportions`` rows."""
-    series = []
-    for points in proportions:
-        series.append(
-            Series(
-                label="",
-                xs=[float(e) for (e, _, _) in points],
-                ys=[p for (_, _, p) in points],
-                color="#9ecae1",
-                width=0.9,
-                opacity=0.8,
-            )
+def _meta_from_config(config: RunConfig) -> dict:
+    """run_meta.json's seed order and phases (each phase's first day and the day after its last)."""
+    lengths = (config.warmup_days, config.train_episodes, config.eval_episodes)
+    bounds = [0, *itertools.accumulate(lengths)]
+    phases = zip(("warmup", "train", "eval"), bounds, bounds[1:])
+    return {
+        "seed_order": list(config.seeds),
+        "phases": {phase: [start, end] for phase, start, end in phases},
+    }
+
+
+def _write_derived(result: ExperimentResult) -> None:
+    """summary.csv, convergence.csv and convergence.svg, derived from the seed runs."""
+    out = result.config.out_dir
+    _write_csv(out / "summary.csv", SUMMARY_CSV_HEADER, result.summary)
+
+    with _open_csv(out / "convergence.csv") as handle:
+        handle.write(_line(CONVERGENCE_CSV_HEADER))
+        for run, points in zip(result.seed_runs, result.proportions):
+            handle.writelines(f"{e},{run.seed},{phase},{p!r}\r\n" for e, phase, p in points)
+
+    svg = convergence_svg(result.proportions, result.mean_proportions)
+    (out / "convergence.svg").write_text(svg, encoding="utf-8")
+
+
+def convergence_svg(proportions: Sequence[list[tuple]], means: list[float]) -> str:
+    """Per-seed curves of ``SeedRun.proportions`` rows, plus their per-episode ``means``."""
+    series = [
+        Series(
+            label="",
+            xs=[float(e) for (e, _, _) in points],
+            ys=[p for (_, _, p) in points],
+            color="#9ecae1",
+            width=0.9,
+            opacity=0.8,
         )
-    # Every seed has the same episodes: one row per episode, one column per seed.
-    episodes = list(zip(*proportions))
-    rows = [[p for (_, _, p) in points] for points in episodes]
+        for points in proportions
+    ]
     series.append(
         Series(
             label="mean over seeds",
-            xs=[float(points[0][0]) for points in episodes],
-            ys=np.array(rows).reshape(len(rows), len(proportions)).mean(axis=1).tolist(),
+            xs=[float(e) for (e, _, _) in proportions[0]],
+            ys=means,
             color="#1f77b4",
             width=2.2,
         )
@@ -569,7 +555,7 @@ def sweep_beta(config: RunConfig, betas: Sequence[float]) -> dict[float, Experim
     rows = []
     for beta in betas:
         result = results[beta]
-        (_, av_mean, _), (_, human_mean, _) = summary_from_times(result.eval_times_by_kind)
+        (_, av_mean, _), (_, human_mean, _) = result.summary
         rows.append(
             [
                 float(beta),
@@ -582,16 +568,11 @@ def sweep_beta(config: RunConfig, betas: Sequence[float]) -> dict[float, Experim
         )
     _write_csv(out / "beta_summary.csv", BETA_SUMMARY_CSV_HEADER, rows)
 
-    overlay = []
-    for k, beta in enumerate(betas):
-        series = results[beta].mean_training_proportions()
-        overlay.append(
-            Series(
-                label=f"beta={beta:g}",
-                xs=[float(e) for e in range(len(series))],
-                ys=series,
-            )
-        )
+    xs = [float(e) for e in range(config.train_episodes)]
+    overlay = [
+        Series(label=f"beta={beta:g}", xs=xs, ys=results[beta].mean_proportions[: len(xs)])
+        for beta in betas
+    ]
     with open(out / "convergence_overlay.svg", "w", encoding="utf-8") as handle:
         handle.write(
             line_plot(
@@ -618,9 +599,7 @@ def equilibrium_grid(
     if not alphas or not betas:
         raise ConfigurationError("equilibria grid needs non-empty alpha and beta lists")
     scenario = config.scenario.with_noise(0.0)
-    humans, _ = run_warmup(scenario, config.warmup_days, config.seeds[0])
-    profile = freeze_all(humans)
-    frozen_humans = {i: profile[i] for i in scenario.human_ids}
+    frozen_humans, _ = freeze_humans(scenario, config.warmup_days, config.seeds[0])
     analyzer = EquilibriumAnalyzer(scenario, frozen_humans)
 
     out = Path(config.out_dir)
@@ -674,59 +653,80 @@ def equilibrium_grid(
     return reports
 
 
-# -- report (recompute derived artifacts from episode logs) -------------------
+
+
+# -- report (rewrite the derived files from a run's logs) --------------------
 
 
 def regenerate_report(run_dir: str | Path) -> None:
-    """Rebuild summary.csv and convergence.csv from episodes.csv.
-
-    The aggregate episodes file holds one block per seed, in the order the
-    seeds appear in run_meta.json; each block covers every day of the
-    run_meta.json phases once, one row per agent. A file that does not (say
-    a truncated or padded one) raises ``ConfigurationError``.
-    """
+    """Rewrite summary.csv, convergence.csv and convergence.svg through ``_write_derived``,
+    from seed runs rebuilt out of config.json, run_meta.json and episodes.csv. Inputs that
+    do not fit config.json raise ``ConfigurationError`` before any file is written."""
     run_dir = Path(run_dir)
-    with open(run_dir / "run_meta.json", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    train_start, _ = meta["phases"]["train"]
-    eval_start, days = meta["phases"]["eval"]
-    seeds = [int(s) for s in meta["seed_order"]]
+    config = dataclasses.replace(load_config(run_dir / "config.json"), out_dir=run_dir)
+    scenario = config.effective_scenario()
+    meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
+    expected = _meta_from_config(config)
+    if not isinstance(meta, dict) or {key: meta.get(key) for key in expected} != expected:
+        raise ConfigurationError("run_meta.json: seed_order and phases must match config.json")
+    (_, train_start), (_, eval_start), (_, days) = expected["phases"].values()
 
+    seed_runs = []
     with open(run_dir / "episodes.csv", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != EPISODE_CSV_HEADER:
+        rows = csv.reader(handle)
+        if tuple(next(rows, ())) != EPISODE_CSV_HEADER:
             raise ConfigurationError("episodes.csv has an unexpected header")
-        rows = list(reader)
+        for seed in config.seeds:
+            frozen, optimal, simulated = _seed_meta(meta, seed, scenario)
+            logs = _read_days(rows, days, seed, scenario, config.reward)
+            trained = TrainResult(seed, logs[train_start:eval_start], logs[eval_start:], simulated)
+            seed_runs.append(SeedRun(seed, scenario, logs[:train_start], trained, frozen, optimal))
+        if next(rows, None) is not None:
+            raise ConfigurationError("episodes.csv has rows beyond the run_meta.json phases")
+    _write_derived(ExperimentResult(config, scenario, seed_runs))
 
-    times_by_kind: dict[str, list[float]] = {"av": [], "human": []}
-    convergence: list[tuple[int, list]] = []
-    start = 0
-    for seed in seeds:
+
+def _seed_meta(meta: dict, seed: int, scenario: Scenario) -> tuple[dict, dict, int]:
+    """One seed's frozen human routes, optimal AV routes and simulation count in run_meta.json."""
+    what = f"run_meta.json seed {seed}"
+    try:
         info = meta["seeds"][str(seed)]
-        optimal = {int(k): v for k, v in info["optimal_actions"].items()}
-        agent_ids = sorted(int(i) for i in (*info["frozen_profile"], *optimal))
-        points: list[tuple[int, str, float]] = []
-        convergence.append((seed, points))
-        for day in range(days):
-            day_rows = rows[start : start + len(agent_ids)]
-            start += len(agent_ids)
-            chosen = {int(row["agent_id"]): int(row["action"]) for row in day_rows}
-            if sorted(chosen) != agent_ids or any(int(row["episode"]) != day for row in day_rows):
-                raise ConfigurationError(
-                    f"episodes.csv: the block of seed {seed} lacks one row per agent "
-                    f"for day {day} of the run_meta.json phases"
-                )
-            if day >= eval_start:
-                for row in day_rows:
-                    times_by_kind[row["kind"]].append(float(row["travel_time"]))
-            if day >= train_start:
-                phase = "eval" if day >= eval_start else "train"
-                proportion = proportion_optimal(chosen, optimal.items())
-                points.append((day, phase, proportion))
-    if start != len(rows):
-        raise ConfigurationError(
-            f"episodes.csv has {len(rows) - start} rows beyond the run_meta.json phases"
+        humans, avs = info["frozen_profile"], info["optimal_actions"]
+        human_ids, av_ids = scenario.human_ids, scenario.av_ids
+        return (
+            {i: parse_value(int, humans[str(i)], f"{what} frozen_profile") for i in human_ids},
+            {i: parse_value(int, avs[str(i)], f"{what} optimal_actions") for i in av_ids},
+            parse_value(int, info["simulations_run"], f"{what} simulations_run"),
         )
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(f"{what}: a missing or malformed entry ({exc})") from None
 
-    _write_csv(run_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_from_times(times_by_kind))
-    _write_convergence(run_dir / "convergence.csv", convergence)
+
+def _read_days(
+    rows: Iterator[list[str]], days: int, seed: int, scenario: Scenario, reward: RewardConfig
+) -> list[EpisodeLog]:
+    """The next ``days`` blocks of episodes.csv rows, as the logs they were written from."""
+    labels = (tuple(map(str, scenario.ids)), tuple(agent.kind for agent in scenario.agents))
+    spaces = [agent.action_space for agent in scenario.agents]
+    logs = []
+    for day in range(days):
+        try:
+            # One column per field; rows of unequal length raise ValueError.
+            episodes, ids, kinds, actions, times, _, scores, _, seeds = zip(
+                *itertools.islice(rows, len(spaces)), strict=True
+            )
+            routes = tuple(map(int, actions))
+            if (ids, kinds) == labels and episodes == (str(day),) * len(spaces) and all(
+                map(operator.contains, spaces, routes)
+            ):
+                times = tuple(map(float, times))
+                intrinsic = tuple(float(scores[k]) for k in scenario.av_slots)
+                logs.append(EpisodeLog(day, routes, times, intrinsic, int(seeds[0]), reward))
+                continue
+        except ValueError:
+            pass
+        raise ConfigurationError(
+            f"episodes.csv: the block of seed {seed} lacks day {day} of the run_meta.json "
+            "phases as one readable row per agent, in departure order"
+        )
+    return logs

@@ -107,9 +107,10 @@ def parse_value(cast: Callable | tuple, value, what: str):
 def read_document(doc: Mapping, types: Mapping[str, Callable | tuple], what: str) -> dict:
     """The keys ``doc`` has, each read by ``parse_value`` as its entry in ``types``.
 
-    A key outside ``types``, such as a typo, is an error. A key the document
-    lacks stays out of the result, so the field it fills keeps its own default.
+    A ``doc`` that is not a JSON object, or a key outside ``types`` such as a typo, is
+    an error. A key the document lacks stays out, so its field keeps its own default.
     """
+    doc = parse_value(dict, doc, what)
     unknown = sorted(set(doc).difference(types))
     if unknown:
         raise ConfigurationError(f"unknown {what} key(s) {unknown}; known keys are {sorted(types)}")

@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -198,6 +199,17 @@ def test_cli_rejects_stochastic_mode_without_noise(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "stochastic mode needs noise_sigma > 0" in err
     assert not list(tmp_path.rglob("episodes.csv"))
+
+
+@pytest.mark.parametrize("doc", [[], "train", 5])
+def test_cli_rejects_a_run_config_that_is_not_an_object(tmp_path, capsys, doc):
+    # An empty list used to read as an empty document, the built-in world.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run config: cannot read") and "as dict" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_unknown_run_config_key(tmp_path, capsys):
@@ -434,6 +446,18 @@ def test_optimal_actions_take_first_tied_optimum():
     assert _optimal_actions(scenario, {}) == {0: 1, 1: 0, 2: 1}
 
 
+def test_train_without_an_enumerable_optimum_exits_2(tmp_path, capsys, monkeypatch):
+    # Three binary AVs make 8 joint actions: above a bound of 4 no system
+    # optimum is computed, and no stand-in is called optimal.
+    import routelab.equilibrium as equilibrium
+
+    monkeypatch.setattr(equilibrium, "ENUMERATION_BOUND", 4)
+    assert run_train_cli(tmp_path, small_train_doc()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "above the bound 4" in err
+    assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
 def test_cli_action_wrong_length(tmp_path, capsys):
     scenario_path = write_default_scenario(tmp_path)
     code = main(["simulate", "--scenario", str(scenario_path), "--action", "0,1"])
@@ -524,15 +548,17 @@ def test_deterministic_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+DERIVED = ("summary.csv", "convergence.csv", "convergence.svg")
+
+
 def test_report_regenerates_identical_summary(train_run, tmp_path):
     config, _ = train_run
     out = config.out_dir
-    summary_before = (out / "summary.csv").read_bytes()
-    convergence_before = (out / "convergence.csv").read_bytes()
+    before = {name: (out / name).read_bytes() for name in DERIVED}
     (out / "summary.csv").unlink()
+    (out / "convergence.svg").unlink()
     regenerate_report(out)
-    assert (out / "summary.csv").read_bytes() == summary_before
-    assert (out / "convergence.csv").read_bytes() == convergence_before
+    assert {name: (out / name).read_bytes() for name in DERIVED} == before
 
 
 def test_cli_report_command(train_run):
@@ -542,19 +568,96 @@ def test_cli_report_command(train_run):
 
 def test_report_regenerates_stochastic_run(tmp_path):
     # per-episode seeds vary within each block here, so reconstruction must
-    # not lean on the seed column
+    # not lean on the seed column; the seeds run in two forked shares
     config = small_config(
-        tmp_path, out_dir=tmp_path / "stoch", mode="stochastic", seeds=(2, 5)
+        tmp_path, out_dir=tmp_path / "stoch", mode="stochastic", seeds=(2, 5), jobs=2
     )
     run_experiment(config)
     out = config.out_dir
-    summary_before = (out / "summary.csv").read_bytes()
-    convergence_before = (out / "convergence.csv").read_bytes()
-    (out / "summary.csv").unlink()
-    (out / "convergence.csv").unlink()
+    before = {name: (out / name).read_bytes() for name in DERIVED}
+    for name in DERIVED:
+        (out / name).unlink()
     regenerate_report(out)
-    assert (out / "summary.csv").read_bytes() == summary_before
-    assert (out / "convergence.csv").read_bytes() == convergence_before
+    assert {name: (out / name).read_bytes() for name in DERIVED} == before
+
+
+def test_report_reads_a_moved_run_directory(train_run, tmp_path):
+    # config.json names the directory the run wrote; report writes where it reads.
+    config, _ = train_run
+    moved = tmp_path / "moved"
+    shutil.copytree(config.out_dir, moved)
+    for name in DERIVED:
+        (moved / name).unlink()
+    assert main(["report", "--out", str(moved)]) == 0
+    for name in DERIVED:
+        assert (moved / name).read_bytes() == (config.out_dir / name).read_bytes()
+
+
+def _edit_cell(out, day, column, value, seed_block=0):
+    """Set ``column`` of the first row of ``day`` in one seed's block of episodes.csv."""
+    path = out / "episodes.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    agents = len(small_scenario().agents)
+    days = len(rows) // agents // 2
+    index = (seed_block * days + day) * agents
+    cells = rows[index].rstrip("\r\n").split(",")
+    cells[EPISODE_CSV_HEADER.index(column)] = value
+    rows[index] = ",".join(cells) + "\r\n"
+    path.write_text(header + "".join(rows), encoding="utf-8", newline="")
+
+
+def _edit_meta(out, edit):
+    path = out / "run_meta.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    edit(meta)
+    path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+# Each edit of a finished run's inputs, and the words its error names.
+REPORT_INPUT_EDITS = {
+    "non-numeric action": (lambda out: _edit_cell(out, 40, "action", "left"), "seed 0"),
+    "action outside the space": (lambda out: _edit_cell(out, 40, "action", "7"), "seed 0"),
+    "non-numeric travel time": (lambda out: _edit_cell(out, 75, "travel_time", "x"), "day 75"),
+    "eval row kind robot": (lambda out: _edit_cell(out, 75, "kind", "robot", 1), "seed 1"),
+    "warm-up row kind robot": (lambda out: _edit_cell(out, 3, "kind", "robot"), "day 3"),
+    "eval human relabelled av": (lambda out: _edit_cell(out, 75, "kind", "av"), "day 75"),
+    "meta without phases": (lambda out: _edit_meta(out, lambda m: m.pop("phases")), "phases"),
+    "meta phases moved": (
+        lambda out: _edit_meta(out, lambda m: m["phases"]["eval"].__setitem__(0, 79)),
+        "phases",
+    ),
+    "meta without a seed": (lambda out: _edit_meta(out, lambda m: m["seeds"].pop("1")), "seed 1"),
+    "meta without optimal actions": (
+        lambda out: _edit_meta(out, lambda m: m["seeds"]["0"].pop("optimal_actions")),
+        "optimal_actions",
+    ),
+    "meta optimal action a string": (
+        lambda out: _edit_meta(
+            out, lambda m: m["seeds"]["0"]["optimal_actions"].__setitem__("1", "1")
+        ),
+        "optimal_actions",
+    ),
+    "missing config.json": (lambda out: (out / "config.json").unlink(), "config.json"),
+    "config.json not an object": (
+        lambda out: (out / "config.json").write_text("[]", encoding="utf-8"),
+        "run config: cannot read [] as dict",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", REPORT_INPUT_EDITS)
+def test_report_rejects_bad_inputs_and_writes_nothing(tmp_path, capsys, edit):
+    # 30 warm-up, 40 training and 10 eval days per seed; slot 0 is a human.
+    config = small_config(tmp_path, seeds=(0, 1))
+    run_experiment(config)
+    out = config.out_dir
+    before = {name: (out / name).read_bytes() for name in DERIVED}
+    corrupt, named = REPORT_INPUT_EDITS[edit]
+    corrupt(out)
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert {name: (out / name).read_bytes() for name in DERIVED} == before
 
 
 @pytest.mark.parametrize("edit", ["truncate", "pad"])
@@ -569,11 +672,13 @@ def test_report_rejects_episodes_that_miss_the_phases(tmp_path, capsys, edit):
     edited = lines[:-1] if edit == "truncate" else lines + lines[-1:]
     path.write_bytes(b"".join(edited))
     convergence_before = (out / "convergence.csv").read_bytes()
+    svg_before = (out / "convergence.svg").read_bytes()
     with pytest.raises(ConfigurationError, match="episodes.csv"):
         regenerate_report(out)
     assert main(["report", "--out", str(out)]) == 2
     assert "episodes.csv" in capsys.readouterr().err
     assert (out / "convergence.csv").read_bytes() == convergence_before
+    assert (out / "convergence.svg").read_bytes() == svg_before
 
 
 def test_report_rejects_a_seed_block_missing_a_day(tmp_path):
@@ -1111,9 +1216,13 @@ def test_convergence_svg_means_are_per_episode_np_mean(monkeypatch, n_seeds):
         [(e, "train" if e < 10 else "eval", rng.random()) for e in episodes]
         for _ in range(n_seeds)
     ]
+    # The seed-mean series is ExperimentResult's, computed once from its
+    # proportions rows; convergence_svg plots it as given.
+    result = harness.ExperimentResult(config=None, scenario=None, seed_runs=[])
+    result.proportions = proportions
     plotted = []
     monkeypatch.setattr(harness, "line_plot", lambda series, **_: plotted.append(series) or "")
-    convergence_svg(proportions)
+    convergence_svg(result.proportions, result.mean_proportions)
     (series,) = plotted
     mean = series[-1]
     assert mean.xs == [float(e) for e in episodes]
