@@ -52,6 +52,12 @@ class EpisodeLog:
     seed: int
     config: RewardConfig  # the day's reward definition, for the derived rewards
 
+    def __reduce__(self):
+        # Pickled as its six fields, cheaper than the slots' state; pickle's
+        # memo keeps tuples shared between logs shared after a round trip.
+        fields = (self.episode, self.routes, self.times, self.intrinsic, self.seed, self.config)
+        return EpisodeLog, fields
+
 
 def episode_seed(run_seed: int, episode_index: int, stochastic: bool) -> int:
     """Simulation seed of one day: the run seed itself unless noise is on."""

@@ -51,6 +51,18 @@ ROSTER_LANES = 2048  # rosters per simulate_rosters call: a pass's memory is O(l
 STRICTNESS_TOLERANCE = 1e-9
 
 
+def enumeration_size(spaces: Sequence[Sequence[int]]) -> int:
+    """The number of joint actions over the AV action ``spaces``; above
+    ``ENUMERATION_BOUND`` it raises ``ConfigurationError``, as nothing enumerates them."""
+    size = math.prod(map(len, spaces))
+    if size > ENUMERATION_BOUND:
+        raise ConfigurationError(
+            f"joint-action space has {size} profiles, above the bound {ENUMERATION_BOUND}; "
+            "shrink the scenario or raise ENUMERATION_BOUND"
+        )
+    return size
+
+
 def beta_max(delta_reward: float, delta_c: float) -> float | None:
     """Largest shaping coefficient keeping sign(delta_r) as at beta = 0.
 
@@ -138,13 +150,7 @@ class EquilibriumAnalyzer:
         self.av_ids = scenario.av_ids
         self.spaces = [scenario.agent(av).action_space for av in self.av_ids]
         self._strides = [math.prod(map(len, self.spaces[k + 1 :])) for k in range(len(self.spaces))]
-        size = math.prod(map(len, self.spaces))
-        if size > ENUMERATION_BOUND:
-            raise ConfigurationError(
-                f"joint-action space has {size} profiles, above the bound {ENUMERATION_BOUND}; "
-                "shrink the scenario or raise ENUMERATION_BOUND"
-            )
-        self.space_size = size
+        self.space_size = enumeration_size(self.spaces)
         self.simulations_run = 0  # the rosters the table fill simulated
         self._ids = scenario.ids
         self._av_columns = [self._ids.index(av) for av in self.av_ids]

@@ -40,7 +40,13 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, 
 import numpy as np
 
 from .episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_blocks
-from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, encode_action, join_routes
+from .equilibrium import (
+    EquilibriumAnalyzer,
+    EquilibriumReport,
+    encode_action,
+    enumeration_size,
+    join_routes,
+)
 from .humans import freeze_all, run_warmup
 from .learners import TrainResult, make_learner, train
 from .network import ConfigurationError, Scenario, parse_value, read_document
@@ -204,20 +210,25 @@ class SeedRun:
     result: TrainResult
     frozen_profile: dict[int, int]
     optimal_actions: dict[int, int] = field(default_factory=dict)  # set by run_experiment
+    _proportions: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def all_logs(self) -> list[EpisodeLog]:
         return self.warmup_logs + self.result.train_logs + self.result.eval_logs
 
     def proportions(self) -> list[tuple[int, str, float]]:
-        """(episode, phase, fraction of AVs on their optimal action) rows."""
-        ids = self.scenario.ids
-        targets = [(ids.index(av), route) for av, route in self.optimal_actions.items()]
-        return [
-            (log.episode, phase, proportion_optimal(log.routes, targets))
-            for phase, logs in (("train", self.result.train_logs), ("eval", self.result.eval_logs))
-            for log in logs
-        ]
+        """(episode, phase, fraction of AVs on their optimal action) rows,
+        computed on the first call, so set ``optimal_actions`` before it."""
+        if self._proportions is None:
+            ids = self.scenario.ids
+            targets = [(ids.index(av), route) for av, route in self.optimal_actions.items()]
+            train_eval = (("train", self.result.train_logs), ("eval", self.result.eval_logs))
+            self._proportions = [
+                (log.episode, phase, proportion_optimal(log.routes, targets))
+                for phase, logs in train_eval
+                for log in logs
+            ]
+        return self._proportions
 
 
 def proportion_optimal(routes: Sequence[int], targets: Collection[tuple[int, int]]) -> float:
@@ -231,7 +242,7 @@ def _optimal_actions(scenario: Scenario, frozen_profile: Mapping[int, int]) -> d
     When several joint actions tie for the optimum, the first of them in
     enumeration order (``itertools.product`` over the AV action spaces, the
     last AV varying fastest) is the target. Above ``ENUMERATION_BOUND`` joint
-    actions the analyzer raises ``ConfigurationError``: there is no optimum.
+    actions ``enumeration_size`` raises ``ConfigurationError``: there is no optimum.
     """
     analyzer = EquilibriumAnalyzer(scenario.with_noise(0.0), frozen_profile)
     optima, _ = analyzer.system_optimum()
@@ -388,9 +399,15 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     scenario = config.effective_scenario()
     if not scenario.av_ids:
         raise ConfigurationError("training needs at least one AV in the scenario")
+    enumeration_size([scenario.agent(av).action_space for av in scenario.av_ids])
+    # Seeds mostly freeze the same humans: one optimum per frozen profile and process.
+    optimum = cache(lambda profile: _optimal_actions(scenario, dict(profile)))
 
     def run_share_seed(seed: int) -> SeedRun:
-        run = run_seed(config, scenario, seed)  # in the process that runs this seed's share
+        # In the process that runs this seed's share: the run, its optimum and proportions.
+        run = run_seed(config, scenario, seed)
+        run.optimal_actions = optimum(tuple(run.frozen_profile.items()))
+        run.proportions()
         if write:
             with _open_csv(config.out_dir / f"seed_{seed}" / "episodes.csv") as handle:
                 handle.write(_line(EPISODE_CSV_HEADER))
@@ -398,10 +415,6 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
         return run
 
     seed_runs = fork_map(run_share_seed, config.seeds, config.jobs)
-    # Seeds mostly freeze the same humans: one optimum per frozen profile.
-    optimum = cache(lambda profile: _optimal_actions(scenario, dict(profile)))
-    for run in seed_runs:
-        run.optimal_actions = optimum(tuple(run.frozen_profile.items()))
     result = ExperimentResult(config=config, scenario=scenario, seed_runs=seed_runs)
     if write:
         write_experiment(result)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .episode import EpisodeLog, episode_seed, run_episode
 from .network import ConfigurationError, Scenario, read_document
-from .rewards import RewardConfig, RewardEngine, shaped_reward
+from .rewards import RewardConfig, RewardEngine
 
 ObsKey = tuple[int, ...]
 
@@ -62,23 +62,22 @@ class UcbLearner:
         self._reward_mean = 0.0
         self._reward_m2 = 0.0
 
-    def reward_scale(self) -> float:
-        if self.total < 2:
-            return 1.0
-        std = math.sqrt(self._reward_m2 / self.total)
-        return std if std > 0.0 else 1.0
-
     def select(self, obs_key: ObsKey | None = None, rng: random.Random | None = None) -> int:
-        for a in range(self.n_actions):
-            if self.counts[a] == 0:
-                return a
-        c_eff = self.c / self.reward_scale()
-        log_total = math.log(self.total)
-        indices = [
-            self.means[a] + c_eff * math.sqrt(log_total / self.counts[a])
-            for a in range(self.n_actions)
-        ]
-        return _argmax_lowest(indices)
+        counts = self.counts
+        if 0 in counts:
+            return counts.index(0)
+        total = self.total
+        std = math.sqrt(self._reward_m2 / total) if total >= 2 else 0.0
+        c_eff = self.c / std if std > 0.0 else self.c  # the scale is 1 while std is undefined or 0
+        log_total = math.log(total)
+        means = self.means
+        best = 0
+        top = means[0] + c_eff * math.sqrt(log_total / counts[0])
+        for a in range(1, self.n_actions):
+            index = means[a] + c_eff * math.sqrt(log_total / counts[a])
+            if index > top:  # the first maximum wins, as in _argmax_lowest
+                best, top = a, index
+        return best
 
     def greedy(self, obs_key: ObsKey | None = None) -> int:
         return _argmax_lowest(self.means)
@@ -90,9 +89,6 @@ class UcbLearner:
         delta = reward - self._reward_mean
         self._reward_mean += delta / self.total
         self._reward_m2 += delta * (reward - self._reward_mean)
-
-    def on_episode(self, episode: int, total_episodes: int) -> None:
-        pass
 
 
 class QLearner:
@@ -202,9 +198,6 @@ class PolicyGradientLearner:
         self.updates += 1
         self.baseline += (reward - self.baseline) / self.updates
 
-    def on_episode(self, episode: int, total_episodes: int) -> None:
-        pass
-
 
 class FixedLearner:
     """Constant-action stand-in, useful as a control arm."""
@@ -221,9 +214,6 @@ class FixedLearner:
         return self.route
 
     def update(self, obs_key: ObsKey | None, action: int, reward: float) -> None:
-        pass
-
-    def on_episode(self, episode: int, total_episodes: int) -> None:
         pass
 
 
@@ -277,7 +267,8 @@ def train(
     (``noise_sigma > 0``) simulates each day under its own ``episode_seed``.
     """
     # Frozen humans are fixed routes; each AV gets a training and an evaluation chooser.
-    avs = []  # (learner, action space, departure slot) in av_ids order
+    avs = []  # (learner's update, route -> action index, departure slot) in av_ids order
+    scheduled = []  # the learners with an on_episode schedule
     seen: list[ObsKey] = []  # per AV: the route counts its training chooser was last given
     training, evaluation = [], []
     for slot, agent in enumerate(scenario.agents):
@@ -303,27 +294,27 @@ def train(
         training.append(choose)
         seen.append(())
         evaluation.append(lambda counts, f=learner.greedy, s=space: s[f(counts)])
-        avs.append((learner, space, slot))
+        avs.append((learner.update, {route: a for a, route in enumerate(space)}, slot))
+        if hasattr(learner, "on_episode"):
+            scheduled.append(learner)
 
     engine = RewardEngine(scenario, reward_config)
+    alpha, beta = reward_config.alpha, reward_config.beta
+    stochastic = scenario.noise_sigma > 0
     logs: list[EpisodeLog] = []
-    for e in range(train_episodes + eval_episodes):
-        learning = e < train_episodes
-        if learning:
-            for learner, _, _ in avs:
-                learner.on_episode(e, train_episodes)
+    for e in range(train_episodes):
+        for learner in scheduled:
+            learner.on_episode(e, train_episodes)
         episode = episode_offset + e
-        log = run_episode(
-            engine,
-            training if learning else evaluation,
-            episode,
-            episode_seed(seed, episode, scenario.noise_sigma > 0),
-        )
-        if learning:
-            for (learner, space, slot), m, counts in zip(avs, log.intrinsic, seen):
-                reward = shaped_reward(-log.times[slot], m, reward_config)
-                learner.update(counts, space.index(log.routes[slot]), reward)
+        log = run_episode(engine, training, episode, episode_seed(seed, episode, stochastic))
+        times, routes = log.times, log.routes
+        for (update, index, slot), m, counts in zip(avs, log.intrinsic, seen):
+            update(counts, index[routes[slot]], alpha * -times[slot] + beta * m)  # shaped_reward, inline
         logs.append(log)
+    first_eval = episode_offset + train_episodes
+    for episode in range(first_eval, first_eval + eval_episodes):
+        day_seed = episode_seed(seed, episode, stochastic)
+        logs.append(run_episode(engine, evaluation, episode, day_seed))
 
     return TrainResult(
         seed=seed,

@@ -96,10 +96,14 @@ def line_plot(
 ) -> str:
     xs = [x for s in series for x in s.xs] or [0.0, 1.0]
     parts, sx, sy = _axes(min(xs), max(xs), *y_range, xlabel, ylabel, title)
+    # Series share their coordinates (episodes, proportions): each distinct
+    # value is formatted once. Equal keys (0.0 and -0.0 too) give equal text.
+    x_text = {x: _fmt(sx(x)) for x in dict.fromkeys(xs)}
+    y_text = {y: _fmt(sy(y)) for y in dict.fromkeys(y for s in series for y in s.ys)}
     legend_y = MARGIN_TOP + 10
     for k, s in enumerate(series):
         color = s.color or PALETTE[k % len(PALETTE)]
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
+        points = " ".join([f"{x_text[x]},{y_text[y]}" for x, y in zip(s.xs, s.ys)])
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{s.width}" '
             f'stroke-opacity="{s.opacity}" points="{points}"/>'

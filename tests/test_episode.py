@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import pickle
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from routelab import (
     Scenario,
     run_episode,
 )
-from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks
+from routelab.episode import EPISODE_CSV_HEADER, EpisodeLog, episode_csv_blocks
 
 from conftest import build_observation, id_view, make_scenario
 
@@ -200,3 +201,20 @@ def test_csv_rows_schema(default_scenario):
     assert rows[0]["kind"] == "human"
     assert rows[1]["kind"] == "av"
     assert rows[0]["seed"] == "5"
+
+
+def test_a_pickled_log_list_keeps_recurring_days_shared(default_scenario):
+    # A deterministic engine hands a recurring day the same times and
+    # intrinsic tuples; a round trip through pickle (as from a --jobs worker)
+    # must keep them shared, which the episode writer's recurring-day formatting relies on.
+    engine = RewardEngine(default_scenario, RewardConfig(beta=200.0))
+    agents = default_scenario.agents
+    days = [default_scenario.routes_of({a.id: a.id % n for a in agents}) for n in (1, 2)]
+    logs = [run_episode(engine, days[k], e, 0) for e, k in enumerate([0, 1, 0, 0, 1])]
+    copies = pickle.loads(pickle.dumps(logs))
+    assert copies == logs and {type(log) for log in copies} == {EpisodeLog}
+    for field in ("times", "intrinsic"):
+        day_0, day_1 = (getattr(copies[e], field) for e in (0, 1))
+        assert day_0 is not day_1
+        assert [getattr(log, field) is day_0 for log in copies] == [True, False, True, True, False]
+        assert getattr(copies[4], field) is day_1

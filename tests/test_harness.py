@@ -448,14 +448,19 @@ def test_optimal_actions_take_first_tied_optimum():
 
 def test_train_without_an_enumerable_optimum_exits_2(tmp_path, capsys, monkeypatch):
     # Three binary AVs make 8 joint actions: above a bound of 4 no system
-    # optimum is computed, and no stand-in is called optimal.
+    # optimum is computed, and no stand-in is called optimal. The bound is
+    # checked before any seed trains, so no seed leaves its directory.
     import routelab.equilibrium as equilibrium
 
     monkeypatch.setattr(equilibrium, "ENUMERATION_BOUND", 4)
-    assert run_train_cli(tmp_path, small_train_doc()) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "above the bound 4" in err
-    assert not (tmp_path / "out" / "run_meta.json").exists()
+    for jobs in (1, 2):
+        run_dir = tmp_path / f"jobs_{jobs}"
+        run_dir.mkdir()
+        assert run_train_cli(run_dir, small_train_doc(seeds=[0, 1]), "--jobs", str(jobs)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the bound 4" in err
+        assert not (run_dir / "out" / "run_meta.json").exists()
+        assert list((run_dir / "out").glob("seed_*")) == []
 
 
 def test_cli_action_wrong_length(tmp_path, capsys):
@@ -747,14 +752,22 @@ def test_jobs_parallel_matches_serial(tmp_path, monkeypatch):
     # Three seeds in two shares, (0, 2) here and (1,) in the child, come back in seed order.
     forks = count_forks(monkeypatch)
     seeds = (0, 1, 2)
-    run_experiment(small_config(tmp_path, out_dir=tmp_path / "serial", seeds=seeds, jobs=1))
+    one = run_experiment(small_config(tmp_path, out_dir=tmp_path / "serial", seeds=seeds, jobs=1))
     assert forks == []
-    run_experiment(small_config(tmp_path, out_dir=tmp_path / "parallel", seeds=seeds, jobs=2))
+    two = run_experiment(small_config(tmp_path, out_dir=tmp_path / "parallel", seeds=seeds, jobs=2))
     assert len(forks) == 1
     serial = artifacts(tmp_path / "serial")
     assert "seed_2/episodes.csv" in serial and "convergence.svg" in serial
     assert artifacts(tmp_path / "parallel") == serial
     assert_no_child_left()
+    # The returned seed runs match too, field by field, optimum and proportions included.
+    assert [run.seed for run in two.seed_runs] == [run.seed for run in one.seed_runs] == [0, 1, 2]
+    for serial_run, parallel_run in zip(one.seed_runs, two.seed_runs):
+        assert parallel_run.all_logs == serial_run.all_logs
+        assert parallel_run.frozen_profile == serial_run.frozen_profile
+        assert parallel_run.optimal_actions == serial_run.optimal_actions
+        assert parallel_run.proportions() == serial_run.proportions()
+        assert parallel_run.result.simulations_run == serial_run.result.simulations_run
 
 
 def test_jobs_beyond_the_seed_count_fork_one_child(tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routelab import (
     AgentSpec,
@@ -21,7 +24,7 @@ from routelab import (
     run_warmup,
     train,
 )
-from routelab.learners import ALGORITHMS
+from routelab.learners import ALGORITHMS, _argmax_lowest
 
 from conftest import id_view, make_scenario
 
@@ -80,6 +83,40 @@ def test_ucb_greedy_ties_to_lowest():
     learner = UcbLearner(3)
     learner.means = [-50.0, -50.0, -60.0]
     assert learner.greedy() == 0
+
+
+def indices_list_select(learner: UcbLearner) -> int:
+    """UCB's choice by its formula: unpulled actions first, else the lowest
+    argmax of a list of indices with the bonus scaled by the reward spread."""
+    for a in range(learner.n_actions):
+        if learner.counts[a] == 0:
+            return a
+    scale = 1.0
+    if learner.total >= 2:
+        std = math.sqrt(learner._reward_m2 / learner.total)
+        scale = std if std > 0.0 else 1.0
+    c_eff = learner.c / scale
+    log_total = math.log(learner.total)
+    indices = [
+        learner.means[a] + c_eff * math.sqrt(log_total / learner.counts[a])
+        for a in range(learner.n_actions)
+    ]
+    return _argmax_lowest(indices)
+
+
+# Few distinct rewards, so equal means (ties) and zero spread are common.
+REWARDS = st.one_of(st.sampled_from([-50.0, -50.0, -60.0, 0.0]), st.floats(-300.0, 0.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(n_actions=st.integers(2, 4), c=st.sampled_from([0.0, 1e-3, 150.0]), data=st.data())
+def test_ucb_select_matches_the_indices_list_formula(n_actions, c, data):
+    pulls = st.tuples(st.integers(0, n_actions - 1), REWARDS)
+    learner = UcbLearner(n_actions, c=c)
+    for action, reward in data.draw(st.lists(pulls, max_size=30)):
+        assert learner.select() == indices_list_select(learner)
+        learner.update(None, action, reward)
+    assert learner.select() == indices_list_select(learner)
 
 
 # -- tabular Q ----------------------------------------------------------------

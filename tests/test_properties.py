@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -62,6 +63,7 @@ from routelab.cli import main
 from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks, episode_seed
 from routelab.harness import _cell
 from routelab.network import _arrival_noise, counterfactual_row, simulate_rosters, simulate_slots
+from routelab.plots import Series, _axes, _fmt, line_plot
 from routelab.scenarios import scenario_to_dict
 from conftest import id_view, make_scenario
 from oracle_sim import oracle_subset_times, oracle_travel_times
@@ -467,3 +469,28 @@ def test_simulate_stdout_is_header_and_episode_lines(case, beta):
     log = run_episode(engine, scenario.routes_of(action), 0, seed)
     header = ",".join(EPISODE_CSV_HEADER) + "\n"
     assert stdout.getvalue() == header + "".join(episode_csv_blocks([log], scenario, "\n"))
+
+
+# Repeats, both zeros and NaN objects that equal nothing, even themselves.
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 7.0]),
+    st.floats(-10.0, 10.0),
+    st.builds(float, st.just("nan")),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.floats(-10.0, 10.0),
+    st.lists(st.lists(st.tuples(COORDINATES, COORDINATES), max_size=12), min_size=1, max_size=4),
+)
+def test_line_plot_points_are_each_points_formatted_coordinates(first_x, points):
+    # A finite first x keeps the x range finite (min and max skip a later NaN).
+    points[0].insert(0, (first_x, 0.5))
+    series = [Series(f"s{k}", [x for x, _ in p], [y for _, y in p]) for k, p in enumerate(points)]
+    svg = line_plot(series, title="t", xlabel="x", ylabel="y", y_range=(0.0, 1.02))
+    xs = [x for s in series for x in s.xs]
+    _, sx, sy = _axes(min(xs), max(xs), 0.0, 1.02, "x", "y", "t")
+    assert re.findall(r'points="([^"]*)"', svg) == [
+        " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys)) for s in series
+    ]
