@@ -122,10 +122,15 @@ def episode_csv_blocks(
         parts = formatted.get(key)
         if parts is None:
             seed, config, scores = f",{log.seed}{end}", log.config, log.intrinsic
+            # At alpha 1 a human's shaped reward is -t + beta * 0.0, which is -t.
+            plain = config.alpha == 1.0
             parts = [""]  # the episode number goes before each line
             for (cells, k), route, t in zip(agents, log.routes, log.times):
-                m = 0.0 if k is None else scores[k]
                 time = repr(t)
+                if k is None and plain:
+                    parts.append(f"{cells}{route},{time},-{time},0.0,-{time}{seed}")
+                    continue
+                m = 0.0 if k is None else scores[k]
                 extrinsic = "-" + time
                 shaped = shaped_reward(-t, m, config)
                 shaped = extrinsic if shaped == -t and shaped else repr(shaped)

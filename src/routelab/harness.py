@@ -396,6 +396,9 @@ class ExperimentResult:
 
 
 def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
+    if config.eval_episodes < 1:
+        # The summary's means are over the evaluation days; none would make them NaN.
+        raise ConfigurationError("training needs eval_episodes >= 1")
     scenario = config.effective_scenario()
     if not scenario.av_ids:
         raise ConfigurationError("training needs at least one AV in the scenario")

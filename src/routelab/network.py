@@ -16,9 +16,12 @@ and congestion only arises from the passage discipline at the merge:
 
 Ties in passage time are broken by ``(departure_time, agent id)`` ascending.
 With ``noise_sigma == 0`` the simulation is a pure function of its inputs;
-with noise, each merge arrival is jittered by Uniform(-sigma, +sigma) drawn
-from a generator sub-seeded by ``(seed, agent id)`` so runs are reproducible
-per seed and unaffected by which other agents are present. ``Scenario``
+with noise, each merge arrival is jittered by Uniform(-sigma, +sigma): agent
+``i``'s draw on a day of seed ``s`` is
+``random.Random(f"{s}:{i}").uniform(-sigma, sigma)``, so runs are reproducible
+per seed, across processes and platforms, and unaffected by which other
+agents are present. ``_arrival_noise`` makes that draw from the C generator
+directly (see its docstring). ``Scenario``
 rejects a sigma at or above the shortest pre-merge time, since such jitter
 could put a merge arrival before its departure.
 
@@ -66,9 +69,11 @@ import heapq
 import itertools
 import math
 import operator
-import random
+import threading
+from _random import Random as _Generator
 from dataclasses import dataclass
 from functools import cached_property
+from random import _sha512
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -305,19 +310,34 @@ class TravelTimeVector:
         return agent_id in self.times
 
 
+_generators = threading.local()  # .rng: the calling thread's generator for _arrival_noise
+
+
 def _arrival_noise(seed: int, agent_ids: Iterable[int], sigma: float) -> list[float]:
     """Each agent's draw of ``random.Random(f"{seed}:{agent_id}").uniform(-sigma, sigma)``.
 
     String seeding hashes via sha512, so draws are stable across processes
     and platforms, and independent of which other agents are simulated.
-    ``Random(x)`` is ``Random()`` seeded with ``x``, so one generator
-    re-seeded per agent draws the same values as a fresh one each.
+    The draw is made the way ``random.py`` makes it, minus its Python
+    wrappers: version-2 seeding turns the string's bytes ``b`` into the int
+    ``int.from_bytes(b + sha512(b).digest(), "big")`` and hands it to the C
+    generator's ``seed``; ``uniform(a, b)`` is ``a + (b - a) * random()``.
+    ``sha512`` is ``random.py``'s own, which avoids loading OpenSSL through
+    ``hashlib``. Seeding replaces a generator's whole state, so one generator
+    re-seeded per agent draws what a fresh one each would. Each thread
+    re-seeds its own, so concurrent calls never draw from another's seed.
     """
-    rng = random.Random(0)
+    try:
+        rng = _generators.rng
+    except AttributeError:
+        rng = _generators.rng = _Generator()
+    reseed, draw, lo = rng.seed, rng.random, -sigma
+    width = sigma - lo
     draws = []
     for agent_id in agent_ids:
-        rng.seed(f"{seed}:{agent_id}")
-        draws.append(rng.uniform(-sigma, sigma))
+        key = f"{seed}:{agent_id}".encode()
+        reseed(int.from_bytes(key + _sha512(key).digest(), "big"))
+        draws.append(lo + width * draw())
     return draws
 
 

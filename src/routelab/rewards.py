@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -120,20 +120,18 @@ class MarginalCostMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _squashed_sum(terms: Iterable[float], config: RewardConfig) -> float:
-    """The terms summed in order from +0.0, each through tanh unless ``raw_sum``."""
-    total = 0.0
-    for term in terms:
-        total += term if config.raw_sum else math.tanh(term / config.tanh_scale)
-    return total
-
-
 def intrinsic_reward(matrix: MarginalCostMatrix, av_id: int, config: RewardConfig) -> float:
-    """Bounded, sign-preserving externality score for one AV column, summed in row order."""
+    """Bounded, sign-preserving externality score for one AV column: its entries
+    summed in row order from +0.0, each through tanh unless ``raw_sum``."""
     if config.scope == "none":
         raise ConfigurationError(f"scope {config.scope!r} has no externality rows")
     rows = matrix.col_ids if config.scope == "av-group" else matrix.row_ids
-    return _squashed_sum((matrix.entry(i, av_id) for i in rows if i != av_id), config)
+    total = 0.0
+    for i in rows:
+        if i != av_id:
+            term = matrix.entry(i, av_id)
+            total += term if config.raw_sum else math.tanh(term / config.tanh_scale)
+    return total
 
 
 def shaped_reward(extrinsic: float, intrinsic: float, config: RewardConfig) -> float:
@@ -200,10 +198,17 @@ class RewardEngine:
         unchanged, adds ``tanh(0.0) == 0.0`` to a sum from +0.0, which
         changes nothing.
         """
-        return tuple(
-            _squashed_sum((c[i] - full[i] for i in sorted(c) if self._in_scope[i]), self.config)
-            for c in changes
-        )
+        in_scope, tanh = self._in_scope, math.tanh
+        raw, scale = self.config.raw_sum, self.config.tanh_scale
+        scores = []
+        for c in changes:
+            total = 0.0
+            for i in sorted(c):
+                if in_scope[i]:
+                    term = c[i] - full[i]
+                    total += term if raw else tanh(term / scale)
+            scores.append(total)
+        return tuple(scores)
 
     def marginal_matrix(self, action: Mapping[int, int], seed: int) -> MarginalCostMatrix:
         """The full run and one counterfactual per AV, from one kernel call, as a dense matrix."""

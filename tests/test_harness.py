@@ -201,6 +201,18 @@ def test_cli_rejects_stochastic_mode_without_noise(tmp_path, capsys, command):
     assert not list(tmp_path.rglob("episodes.csv"))
 
 
+@pytest.mark.parametrize("command", [["train"], ["sweep-beta", "--beta", "0,1", "--jobs", "2"]])
+def test_cli_rejects_training_without_evaluation_days(tmp_path, capsys, command):
+    # With no evaluation day the summary means would be NaN; nothing trains.
+    scenario_path = write_default_scenario(tmp_path)
+    small = ["--warmup-days", "3", "--episodes", "2", "--eval-episodes", "0", "--seeds", "0"]
+    out = tmp_path / "run"
+    assert main([*command, "--scenario", str(scenario_path), *small, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eval_episodes >= 1" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("doc", [[], "train", 5])
 def test_cli_rejects_a_run_config_that_is_not_an_object(tmp_path, capsys, doc):
     # An empty list used to read as an empty document, the built-in world.

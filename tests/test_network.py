@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -131,6 +134,33 @@ def test_noise_draws_keyed_by_agent_id():
     # Agent 0 departs first and yields to nobody once agent 1 is gone; its
     # jitter must be identical in both runs.
     assert reduced[0] == full[0]
+
+
+def test_noisy_simulate_from_many_threads_matches_sequential_runs(default_scenario):
+    # simulate is public and pure. Each agent's draw seeds a generator and then
+    # draws from it, so threads sharing one could swap draws between agents.
+    scenario = default_scenario.with_noise(2.0)
+    rng = random.Random(3)
+    jobs = [
+        ({a.id: rng.randint(0, 1) for a in scenario.agents}, rng.randint(-(10**6), 10**6))
+        for _ in range(64)
+    ]
+    expected = [simulate(scenario, action, seed) for action, seed in jobs]
+    start = threading.Barrier(8)
+
+    def run(share):
+        start.wait()
+        return [simulate(scenario, action, seed) for action, seed in jobs[share::8]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            shares = list(pool.map(run, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    for share, got in enumerate(shares):
+        assert got == expected[share::8]
 
 
 def test_travel_time_lower_bound_deterministic():

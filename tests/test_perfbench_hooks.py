@@ -8,6 +8,10 @@ its spans in a fresh interpreter that writes no bytecode, so nothing under
 go dark in ``--trace 1`` without failing it, so a tiny traced train run also
 counts the calls each day loop makes through them, and a tiny traced
 equilibrium grid counts the analyses it runs through them.
+
+The benchmark also records peak RSS, which loading OpenSSL (through
+``hashlib``) raised by 3.6 MB on the noisy training workload, so a tiny
+noisy run must not load it.
 """
 
 from __future__ import annotations
@@ -43,6 +47,15 @@ GRID = INSTALL.replace("spans.Tracer()", "tracer := spans.Tracer()") + (
 )
 
 
+NOISY_RUN = (
+    "import sys; sys.path[:0] = ['src']; import routelab.harness as h; "
+    "from routelab.rewards import RewardConfig; "
+    "h.run_experiment(h.RunConfig(reward=RewardConfig(beta=200.0), warmup_days=2, "
+    "train_episodes=3, eval_episodes=2, seeds=(0,), mode='stochastic', out_dir=sys.argv[1])); "
+    "print('_hashlib' in sys.modules)"
+)
+
+
 def run_fresh(*argv: str) -> str:
     done = subprocess.run(
         [sys.executable, "-B", "-c", *argv],
@@ -72,3 +85,7 @@ def test_traced_grid_goes_through_the_wrapped_bindings(tmp_path):
     assert calls["harness.equilibrium_grid"] == 1
     assert calls["equilibrium.enumerate_nash"] == 2  # one per beta
     assert calls["equilibrium.deviation_records"] == 1
+
+
+def test_noisy_run_leaves_openssl_unloaded(tmp_path):
+    assert run_fresh(NOISY_RUN, str(tmp_path / "run")) == "False\n"

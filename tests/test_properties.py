@@ -196,9 +196,14 @@ def test_batch_rows_match_single_runs(case):
 
 @PROPERTY_SETTINGS
 @given(
-    st.integers(0, 2**63),
+    # A negative run seed gives negative day seeds, and seed 10**30 runs.
+    st.one_of(
+        st.integers(-(2**63), 2**63),
+        st.integers(2**64, 10**40),
+        st.integers(-(10**40), -(2**64)),
+    ),
     st.lists(st.integers(-5, 10**6), max_size=25),
-    st.floats(0.001, 60.0),
+    st.floats(1e-9, 60.0),
 )
 def test_arrival_noise_matches_one_fresh_generator_per_agent(seed, ids, sigma):
     expected = [random.Random(f"{seed}:{i}").uniform(-sigma, sigma) for i in ids]
