@@ -17,18 +17,24 @@ largest coefficient preserving the unshaped preference:
 The analyzer exploits the same affinity. It scores every profile once: an
 extrinsic table ``E`` (profiles x AVs, minus travel time), the total travel
 times, and per externality scope an intrinsic table ``M`` of the same shape.
-The rewards at any grid point are then ``alpha * E + beta * M``. The Nash test
-compares each profile's row with the rows of its single-AV neighbours. The
-deviation terms are differences of two rows, kept once per distinct pair
-(with its ``beta_max``) and indexed per (profile, AV). The run without AV
-``k`` does not depend on ``k``'s route, so it is kept once, as a row of slot
-``k``'s counterfactual table (travel times by slot, NaN at ``k``), and every
-``M`` is scored from those tables at once. A fill is one list of rosters in
-table order, each a profile and the slot it leaves absent, and the batched
-kernel ``network.simulate_rosters`` takes it ``ROSTER_LANES`` rosters per
-call, so a pass's route and presence matrices do not grow with the profile
-count. A selfish setting (beta = 0 or scope "none") builds no
-counterfactual table, so it costs one simulated roster per profile.
+The rewards at any grid point are then ``alpha * E + beta * M``.
+
+Per-profile indices are int32 tables built once per analyzer. The move table
+gives, for each profile and each unilateral move (one AV switching route),
+the row the move leads to, so the Nash test is one gather, one compare and
+one ``any``, and a deviation term is the difference of a row and its move,
+kept once per distinct pair with its ``beta_max``. At ``ENUMERATION_BOUND``
+with 20 binary AVs it holds 80 MB, half of one float64 reward table.
+
+The run without AV ``k`` does not depend on ``k``'s route, so it is kept
+once, with ``k`` on its first route (NaN at ``k``), and every ``M`` is scored
+from those runs. Most differences from the full runs are +0.0 (84-92% on
+the default world) and add nothing, so ``math.tanh`` runs only on the moved
+ones, once per distinct quotient. A fill is one list of rosters that
+``network.simulate_rosters`` resolves ``ROSTER_LANES`` at a time in buffers
+that last the fill, so a pass's memory does not grow with the profile count
+and its pages fault in once. A selfish setting (beta = 0 or scope "none")
+simulates one roster per profile.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +54,7 @@ from .network import ConfigurationError, Scenario, simulate_rosters
 from .rewards import RewardConfig, RewardEngine, intrinsic_reward, shaped_reward
 
 ENUMERATION_BOUND = 2**20  # most profiles an analyzer enumerates
-ROSTER_LANES = 2048  # rosters per simulate_rosters call: a pass's memory is O(lanes)
+ROSTER_LANES = 2048  # rosters per simulate_rosters pass: a pass's memory is O(lanes)
 STRICTNESS_TOLERANCE = 1e-9
 
 
@@ -129,7 +136,8 @@ class EquilibriumAnalyzer:
       the extrinsic reward, is minus the AV columns, and ``system_optimum``
       sums each row;
     - ``M``: each AV's intrinsic score, one column per AV slot and one table
-      per (scope, tanh_scale, raw_sum), since only those settings change it.
+      per (scope, tanh_scale, raw_sum), since only those settings change it;
+    - the indices: ``_digits``, ``_routes``, ``_moves`` and ``_without_rows``.
 
     Each table is filled once, on first use, and ``simulations_run`` counts
     the rosters the fill simulated. The shaped rewards for any (alpha, beta)
@@ -149,13 +157,18 @@ class EquilibriumAnalyzer:
                 raise ConfigurationError(f"no frozen route for human {human}")
         self.av_ids = scenario.av_ids
         self.spaces = [scenario.agent(av).action_space for av in self.av_ids]
-        self._strides = [math.prod(map(len, self.spaces[k + 1 :])) for k in range(len(self.spaces))]
         self.space_size = enumeration_size(self.spaces)
+        # Mixed-radix place values; int32 holds every index below ENUMERATION_BOUND.
+        sizes = [len(space) for space in self.spaces]
+        self._sizes = np.array(sizes, dtype=np.int32)
+        strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+        self._strides = np.array(strides, dtype=np.int32)
         self.simulations_run = 0  # the rosters the table fill simulated
         self._ids = scenario.ids
         self._av_columns = [self._ids.index(av) for av in self.av_ids]
         self._full: np.ndarray | None = None  # travel times, profiles x agents
-        self._withouts: list[np.ndarray] | None = None  # per slot, runs without it
+        self._withouts: np.ndarray | None = None  # runs without one AV slot, x agents
+        self._without_rows: np.ndarray | None = None  # profile, AV slot -> row of _withouts
         self._m: dict[tuple[str, float, bool], np.ndarray] = {}
 
     # -- joint-action plumbing -------------------------------------------
@@ -170,60 +183,86 @@ class EquilibriumAnalyzer:
         """Joint action of table row ``index``."""
         return tuple(
             space[index // stride % len(space)]
-            for space, stride in zip(self.spaces, self._strides)
+            for space, stride in zip(self.spaces, self._strides.tolist())
         )
 
-    def _neighbours(self, slot: int, position: int) -> np.ndarray:
-        """Row of each profile with AV ``slot`` moved to route ``position``."""
-        stride = self._strides[slot]
-        rows = np.arange(self.space_size)
-        return rows + (position - rows // stride % len(self.spaces[slot])) * stride
+    # -- index tables ------------------------------------------------------
+
+    @cached_property
+    def _digits(self) -> np.ndarray:
+        """Each profile's position in each AV slot's action space: profiles x AVs, int32."""
+        rows = np.arange(self.space_size, dtype=np.int32)[:, None]
+        return rows // self._strides % self._sizes
+
+    @cached_property
+    def _routes(self) -> np.ndarray:
+        """Each profile's AV routes, profiles x AVs: what every fill's rosters take."""
+        routes = np.empty_like(self._digits)
+        for k, space in enumerate(self.spaces):
+            routes[:, k] = np.take(space, self._digits[:, k])
+        return routes
+
+    @cached_property
+    def _moves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Profiles x moves (int32): the row each unilateral move leads to; and each move's slot.
+
+        Slot ``k``'s ``len(spaces[k]) - 1`` moves shift its position ``d`` to
+        ``(d + s) % len(spaces[k])`` for ``s >= 1``, so no move stays put.
+        """
+        moves = [(k, shift) for k, size in enumerate(self._sizes) for shift in range(1, size)]
+        slots, shifts = np.array(moves, dtype=np.int32).reshape(-1, 2).T
+        digits = self._digits[:, slots]
+        rows = np.arange(self.space_size, dtype=np.int32)[:, None]
+        moved = (digits + shifts) % self._sizes[slots]
+        return rows + (moved - digits) * self._strides[slots], slots
 
     # -- reward tables -----------------------------------------------------
 
-    def _counterfactual_rows(self, slot: int) -> np.ndarray:
-        """Row of each profile in slot ``slot``'s counterfactual table."""
-        stride = self._strides[slot]
-        rows = np.arange(self.space_size)
-        return rows // (stride * len(self.spaces[slot])) * stride + rows % stride
-
     def _simulate(self, counterfactuals: bool) -> None:
-        """Fill the full runs, if not yet filled, and if asked the counterfactual tables.
+        """Fill the full runs, if not yet filled, and if asked the counterfactual runs.
 
         The fill is one roster list in table order: each roster's profile and
         the column of the slot it leaves absent (``n``, none, for a full run).
         It holds every profile if the full runs are missing, then per AV slot
         ``k`` the profiles with ``k`` on the first route of its space, ``k``
-        absent. The list goes to ``simulate_rosters`` in passes of at most
-        ``ROSTER_LANES`` into one array, which ``np.split`` cuts into the tables.
+        absent. ``simulate_rosters`` writes it into one array: the full runs,
+        then ``_withouts``, whose row per (profile, AV slot) is in ``_without_rows``.
         """
-        n = len(self._ids)
-        rows = np.arange(self.space_size)
-        profiles, columns = [rows if self._full is None else rows[:0]], [n]
+        n, size = len(self._ids), self.space_size
+        profiles, columns = [np.arange(size if self._full is None else 0)], [n]
         if counterfactuals:
-            profiles += [
-                np.flatnonzero(rows // stride % len(space) == 0)
-                for space, stride in zip(self.spaces, self._strides)
-            ]
+            profiles += [np.flatnonzero(digits == 0) for digits in self._digits.T]
             columns += self._av_columns
-        sizes = [len(p) for p in profiles]
-        profile, absent = np.concatenate(profiles), np.repeat(columns, sizes)
+        counts = [len(p) for p in profiles]
+        profile, absent = np.concatenate(profiles), np.repeat(columns, counts)
         times = np.empty((len(profile), n))
-        spaces = [np.array(space) for space in self.spaces]
-        template = np.array(self.scenario.routes_of(self.full_action(self.profile_at(0))))
-        for start in range(0, len(profile), ROSTER_LANES):
-            lanes = slice(start, start + ROSTER_LANES)
-            routes = np.tile(template, (len(profile[lanes]), 1))
-            for space, stride, c in zip(spaces, self._strides, self._av_columns):
-                routes[:, c] = space[profile[lanes] // stride % len(space)]
-            present = np.arange(n) != absent[lanes, None]
-            times[lanes] = simulate_rosters(self.scenario, routes, present)
-        full, *withouts = np.split(times, np.cumsum(sizes)[:-1])
+        simulate_rosters(self.scenario, self._passes(profile, absent), times)
         self.simulations_run += len(profile)
         if self._full is None:
-            self._full = full
+            self._full = times[:size]
         if counterfactuals:
-            self._withouts = withouts
+            self._withouts = times[counts[0] :]
+            # Profile p's run without slot k is that of p with k's digit 0.
+            rows, strides = np.arange(size, dtype=np.int32)[:, None], self._strides
+            offsets = np.cumsum([0, *counts[1:-1]], dtype=np.int32)
+            self._without_rows = (
+                rows // (strides * self._sizes) * strides + rows % strides + offsets
+            )
+
+    def _passes(self, profile: np.ndarray, absent: np.ndarray):
+        """The fill's rosters as passes of at most ``ROSTER_LANES``, each written over
+        the last: the humans' routes stay, the AVs' come from ``_routes``."""
+        n = len(self._ids)
+        template = self.scenario.routes_of(self.full_action(self.profile_at(0)))
+        routes = np.tile(template, (min(len(profile), ROSTER_LANES), 1))
+        present = np.empty(routes.shape, dtype=bool)
+        slots = np.arange(n)
+        for start in range(0, len(profile), ROSTER_LANES):
+            lanes = slice(start, start + ROSTER_LANES)
+            width = len(profile[lanes])
+            routes[:width, self._av_columns] = self._routes[profile[lanes]]
+            np.not_equal(slots, absent[lanes, None], out=present[:width])
+            yield routes[:width], present[:width]
 
     def _full_runs(self) -> np.ndarray:
         """Travel times by slot of every profile's full run, one row per profile."""
@@ -234,25 +273,33 @@ class EquilibriumAnalyzer:
     def _intrinsic_table(self, config: RewardConfig) -> np.ndarray:
         """``M``: each AV's intrinsic score under ``config``, one row per profile.
 
-        Bit for bit ``rewards.intrinsic_reward``: ``math.tanh`` of each distinct
-        difference, summed in row order. No term is -0.0, so the own entry
-        (+0.0) and a start at the first term instead of 0.0 change nothing.
+        Bit for bit ``rewards.intrinsic_reward``: the in-scope differences
+        summed in row order from +0.0, each through ``math.tanh`` unless
+        ``raw_sum``. ``np.bincount`` sums only those that moved, in index
+        order from +0.0: the others are +0.0 (travel times are > 0), and so is
+        their ``tanh``, which leaves a sum from +0.0 unchanged.
         """
         key = (config.scope, config.tanh_scale, config.raw_sum)
         if key not in self._m:
             if self._withouts is None:
                 self._simulate(counterfactuals=True)
-            scope = self._av_columns if config.scope == "av-group" else slice(None)
-            full = self._full[:, scope]
+            n = len(self._ids)
+            # The av-group scope leaves the humans' differences out, as unmoved.
+            humans = [c for c in range(n) if c not in self._av_columns]
+            outside = humans if config.scope == "av-group" else []
             m = np.empty((self.space_size, len(self.av_ids)))
-            for k, without in enumerate(self._withouts):
-                deltas = without[self._counterfactual_rows(k)][:, scope] - full
-                deltas[np.isnan(deltas)] = 0.0
+            deltas = np.empty(self._full.shape)
+            for k, (rows, own) in enumerate(zip(self._without_rows.T, self._av_columns)):
+                np.subtract(self._withouts.take(rows, axis=0), self._full, out=deltas)
+                deltas[:, [own, *outside]] = 0.0  # k is absent from its own run
+                moved = np.flatnonzero(deltas.reshape(-1) != 0.0)
+                terms = deltas.reshape(-1)[moved]
                 if not config.raw_sum:
-                    values, inverse = np.unique(deltas / config.tanh_scale, return_inverse=True)
-                    terms = np.array([math.tanh(v) for v in values.tolist()])
-                    deltas = terms[inverse.reshape(deltas.shape)]
-                m[:, k] = np.cumsum(deltas, axis=1)[:, -1]
+                    with np.errstate(over="ignore"):  # inf, as Python's float division gives
+                        quotients = terms / config.tanh_scale
+                    values, inverse = np.unique(quotients, return_inverse=True)
+                    terms = np.array([math.tanh(v) for v in values.tolist()])[inverse]
+                m[:, k] = np.bincount(moved // n, terms, minlength=self.space_size)
             self._m[key] = m
         return self._m[key]
 
@@ -292,14 +339,9 @@ class EquilibriumAnalyzer:
         order.
         """
         rewards = self.reward_table(config)
-        rows = np.arange(self.space_size)
-        stable = np.ones(self.space_size, dtype=bool)
-        for slot, space in enumerate(self.spaces):
-            own = rewards[:, slot] + tolerance
-            for position in range(len(space)):
-                neighbours = self._neighbours(slot, position)
-                stable &= (neighbours == rows) | ~(rewards[neighbours, slot] > own)
-        equilibria = [self.profile_at(int(p)) for p in np.flatnonzero(stable)]
+        moves, slots = self._moves
+        gains = rewards[moves, slots] > rewards[:, slots] + tolerance
+        equilibria = [self.profile_at(p) for p in np.flatnonzero(~gains.any(axis=1)).tolist()]
         return EquilibriumReport(
             alpha=config.alpha,
             beta=config.beta,
@@ -333,19 +375,26 @@ class EquilibriumAnalyzer:
             return None
         times = self._full_runs()[:, self._av_columns]
         scores = np.zeros_like(times) if config.scope == "none" else self._intrinsic_table(config)
-        # One complex key per cell, set part by part so both deltas keep every bit.
-        # Equal keys merge 0.0 and -0.0, but no delta is -0.0: x - y is -0.0 only
-        # for x = -0.0 and y = +0.0, and neither table holds -0.0 (travel times
-        # are > 0, and a score sums terms none of which is -0.0).
-        deltas = np.empty(times.shape, dtype=complex)
-        for slot, space in enumerate(self.spaces):
-            low, high = (
-                self._neighbours(slot, space.index(route)) for route in sorted(space)
-            )
-            deltas.real[:, slot] = times[high, slot] - times[low, slot]
-            deltas.imag[:, slot] = scores[high, slot] - scores[low, slot]
-        keys, index = np.unique(deltas, return_inverse=True)
+        # A cell and the cell its move leads to hold the same pair, so each pair
+        # of cells is taken once, from the profile with the slot on position 0.
+        # With binary spaces, slot k's one move is column k of the move table.
+        profile, slot = np.nonzero(self._digits == 0)
+        moved = self._moves[0][profile, slot]
+        descending = np.array([a > b for a, b in self.spaces], dtype=bool)[slot]
+        width = len(self.av_ids)
+        low = np.where(descending, moved, profile) * width + slot  # flat cells
+        high = np.where(descending, profile, moved) * width + slot
+        # One complex key per pair of cells, set part by part so both deltas keep
+        # every bit. Equal keys merge 0.0 and -0.0, but no delta is -0.0: x - y
+        # is -0.0 only for x = -0.0 and y = +0.0, and neither table holds -0.0
+        # (travel times are > 0, and a score is a sum from +0.0).
+        deltas = np.empty(len(low), dtype=complex)
+        deltas.real = times.take(high) - times.take(low)
+        deltas.imag = scores.take(high) - scores.take(low)
+        keys, ranks = np.unique(deltas, return_inverse=True)
         pairs = list(zip(keys.real.tolist(), keys.imag.tolist()))
+        index = np.empty(times.size, dtype=np.intp)
+        index[low] = index[high] = ranks
         return DeviationTable(
             index.reshape(times.shape),
             pairs,

@@ -643,16 +643,22 @@ def equilibrium_grid(
         with _open_csv(out / "deviations.csv") as handle:
             handle.write(_line(DEVIATIONS_CSV_HEADER))
             # No cell needs quoting: codes, ids and floats hold no comma, quote or newline.
-            # Each distinct pair's tail is formatted once, each profile's code built once.
+            # Each (AV, pair) cell that occurs is formatted once, each profile's code built once.
             tails = [
                 f",{seconds!r},{score!r},{'indifferent' if t is None else repr(t)}\r\n"
                 for (seconds, score), t in zip(table.pairs, table.thresholds)
             ]
-            avs = [f",{av}" for av in analyzer.av_ids]
+            n_pairs = len(tails)
+            cells, inverse = np.unique(
+                table.index + n_pairs * np.arange(len(analyzer.av_ids)), return_inverse=True
+            )
+            avs = analyzer.av_ids
+            texts = [f",{avs[c // n_pairs]}{tails[c % n_pairs]}" for c in cells.tolist()]
+            rows = np.array(texts, dtype=object)[inverse.reshape(table.index.shape)]
             digits = [[str(route) for route in space] for space in analyzer.spaces]
             codes = map(join_routes, itertools.product(*digits))  # encode_action, per profile
-            for code, row in zip(codes, table.index.tolist()):
-                handle.write(code + code.join([av + tails[i] for av, i in zip(avs, row)]))
+            for code, row in zip(codes, rows.tolist()):
+                handle.write(code + code.join(row))
 
     labels = [f"a={r.alpha:g},b={r.beta:g}" for r in reports]
     counts = [float(r.count) for r in reports]

@@ -32,7 +32,7 @@ class HumanState:
     frozen_action: int | None = None
 
     def best_route(self) -> int:
-        # ties resolve to the lowest route index; routes are stored ascending
+        # ties go to the first route of the agent's action space
         best = 0
         for k in range(1, len(self.routes)):
             if self.estimates[k] < self.estimates[best]:

@@ -29,13 +29,12 @@ Two kernels resolve the merge, one per traffic shape, and give the same
 floats. ``simulate_slots`` serves the day loop: one roster a day, noisy or
 not, plus the rosters without each AV (the counterfactuals of the shaped
 reward). ``simulate_rosters`` serves the equilibrium analyzer: thousands of
-noise-free rosters known in advance, resolved together as numpy lanes. A day
-is too small to batch: one roster and 10 counterfactuals took 810 µs through
-``simulate_rosters`` against 188 µs through ``simulate_slots`` (measured on
-a 2-core shared VM),
-while the analyzer's 6,144 rosters of the default world took 16 ms in three
-2,048-lane passes against 30 ms in 1,024 calls, one per profile, before the
-bookkeeping that spreads those calls' sparse results over the tables.
+noise-free rosters known in advance, resolved together as numpy lanes, pass
+after pass in lane buffers that last the call. A day is too small to batch:
+one roster and 10 counterfactuals of the default world took about 420 µs
+through ``simulate_rosters`` against about 35 µs through ``simulate_slots``,
+while the analyzer's 6,144 rosters took about 5.5 ms in three 2,048-lane
+passes (2-vCPU shared VM, Python 3.11, numpy 2.4).
 
 Both take each departure slot's route (slot ``k`` is ``scenario.agents[k]``
 and slot order is (departure, id) order). ``simulate_slots`` draws each
@@ -182,10 +181,14 @@ class AgentSpec:
             raise ConfigurationError(f"agent {self.id}: bad departure_time")
         if not self.action_space:
             raise ConfigurationError(f"agent {self.id}: empty action_space")
-        for route in self.action_space:
+        for k, route in enumerate(self.action_space):
             if not 0 <= route < n_routes:
                 raise ConfigurationError(
                     f"agent {self.id}: route {route} not in network"
+                )
+            if route in self.action_space[:k]:
+                raise ConfigurationError(
+                    f"agent {self.id}: route {route} repeated in action_space"
                 )
 
 
@@ -433,15 +436,16 @@ def counterfactual_row(full: list[float], removed: int, sparse: Mapping[int, flo
     return row
 
 
-def simulate_rosters(scenario: Scenario, routes, present):
-    """Noise-free travel times of many rosters at once: (rosters x slots), NaN where absent.
+def simulate_rosters(scenario: Scenario, passes: Iterable[tuple], times) -> None:
+    """Noise-free travel times of many rosters, into ``times`` (rosters x slots), NaN where absent.
 
-    Row ``l`` of the int array ``routes`` gives each slot's route in roster
-    ``l``, and row ``l`` of the bool array ``present`` says which slots drive.
-    Neither is checked, and ``scenario.noise_sigma`` is ignored. Every roster
-    takes one passage per step, in lockstep, with ``_passages``' float
-    operations on its own lane, so each travel time is bit for bit that of
-    ``simulate_slots`` on the roster alone.
+    ``passes`` yields ``(routes, present)`` pairs whose rows are the next
+    rows of ``times``: row ``l`` of the int array ``routes`` gives each slot's
+    route in one roster, and row ``l`` of the bool array ``present`` says
+    which slots drive. Neither is checked, and ``scenario.noise_sigma`` is
+    ignored. Every roster of a pass takes one passage per step, in lockstep,
+    with ``_passages``' float operations on its own lane, so each travel time
+    is bit for bit that of ``simulate_slots`` on the roster alone.
 
     Without noise one route's vehicles reach the merge in slot order, so each
     route is a FIFO queue: a lane keeps its head slot and arrival per route,
@@ -451,6 +455,11 @@ def simulate_rosters(scenario: Scenario, routes, present):
     priority routes, then the yielding route (empty if there is none), then
     the absent slots, whose queue never passes. A lane short of a vehicle
     spends its last step passing the sentinel slot ``n`` into a spare column.
+
+    The lane buffers last one call, as wide as the widest pass so far, so a
+    fill of many passes faults their pages in once. Each pass resets the
+    heads, passage and ready times, and rewrites the slot columns of
+    ``cols`` and ``following``; their sentinel column never changes.
     """
     # A local import, yet `import routelab.network` loads numpy anyway: the package
     # __init__ imports .equilibrium and .rewards. A numpy-free path starts there.
@@ -459,63 +468,78 @@ def simulate_rosters(scenario: Scenario, routes, present):
     departures, pre_merge, priority = scenario.slot_tables
     net = scenario.network
     gap, window = net.merge_gap_g, net.yield_window_w
-    n_lanes, n = routes.shape
+    n = len(departures)
     order = [r for r, p in enumerate(priority) if p]
     n_prio = len(order)
     order += [r for r, p in enumerate(priority) if not p]
     absent = n_prio + 1  # the column of absent slots and of the sentinel slot
     n_cols = absent + 1
-    column = np.empty(len(order), dtype=np.intp)
+    column = np.empty(len(order), dtype=np.int32)
     column[order] = np.arange(len(order))
     lead = np.array([pre_merge[r] for r in order] + [math.inf] * (n_cols - len(order)))
-    cols = np.full((n_lanes, n + 1), absent, dtype=np.intp)
-    cols[:, :n] = np.where(present, column.take(routes), absent)
     departure = np.array(departures + (math.inf,))
 
-    lanes = np.arange(n_lanes)
-    base, row = lanes * n_cols, lanes * (n + 1)
-    heads = np.full(n_lanes * n_cols, n, dtype=np.intp)
-    following = np.full((n_lanes, n + 1), n, dtype=np.intp)
-    for s in range(n - 1, -1, -1):
-        at = base + cols[:, s]
-        following[:, s] = heads.take(at)
-        heads[at] = s
-    arrival = (departure.take(heads).reshape(n_lanes, n_cols) + lead).reshape(-1)
-    head_of, arrival_of = heads.reshape(n_lanes, n_cols), arrival.reshape(n_lanes, n_cols)
-    cols, following = cols.reshape(-1), following.reshape(-1)
-    passage = np.full((n_lanes, n + 1), math.nan)
-    passed = passage.reshape(-1)
-    ready = np.full(n_lanes, -math.inf)
-    for _ in range(n):
-        pa, ph = arrival_of[:, :n_prio], head_of[:, :n_prio]
-        ya, yh = arrival_of[:, n_prio], head_of[:, n_prio]
-        arrived = pa <= ready[:, None]
-        waiting_p = arrived.any(axis=1)
-        waiting_slot = np.where(arrived, ph, n).min(axis=1)
-        first = pa.min(axis=1)
-        first_slot = np.where(pa == first[:, None], ph, n).min(axis=1)
-        # _passages' cases in turn: a waiting priority vehicle passes; else
-        # the waiting yielding one, if no priority arrival falls inside its
-        # window; else the next yielding arrival, if the next priority
-        # arrival falls beyond its window; else that priority vehicle.
-        waiting_y = ya <= ready
-        yield_now = waiting_y & (first > ready + window)
-        yield_at_arrival = ~waiting_y & (first > ya + window)
-        t = np.where(waiting_p | yield_now, ready, np.where(yield_at_arrival, ya, first))
-        k = np.where(
-            waiting_p, waiting_slot, np.where(yield_now | yield_at_arrival, yh, first_slot)
+    buffers, end = (), 0
+    for routes, present in passes:
+        n_lanes = len(routes)
+        if not buffers or n_lanes > len(buffers[0]):
+            lanes = np.arange(n_lanes)
+            buffers = (
+                lanes * n_cols,  # base: each lane's first column in the flat head arrays
+                lanes * (n + 1),  # row: each lane's first slot in the flat slot arrays
+                np.full((n_lanes, n + 1), absent, dtype=np.int32),  # cols
+                np.full((n_lanes, n + 1), n, dtype=np.int32),  # following
+                np.empty((n_lanes, n + 1)),  # passage
+                np.empty((n_lanes, n_cols), dtype=np.int32),  # head_of
+                np.empty((n_lanes, n_cols)),  # arrival_of
+                np.empty(n_lanes),  # ready
+            )
+        base, row, cols, following, passage, head_of, arrival_of, ready = (
+            buffer[:n_lanes] for buffer in buffers
         )
-        at = row + k
-        passed[at] = t
-        c, h = cols.take(at), following.take(at)
-        at = base + c
-        heads[at] = h
-        arrival[at] = departure.take(h) + lead.take(c)
-        ready = t + gap
-    times = passage[:, :n]
-    times += net.post_merge_time
-    times -= departure[:n]
-    return times
+        column.take(routes, out=cols[:, :n], mode="clip")  # "raise" would buffer out
+        np.copyto(cols[:, :n], absent, where=~present)
+        heads = head_of.reshape(-1)
+        heads.fill(n)
+        for s in range(n - 1, -1, -1):
+            at = base + cols[:, s]
+            heads.take(at, out=following[:, s], mode="clip")
+            heads[at] = s
+        departure.take(head_of, out=arrival_of)
+        arrival_of += lead
+        arrival = arrival_of.reshape(-1)
+        cols, following = cols.reshape(-1), following.reshape(-1)
+        passage.fill(math.nan)
+        passed = passage.reshape(-1)
+        ready.fill(-math.inf)
+        for _ in range(n):
+            # _passages' cases in turn: a waiting priority vehicle passes; else
+            # the waiting yielding one, if no priority arrival falls inside its
+            # window; else the next yielding arrival, if the next priority
+            # arrival falls beyond its window; else that priority vehicle.
+            # So the priority candidate (the lowest waiting slot, else the
+            # lowest slot of the earliest arrival) would pass at ``soonest``
+            # and the yielding head at ``yielding``, each the later of its
+            # arrival and ``ready``; the yielding head passes if ``soonest``
+            # falls beyond its window, never true while a priority vehicle
+            # waits (window >= 0). A max returns an operand: no bit changes.
+            ph, yh = head_of[:, :n_prio], head_of[:, n_prio]
+            due = np.maximum(arrival_of[:, :n_prio], ready[:, None])
+            soonest = due.min(axis=1)
+            yielding = np.maximum(arrival_of[:, n_prio], ready)
+            yields = soonest > yielding + window
+            t = np.where(yields, yielding, soonest)
+            k = np.where(yields, yh, np.where(due == soonest[:, None], ph, n).min(axis=1))
+            at = row + k
+            passed[at] = t
+            c, h = cols.take(at), following.take(at)
+            at = base + c
+            heads[at] = h
+            arrival[at] = departure.take(h) + lead.take(c)
+            np.add(t, gap, out=ready)
+        start, end = end, end + n_lanes
+        np.add(passage[:, :n], net.post_merge_time, out=times[start:end])
+        times[start:end] -= departure[:n]
 
 
 def simulate_batch(

@@ -331,11 +331,13 @@ def test_vectorised_nash_matches_brute_force(game):
     analyzer = EquilibriumAnalyzer(scenario, humans)
     profiles = list(analyzer.profiles())
     assert [analyzer.profile_at(p) for p in range(len(profiles))] == profiles
-    for slot, space in enumerate(analyzer.spaces):
-        for position, route in enumerate(space):
-            moved = analyzer._neighbours(slot, position).tolist()
-            assert [analyzer.profile_at(q) for q in moved] == [
-                a[:slot] + (route,) + a[slot + 1 :] for a in profiles
+    moves, slots = analyzer._moves
+    for a, row in zip(profiles, moves.tolist()):
+        for slot, space in enumerate(analyzer.spaces):
+            # Each other route of the slot's space once, and no stay.
+            moved = [analyzer.profile_at(q) for q, s in zip(row, slots.tolist()) if s == slot]
+            assert sorted(moved) == [
+                a[:slot] + (route,) + a[slot + 1 :] for route in sorted(space) if route != a[slot]
             ]
     found = set()
     for config in BRUTE_FORCE_CONFIGS:
@@ -393,10 +395,17 @@ def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):
     def forbidden(*_args):
         raise AssertionError("selfish analysis scored an intrinsic reward")
 
+    simulate = EquilibriumAnalyzer._simulate
+
+    def full_runs_only(analyzer, counterfactuals):
+        if counterfactuals:
+            forbidden()
+        simulate(analyzer, counterfactuals)
+
     monkeypatch.setattr("routelab.equilibrium.intrinsic_reward", forbidden)
-    # M is scored only in _intrinsic_table; only a counterfactual fill needs table rows.
+    # M is scored only in _intrinsic_table; only a counterfactual fill builds its rows.
     monkeypatch.setattr(EquilibriumAnalyzer, "_intrinsic_table", forbidden)
-    monkeypatch.setattr(EquilibriumAnalyzer, "_counterfactual_rows", forbidden)
+    monkeypatch.setattr(EquilibriumAnalyzer, "_simulate", full_runs_only)
     scenario, humans = small_game()
     analyzer = EquilibriumAnalyzer(scenario, humans)
     for config in (
@@ -407,6 +416,7 @@ def test_selfish_enumeration_builds_no_intrinsic_table(monkeypatch):
         if config.scope == "none":
             analyzer.deviation_records(config)
     assert analyzer.simulations_run == analyzer.space_size
+    assert analyzer._withouts is None and analyzer._without_rows is None
 
 
 def test_verify_equilibrium_builds_no_table(monkeypatch):
@@ -476,6 +486,15 @@ TABLE_CONFIGS = tuple(
     for raw_sum in (False, True)
 )
 
+# Scales where delta / tanh_scale is huge or tiny: 5e-324 (the least subnormal)
+# takes any delta of a nanosecond or more to inf.
+EXTREME_SCALE_CONFIGS = tuple(
+    RewardConfig(alpha=1.0, beta=0.7, scope=scope, tanh_scale=scale, raw_sum=raw_sum)
+    for scope in ("av-group", "system")
+    for scale in (1e-300, 1e300, 5e-324)
+    for raw_sum in (False, True)
+)
+
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(generated_games())
@@ -486,14 +505,15 @@ def test_generated_reward_tables_equal_per_profile_rewards(game):
     n = selfish.space_size
     assert selfish.simulations_run == n
     analyzer = EquilibriumAnalyzer(scenario, humans)
-    tables = [analyzer.reward_table(config) for config in TABLE_CONFIGS]
+    configs = (*TABLE_CONFIGS, *EXTREME_SCALE_CONFIGS)
+    tables = [analyzer.reward_table(config) for config in configs]
     # One shaped fill serves every scope and scoring setting.
     budget = n + sum(n // len(space) for space in analyzer.spaces)
     assert analyzer.simulations_run == budget
     # After the full runs, a shaped fill adds only the counterfactual rosters.
     selfish.reward_table(TABLE_CONFIGS[0])
     assert selfish.simulations_run == budget
-    for config, table in zip(TABLE_CONFIGS, tables):
+    for config, table in zip(configs, tables):
         for p, action in enumerate(analyzer.profiles()):
             per_profile = analyzer.rewards(action, config)
             assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
@@ -530,6 +550,7 @@ def test_generated_deviation_records_hold_no_negative_zero(game):
         RewardConfig(alpha=1.0, beta=0.0, scope="none"),
         RewardConfig(alpha=-2.0, beta=1.0, scope="system"),
         *TABLE_CONFIGS,
+        *EXTREME_SCALE_CONFIGS,
     )
     for config in configs:
         table = analyzer.deviation_records(config)
@@ -573,7 +594,8 @@ def filled_tables(scenario, humans, shaped_first):
         analyzer.reward_table(config)
     return (
         analyzer._full.tobytes(),
-        [without.tobytes() for without in analyzer._withouts],
+        analyzer._withouts.tobytes(),
+        analyzer._without_rows.tobytes(),
         [analyzer.reward_table(config).tobytes() for config in (selfish, *TABLE_CONFIGS)],
         analyzer.simulations_run,
     )
@@ -582,10 +604,13 @@ def filled_tables(scenario, humans, shaped_first):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(generated_games(), st.booleans())
 def test_generated_fills_do_not_depend_on_the_pass_width(game, shaped_first):
-    # Widths of 1, 3 and 7 rosters make passes cross from the full runs into
-    # the counterfactual tables, and from one table into the next.
+    # Passes reuse one fill's lane buffers. Widths of 1, 3 and 7 rosters make
+    # passes cross from the full runs into the counterfactual tables, and from
+    # one table into the next; 3, 7 and one past half the rosters leave a
+    # short final pass; a width of every roster makes one pass per fill.
     expected = filled_tables(*game, shaped_first)
-    for lanes in (1, 3, 7):
+    rosters = expected[-1]
+    for lanes in (1, 3, 7, rosters // 2 + 1, rosters):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(routelab.equilibrium, "ROSTER_LANES", lanes)
             assert filled_tables(*game, shaped_first) == expected

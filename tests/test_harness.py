@@ -1114,6 +1114,27 @@ def test_cli_rejects_a_scenario_without_avs(tmp_path, capsys, command):
 # -- equilibria command -----------------------------------------------------------
 
 
+def test_scenario_from_dict_rejects_a_repeated_route():
+    doc = scenario_to_dict(two_route_yield_scenario())
+    doc["agents"][1]["action_space"] = [0, 0]
+    with pytest.raises(ConfigurationError, match="agent 1: route 0 repeated in action_space"):
+        scenario_from_dict(doc)
+
+
+def test_cli_equilibria_rejects_a_repeated_route(tmp_path, capsys):
+    # Agent 1's space [0, 0] used to list all-route-0 twice among the equilibria.
+    doc = scenario_to_dict(two_route_yield_scenario())
+    doc["agents"][1]["action_space"] = [0, 0]
+    scenario_path = tmp_path / "repeated.json"
+    scenario_path.write_text(json.dumps(doc))
+    out = tmp_path / "eq"
+    argv = ["equilibria", "--scenario", str(scenario_path), "--beta", "0,1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "agent 1: route 0 repeated in action_space" in err
+    assert not out.exists()
+
+
 def test_cli_equilibria_grid(tmp_path, capsys):
     scenario = small_scenario()
     scenario_path = tmp_path / "small.json"
@@ -1151,14 +1172,18 @@ def test_cli_equilibria_grid(tmp_path, capsys):
 
 def test_equilibria_grid_simulates_each_profile_once(tmp_path, monkeypatch):
     # The selfish point comes first, yet the shaped fill must serve it. Each
-    # roster is a (routes, present) row handed to the batched kernel.
+    # roster is a (routes, present) row of a pass handed to the batched kernel.
     import routelab.equilibrium as equilibrium
 
     rosters, analyzers = [], []
 
-    def counting(scenario, routes, present):
-        rosters.extend(zip(map(tuple, routes.tolist()), map(tuple, present.tolist())))
-        return simulate_rosters(scenario, routes, present)
+    def counting(scenario, passes, times):
+        def recorded():
+            for routes, present in passes:
+                rosters.extend(zip(map(tuple, routes.tolist()), map(tuple, present.tolist())))
+                yield routes, present
+
+        simulate_rosters(scenario, recorded(), times)
 
     enumerate_nash = EquilibriumAnalyzer.enumerate_nash
 

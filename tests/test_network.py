@@ -272,6 +272,23 @@ def test_scenario_validation():
         Scenario(agents=(agent,), network=net, noise_sigma=-1.0)
 
 
+def test_repeated_route_in_action_space_is_rejected():
+    # A repeated route would make the analyzer list one joint action twice.
+    net = NetworkConfig(
+        routes=(RouteSpec(40.0, False), RouteSpec(50.0, True)),
+        merge_gap_g=2.0,
+        yield_window_w=6.0,
+        post_merge_time=10.0,
+    )
+    human = AgentSpec(id=0, kind="human", departure_time=0.0, action_space=(0, 1))
+    for space in ((0, 0), (1, 0, 1)):
+        av = AgentSpec(id=1, kind="av", departure_time=2.0, action_space=space)
+        with pytest.raises(ConfigurationError, match="agent 1: route [01] repeated"):
+            Scenario(agents=(human, av), network=net)
+    av = AgentSpec(id=1, kind="av", departure_time=2.0, action_space=(1, 0))
+    assert Scenario(agents=(human, av), network=net).agent(1).action_space == (1, 0)
+
+
 def test_noise_that_could_precede_departure_is_rejected():
     # Route 0 reaches the merge after 40 s: jitter of 40 s or more could put
     # the merge arrival at or before the departure.

@@ -237,12 +237,22 @@ def roster_batches(draw):
     return scenario, np.array(routes), np.array(present), drawn
 
 
+def passes_of(routes, present, widths):
+    """The rosters in passes of the given widths, cycled; the last pass takes what is left."""
+    start, widths = 0, itertools.cycle(widths)
+    while start < len(routes):
+        stop = start + next(widths)
+        yield routes[start:stop], present[start:stop]
+        start = stop
+
+
 @PROPERTY_SETTINGS
-@given(roster_batches())
-def test_roster_kernel_matches_slot_kernel_and_oracle(batch):
+@given(roster_batches(), st.lists(st.sampled_from([2, 7, 10_000]), min_size=1, max_size=3))
+def test_roster_kernel_matches_slot_kernel_and_oracle(batch, widths):
+    # Passes narrower and wider than the one before reuse and regrow the lane buffers.
     scenario, routes, present, drawn = batch
-    times = simulate_rosters(scenario, routes, present)
-    assert times.shape == routes.shape
+    times = np.full(routes.shape, -1.0)
+    simulate_rosters(scenario, passes_of(routes, present, widths), times)
     for row, joint, drives, check in zip(times.tolist(), routes.tolist(), present.tolist(), drawn):
         removed = [k for k, here in enumerate(drives) if not here]
         full, sparse = simulate_slots(scenario, tuple(joint), removed)
