@@ -89,9 +89,12 @@ def run_warmup(
     Returns the (unfrozen) states and the per-day logs. Exploration draws
     come from per-agent streams keyed by (seed, agent id) so one agent's
     trajectory does not depend on how often others draw. A noisy scenario
-    (``noise_sigma > 0``) simulates each day under its own ``episode_seed``.
+    (``noise_sigma > 0``) simulates each day under its own ``episode_seed``,
+    and the engine is told those seeds up front (``RewardEngine.plan``).
     """
     engine = RewardEngine(scenario, RewardConfig(alpha=1.0, beta=0.0, scope="none"))
+    seeds = [episode_seed(seed, day, scenario.noise_sigma > 0) for day in range(days)]
+    engine.plan(seeds)
     humans = initial_human_states(scenario)
     # initial_human_states keys the states in departure-slot order.
     choosers = [
@@ -99,11 +102,11 @@ def run_warmup(
         for i, state in humans.items()
     ]
     logs: list[EpisodeLog] = []
-    for day in range(days):
+    for day, day_seed in enumerate(seeds):
         progress = day / (days - 1) if days > 1 else 1.0
         for state in humans.values():
             state.epsilon = DEFAULT_EPSILON_START * (1.0 - progress)
-        log = run_episode(engine, choosers, day, episode_seed(seed, day, scenario.noise_sigma > 0))
+        log = run_episode(engine, choosers, day, day_seed)
         for state, route, t in zip(humans.values(), log.routes, log.times):
             state.update(route, t)
         logs.append(log)

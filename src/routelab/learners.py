@@ -264,7 +264,8 @@ def train(
     from its shaped reward; evaluation freezes the learners and replays the
     greedy policy with no updates. A learner acts on indices into its AV's
     action space: index ``a`` is route ``action_space[a]``. A noisy scenario
-    (``noise_sigma > 0``) simulates each day under its own ``episode_seed``.
+    (``noise_sigma > 0``) simulates each day under its own ``episode_seed``,
+    and the engine is told those seeds up front (``RewardEngine.plan``).
     """
     # Frozen humans are fixed routes; each AV gets a training and an evaluation chooser.
     avs = []  # (learner's update, route -> action index, departure slot) in av_ids order
@@ -301,20 +302,20 @@ def train(
     engine = RewardEngine(scenario, reward_config)
     alpha, beta = reward_config.alpha, reward_config.beta
     stochastic = scenario.noise_sigma > 0
+    episodes = range(episode_offset, episode_offset + train_episodes + eval_episodes)
+    seeds = [episode_seed(seed, episode, stochastic) for episode in episodes]
+    engine.plan(seeds)
     logs: list[EpisodeLog] = []
     for e in range(train_episodes):
         for learner in scheduled:
             learner.on_episode(e, train_episodes)
-        episode = episode_offset + e
-        log = run_episode(engine, training, episode, episode_seed(seed, episode, stochastic))
+        log = run_episode(engine, training, episodes[e], seeds[e])
         times, routes = log.times, log.routes
         for (update, index, slot), m, counts in zip(avs, log.intrinsic, seen):
             update(counts, index[routes[slot]], alpha * -times[slot] + beta * m)  # shaped_reward, inline
         logs.append(log)
-    first_eval = episode_offset + train_episodes
-    for episode in range(first_eval, first_eval + eval_episodes):
-        day_seed = episode_seed(seed, episode, stochastic)
-        logs.append(run_episode(engine, evaluation, episode, day_seed))
+    for e in range(train_episodes, len(episodes)):
+        logs.append(run_episode(engine, evaluation, episodes[e], seeds[e]))
 
     return TrainResult(
         seed=seed,

@@ -20,10 +20,21 @@ with noise, each merge arrival is jittered by Uniform(-sigma, +sigma): agent
 ``i``'s draw on a day of seed ``s`` is
 ``random.Random(f"{s}:{i}").uniform(-sigma, sigma)``, so runs are reproducible
 per seed, across processes and platforms, and unaffected by which other
-agents are present. ``_arrival_noise`` makes that draw from the C generator
-directly (see its docstring). ``Scenario``
-rejects a sigma at or above the shortest pre-merge time, since such jitter
-could put a merge arrival before its departure.
+agents are present. ``Scenario`` rejects a sigma at or above the shortest
+pre-merge time, since such jitter could put a merge arrival before its
+departure.
+
+Two draw paths, one per traffic shape, make the same draws bit for bit.
+``_arrival_noise`` makes one day's from the C generator, seeded once per
+agent; single days take it: ``simulate``, ``routelab simulate`` and any
+day a run did not plan. Seeding is a serial chain of about 1,250 steps per
+key, so one draw waits on latency: 7.5-8.5 µs a draw, most of it seeding.
+``_arrival_noise_days`` makes many days' at once, as numpy lanes that each
+run the seeding on one key, so a pass is bound by throughput. A run's
+warm-up and training know their day seeds in advance, and their 4,096-lane
+passes took 3.1-3.4 µs a draw, the key's sha512 included (2-vCPU shared VM,
+Python 3.11, numpy 2.4). A day alone costs the C path about 0.16 ms and a
+one-day lane pass about 3 ms, so a single day stays on the C path.
 
 Two kernels resolve the merge, one per traffic shape, and give the same
 floats. ``simulate_slots`` serves the day loop: one roster a day, noisy or
@@ -71,9 +82,9 @@ import operator
 import threading
 from _random import Random as _Generator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from random import _sha512
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -329,6 +340,8 @@ def _arrival_noise(seed: int, agent_ids: Iterable[int], sigma: float) -> list[fl
     ``hashlib``. Seeding replaces a generator's whole state, so one generator
     re-seeded per agent draws what a fresh one each would. Each thread
     re-seeds its own, so concurrent calls never draw from another's seed.
+    This is the single-day path; ``_arrival_noise_days`` is the other of the
+    two draw paths, for the many days a run plans.
     """
     try:
         rng = _generators.rng
@@ -342,6 +355,170 @@ def _arrival_noise(seed: int, agent_ids: Iterable[int], sigma: float) -> list[fl
         reseed(int.from_bytes(key + _sha512(key).digest(), "big"))
         draws.append(lo + width * draw())
     return draws
+
+
+NOISE_LANES = 4096  # draws per _arrival_noise_days pass: a pass's memory is O(lanes)
+KEY_BLOCK = 256  # keys packed per numpy call into a pass's key table: few bytes held besides it
+
+
+def _arrival_noise_days(
+    seeds: Iterable[int], agent_ids: Iterable[int], sigma: float
+) -> Iterator[list[float]]:
+    """``_arrival_noise(seed, agent_ids, sigma)`` for each of ``seeds`` in turn, from numpy lanes.
+
+    Bit for bit the C generator's draws, made for the (day seed, agent id)
+    keys of ``NOISE_LANES // len(agent_ids)`` days at once (at least one
+    day), so a pass waits on throughput, not on one seeding's serial chain.
+    A pass starts when its first day is asked for, and its days come one
+    list at a time from one float array, so a caller holds one pass's draws.
+    """
+    import numpy as np
+
+    lo = -sigma
+    width = sigma - lo
+    suffixes = [f":{i}" for i in agent_ids]
+    seeds = iter(seeds)
+    while days := list(itertools.islice(seeds, max(1, NOISE_LANES // max(1, len(suffixes))))):
+        draws = _first_random(days, suffixes) if suffixes else np.empty(0)
+        draws *= width
+        draws += lo
+        for day in draws.reshape(len(days), len(suffixes)):
+            yield day.tolist()
+
+
+def _first_random(days: list[int], suffixes: list[str]):
+    """``random()`` of a generator just seeded as ``_arrival_noise`` seeds it, per lane.
+
+    A numpy float array over the lanes ``f"{day}{suffix}"``, day-major.
+    ``random()`` joins the first two outputs of the regenerated state, which
+    read the seeded words 0-2, 397 and 398 (word 0 is 0x80000000), so only
+    those two are formed and tempered.
+    """
+    import numpy as np
+
+    lanes, word1, word2, word397, word398 = _seeded_words(days, suffixes)
+    tempered = []
+    for upper, lower, far in ((0x80000000, word1, word397), (word1, word2, word398)):
+        v = (upper & 0x80000000) | (lower & 0x7FFFFFFF)
+        v = far ^ v >> 1 ^ (v & 1) * np.uint32(0x9908B0DF)
+        v ^= v >> 11
+        v ^= v << 7 & 0x9D2C5680
+        v ^= v << 15 & 0xEFC60000
+        v ^= v >> 18
+        tempered.append(v)
+    unit = (tempered[0] >> 5) * 67108864.0
+    unit += tempered[1] >> 6
+    unit *= 1.0 / 9007199254740992.0
+    draws = np.empty(len(lanes))
+    draws[lanes] = unit
+    return draws
+
+
+@cache
+def _init_by_array_steps():
+    """Row i: init_genrand(19650218)'s word i, and i, as uint32: the constants of step i.
+
+    A step takes them as 0-d views (``steps[i, 0, ...]``), on numpy's fast
+    path for scalar operands. A table of 1,248 ready 0-d arrays saved about
+    0.5 ms a 4,096-lane pass but held about 0.13 MB for good, which raised
+    the noisy training workload's peak RSS by about 0.15 MB.
+    """
+    import numpy as np
+
+    word, rows = 19650218, []
+    for i in range(624):
+        rows.append((word, i))
+        word = (1812433253 * (word ^ word >> 30) + i + 1) & 0xFFFFFFFF
+    steps = np.array(rows, np.uint32)
+    steps.setflags(write=False)  # shared by every pass
+    return steps
+
+
+def _seeded_words(days: list[int], suffixes: list[str]) -> tuple:
+    """Each lane's position, then words 1, 2, 397 and 398 of its seeded state.
+
+    Each lane runs CPython's ``init_by_array`` on its key, the little-endian
+    32-bit words of ``_arrival_noise``'s int, as uint32 arithmetic. No lane
+    keeps the 624-word state: the first mixing loop runs once to reach word
+    623, which the second loop needs from its first step on, then again in
+    lockstep with the second loop, which reads word ``i`` of the first as it
+    writes its own. A key's words cycle, so lanes are grouped by key length;
+    the words come in group order, and the positions say where each lane is
+    in ``_first_random``'s day-major order.
+    """
+    import numpy as np
+
+    u32 = np.uint32
+    steps = _init_by_array_steps()
+    rshift, xor, mul, add, sub = (
+        np.right_shift, np.bitwise_xor, np.multiply, np.add, np.subtract
+    )
+    shift = np.array(30, u32)
+    first, second = np.array(1664525, u32), np.array(1566083941, u32)  # each loop's multiplier
+
+    # A key is its lane's text and a 64-byte digest. The text starts with a
+    # digit or '-', so the key's int has all its bytes, in ceil(bytes / 4) words.
+    sizes = [len(suffix) + 64 + 3 for suffix in suffixes]
+    n_words = np.array([(len(str(s)) + size) // 4 for s in days for size in sizes], np.uint8)
+    n = len(n_words)
+    # Words as [x | y]: the first loop's state in x, the second's in y.
+    state, scratch, factor = np.empty(2 * n, u32), np.empty(2 * n, u32), np.empty(2 * n, u32)
+    x, y, t = state[:n], state[n:], scratch[:n]
+    factor[:n], factor[n:] = first, second
+    x_keys, y_keys, positions, start = [], [], [], 0
+    for w in sorted(set(n_words.tolist())):
+        lanes = np.flatnonzero(n_words == w)
+        stop = start + len(lanes)
+        # Row j: key[j] + j for each lane, as init_by_array adds them.
+        added = np.empty((w, len(lanes)), u32)
+        for block in range(0, len(lanes), KEY_BLOCK):
+            keys = bytearray()  # big-endian
+            for lane in lanes[block : block + KEY_BLOCK].tolist():
+                day, k = divmod(lane, len(suffixes))
+                key = f"{days[day]}{suffixes[k]}".encode()
+                keys += (key + _sha512(key).digest()).rjust(4 * w, b"\0")
+            words = np.frombuffer(keys, ">u4").reshape(-1, w)[:, ::-1]  # word j is key[j]
+            add(words.T, np.arange(w, dtype=u32)[:, None], added[:, block : block + len(words)])
+        x_keys.append((x[start:stop], added, w))
+        y_keys.append((y[start:stop], added, w))
+        positions.append(lanes)
+        start = stop
+
+    def add_keys(group, i):  # the first loop adds key[j] + j, j = (i - 1) mod w, at step i
+        for view, added, w in group:
+            add(view, added[(i - 1) % w], view)
+
+    x.fill(19650218)
+    for i in range(1, 624):
+        rshift(x, shift, t)
+        xor(t, x, t)
+        mul(t, first, t)
+        xor(t, steps[i, 0, ...], x)
+        add_keys(x_keys, i)
+        if i == 1:
+            first_word1 = x.copy()
+    # Its last step wraps round to rewrite word 1, from word 623 (x).
+    mul(x ^ x >> shift, first, y)
+    y ^= first_word1
+    add_keys(y_keys, 624)
+    word1 = y.copy()
+    # The second loop from word 2 on, with the first loop again in lockstep.
+    x[:] = first_word1
+    saved = []
+    for i in range(2, 624):
+        rshift(state, shift, scratch)
+        xor(scratch, state, scratch)
+        mul(scratch, factor, scratch)
+        xor(t, steps[i, 0, ...], x)
+        add_keys(x_keys, i)
+        xor(scratch[n:], x, y)
+        sub(y, steps[i, 1, ...], y)
+        if i in (2, 397, 398):
+            saved.append(y.copy())
+    # Its last step wraps round to rewrite word 1, from word 623 (y).
+    word1 ^= (y ^ y >> shift) * second
+    word1 -= u32(1)
+    return (np.concatenate(positions), word1, *saved)
 
 
 def _passages(pa, ps, ya, ys, gap, window, pi, yi, wp, wy, ready):
@@ -378,19 +555,26 @@ def _passages(pa, ps, ya, ys, gap, window, pi, yi, wp, wy, ready):
 
 
 def simulate_slots(
-    scenario: Scenario, routes: tuple[int, ...], removed: Sequence[int] = (), seed: int = 0
+    scenario: Scenario,
+    routes: tuple[int, ...],
+    removed: Sequence[int] = (),
+    seed: int = 0,
+    noise: Sequence[float] | None = None,
 ) -> tuple[list[float], list[dict[int, float]]]:
     """The full run's travel times by slot, and per slot in ``removed`` the run without it.
 
     ``routes`` is not checked. A counterfactual is the ``{slot: travel
     time}`` entries it re-simulated; every other slot keeps its full-run time.
+    A noisy scenario takes the day's draws from ``noise`` when given (by slot,
+    as ``_arrival_noise_days`` makes them), else from ``_arrival_noise``.
     """
     departures, pre_merge, priority = scenario.slot_tables
     net = scenario.network
     gap, window, post = net.merge_gap_g, net.yield_window_w, net.post_merge_time
     arrival = [d + pre_merge[r] for d, r in zip(departures, routes)]
     if scenario.noise_sigma > 0:
-        noise = _arrival_noise(seed, scenario.ids, scenario.noise_sigma)
+        if noise is None:
+            noise = _arrival_noise(seed, scenario.ids, scenario.noise_sigma)
         arrival = [a + e for a, e in zip(arrival, noise)]
     ps = sorted((k for k, r in enumerate(routes) if priority[r]), key=arrival.__getitem__)
     ys = sorted((k for k, r in enumerate(routes) if not priority[r]), key=arrival.__getitem__)

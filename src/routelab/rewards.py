@@ -39,7 +39,10 @@ roster a day needs comes from the one kernel call that simulates its full
 run, so a memo of single rosters would save no call. ``marginal_matrix``, the
 one builder of a dense matrix, keeps nothing.
 
-A noisy day has its own seed and is one kernel call that nothing keeps.
+A noisy day has its own seed and is one kernel call, and no day is kept. A
+run that knows its day seeds first hands them to ``RewardEngine.plan``; the
+engine then draws those days' noise in lanes (``network._arrival_noise_days``)
+and holds one pass of draws at a time, while any other day draws its own.
 Either way ``simulations_run`` counts the rosters simulated: 1 + #AVs for a
 shaped day and 1 for a selfish one, once per distinct deterministic day.
 """
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +60,7 @@ import numpy as np
 from .network import (
     ConfigurationError,
     Scenario,
+    _arrival_noise_days,
     counterfactual_row,
     simulate,
     simulate_slots,
@@ -173,9 +177,10 @@ class SimulationCache:
 class RewardEngine:
     """Travel times and per-AV intrinsic rewards for one scenario.
 
-    A deterministic engine memoises every day it evaluates; a noisy one keeps
-    nothing. It takes no lock, as each run, analyzer and CLI call builds its
-    own engine.
+    A deterministic engine memoises every day it evaluates. A noisy one
+    memoises no day and keeps only the draws of its planned days' current
+    pass (see ``plan``). It takes no lock, as each run, analyzer and CLI call
+    builds its own engine.
     """
 
     def __init__(self, scenario: Scenario, config: RewardConfig):
@@ -185,11 +190,32 @@ class RewardEngine:
         self.simulations_run = 0
         self._av_slots = scenario.av_slots
         self._in_scope = [config.scope == "system" or a.kind == "av" for a in scenario.agents]
+        self._next_seed = None  # the next planned day's seed, if any (see plan)
+
+    def plan(self, seeds: Sequence[int]) -> None:
+        """Announce the day seeds about to be evaluated, in play order.
+
+        A noisy engine draws those days' noise in lanes, a pass of
+        ``network.NOISE_LANES`` draws when its first day comes up, and hands
+        each day's draws to the kernel when that seed is the next one planned.
+        Any other seed draws its own, so results never depend on the plan,
+        and a new plan drops what is left of the last one. A deterministic
+        engine ignores it.
+        """
+        if self.cache is None:
+            sigma = self.scenario.noise_sigma
+            self._planned_draws = _arrival_noise_days(seeds, self.scenario.ids, sigma)
+            self._planned_seeds = iter(seeds)
+            self._next_seed = next(self._planned_seeds, None)
 
     def _runs(self, routes: tuple, seed: int, removed: tuple) -> tuple[list, list[dict]]:
         """The full run by slot and each removed slot's re-simulated {slot: time}: one call."""
         self.simulations_run += 1 + len(removed)
-        return simulate_slots(self.scenario, routes, removed, seed)
+        noise = None
+        if seed == self._next_seed:
+            noise = next(self._planned_draws)
+            self._next_seed = next(self._planned_seeds, None)
+        return simulate_slots(self.scenario, routes, removed, seed, noise)
 
     def _scores(self, full: list[float], changes: list[dict[int, float]]) -> tuple[float, ...]:
         """Each AV's intrinsic reward from the in-scope entries its run re-simulated, in slot order.

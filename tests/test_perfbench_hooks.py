@@ -11,7 +11,8 @@ equilibrium grid counts the analyses it runs through them.
 
 The benchmark also records peak RSS, which loading OpenSSL (through
 ``hashlib``) raised by 3.6 MB on the noisy training workload, so a tiny
-noisy run must not load it.
+noisy run must not load it, on the path its days take: their noise drawn
+in lanes, as every planned noisy run draws it.
 """
 
 from __future__ import annotations
@@ -48,11 +49,14 @@ GRID = INSTALL.replace("spans.Tracer()", "tracer := spans.Tracer()") + (
 
 
 NOISY_RUN = (
-    "import sys; sys.path[:0] = ['src']; import routelab.harness as h; "
+    "import sys; sys.path[:0] = ['src']; import routelab.harness as h, routelab.network as n; "
     "from routelab.rewards import RewardConfig; "
+    "lanes, alone, calls = n._seeded_words, n._arrival_noise, []; "
+    "n._seeded_words = lambda *a: calls.append('lanes') or lanes(*a); "
+    "n._arrival_noise = lambda *a: calls.append('alone') or alone(*a); "
     "h.run_experiment(h.RunConfig(reward=RewardConfig(beta=200.0), warmup_days=2, "
     "train_episodes=3, eval_episodes=2, seeds=(0,), mode='stochastic', out_dir=sys.argv[1])); "
-    "print('_hashlib' in sys.modules)"
+    "print('_hashlib' in sys.modules, calls.count('lanes'), calls.count('alone'))"
 )
 
 
@@ -88,4 +92,6 @@ def test_traced_grid_goes_through_the_wrapped_bindings(tmp_path):
 
 
 def test_noisy_run_leaves_openssl_unloaded(tmp_path):
-    assert run_fresh(NOISY_RUN, str(tmp_path / "run")) == "False\n"
+    # One lane pass for the warm-up's days, one for training's and evaluation's,
+    # and no day drawn alone: the planned path is the one that must stay lean.
+    assert run_fresh(NOISY_RUN, str(tmp_path / "run")) == "False 2 0\n"

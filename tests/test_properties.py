@@ -62,7 +62,13 @@ import routelab.learners as learners
 from routelab.cli import main
 from routelab.episode import EPISODE_CSV_HEADER, episode_csv_blocks, episode_seed
 from routelab.harness import _cell
-from routelab.network import _arrival_noise, counterfactual_row, simulate_rosters, simulate_slots
+from routelab.network import (
+    _arrival_noise,
+    _arrival_noise_days,
+    counterfactual_row,
+    simulate_rosters,
+    simulate_slots,
+)
 from routelab.plots import Series, _axes, _fmt, line_plot
 from routelab.scenarios import scenario_to_dict
 from conftest import id_view, make_scenario
@@ -208,6 +214,52 @@ def test_batch_rows_match_single_runs(case):
 def test_arrival_noise_matches_one_fresh_generator_per_agent(seed, ids, sigma):
     expected = [random.Random(f"{seed}:{i}").uniform(-sigma, sigma) for i in ids]
     assert _arrival_noise(seed, ids, sigma) == expected
+
+
+# Keys are f"{seed}:{id}" plus a 64-byte digest, so a 4-character string
+# makes a key of exactly 17 words and a 5-character one spills into an 18th.
+KEY_WORD_EDGES = ("1:23", "12:3", "-1:2", "1:234", "12:34", "-1:23", "123:4")
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-99, 999),  # short keys, either side of a word boundary
+            st.integers(-(2**63), 2**63),
+            st.integers(2**64, 10**40),
+            st.integers(-(10**40), -(2**64)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.one_of(st.integers(-5, 99), st.integers(-5, 10**6)), max_size=25),
+    st.floats(1e-9, 60.0),
+    st.integers(1, 4),
+    st.integers(1, 9),
+)
+def test_lane_noise_matches_one_fresh_generator_per_agent_and_day(
+    seeds, ids, sigma, days_per_pass, key_block
+):
+    expected = [
+        [random.Random(f"{s}:{i}").uniform(-sigma, sigma).hex() for i in ids] for s in seeds
+    ]
+    # A pass holds days_per_pass days, so passes end inside the seed list, and
+    # its key table is built key_block keys at a time.
+    with (
+        mock.patch("routelab.network.NOISE_LANES", days_per_pass * max(1, len(ids))),
+        mock.patch("routelab.network.KEY_BLOCK", key_block),
+    ):
+        drawn = [[x.hex() for x in day] for day in _arrival_noise_days(seeds, ids, sigma)]
+    assert drawn == expected
+
+
+def test_lane_noise_keys_either_side_of_a_word_boundary():
+    assert {(len(text) + 64 + 3) // 4 for text in KEY_WORD_EDGES} == {17, 18}
+    pairs = [tuple(map(int, text.rsplit(":", 1))) for text in KEY_WORD_EDGES]
+    seeds, ids = sorted({s for s, _ in pairs}), sorted({i for _, i in pairs})
+    expected = [[random.Random(f"{s}:{i}").uniform(-2.0, 2.0) for i in ids] for s in seeds]
+    assert list(_arrival_noise_days(seeds, ids, 2.0)) == expected
 
 
 @st.composite

@@ -17,6 +17,7 @@ from routelab import (
     simulate,
     simulate_without,
 )
+import routelab.network
 from routelab.rewards import SimulationCache
 
 from conftest import id_view, make_scenario
@@ -280,6 +281,56 @@ def test_stochastic_engine_keeps_nothing_and_counts_every_roster(default_scenari
     assert shaped.cache is None and selfish.cache is None
     assert shaped.simulations_run == len(seeds) * (1 + len(noisy.av_ids))
     assert selfish.simulations_run == len(seeds)
+
+
+PLAN = [7, 8, 9, 10, 11]
+
+
+@pytest.mark.parametrize(
+    "played, drawn_alone",
+    [
+        # (seed, or a new plan to announce) in play order; seeds drawn alone
+        (PLAN, []),
+        ([7, 8, 99, 9, 10, 11], [99]),
+        ([7, 8, [20, 21, 22], 20, 21, 9, 22], [9]),  # abandoned halfway
+    ],
+    ids=["in plan order", "seed outside the plan", "plan abandoned halfway"],
+)
+def test_planned_noisy_days_match_unplanned_ones(
+    default_scenario, monkeypatch, played, drawn_alone
+):
+    noisy = default_scenario.with_noise(2.0)
+    config = RewardConfig(beta=200.0, scope="av-group")
+    rng = random.Random(3)
+    monkeypatch.setattr("routelab.network.NOISE_LANES", 2 * len(noisy.ids))  # 2 days a pass
+    alone, draw = [], routelab.network._arrival_noise  # the seeds drawn alone
+    monkeypatch.setattr(
+        "routelab.network._arrival_noise",
+        lambda seed, *rest: alone.append(seed) or draw(seed, *rest),
+    )
+    planned, unplanned = RewardEngine(noisy, config), RewardEngine(noisy, config)
+    planned.plan(PLAN)
+    for day in played:
+        if isinstance(day, list):
+            planned.plan(day)
+            continue
+        routes = tuple(rng.choice((0, 1)) for _ in noisy.ids)
+        assert planned.evaluate(routes, day) == unplanned.evaluate(routes, day)
+    assert planned.simulations_run == unplanned.simulations_run
+    days = [day for day in played if not isinstance(day, list)]
+    assert sorted(alone) == sorted(days + drawn_alone)  # the unplanned engine draws all alone
+
+
+def test_deterministic_engine_ignores_the_plan(default_scenario):
+    config = RewardConfig(beta=200.0, scope="av-group")
+    planned = RewardEngine(default_scenario, config)
+    unplanned = RewardEngine(default_scenario, config)
+    planned.plan(PLAN)
+    routes = tuple(a.id % 2 for a in default_scenario.agents)
+    for seed in (7, 99, 7):
+        assert planned.evaluate(routes, seed) == unplanned.evaluate(routes, seed)
+    assert planned.cache.stats == unplanned.cache.stats
+    assert planned.simulations_run == unplanned.simulations_run
 
 
 def test_enumeration_budget_small_scenario():
