@@ -25,7 +25,6 @@ from .network import (
     Scenario,
     TravelTimeVector,
     simulate,
-    simulate_batch,
     simulate_without,
 )
 from .rewards import (

@@ -137,7 +137,7 @@ class EquilibriumAnalyzer:
       sums each row;
     - ``M``: each AV's intrinsic score, one column per AV slot and one table
       per (scope, tanh_scale, raw_sum), since only those settings change it;
-    - the indices: ``_digits``, ``_routes``, ``_moves`` and ``_without_rows``.
+    - the indices: ``_digits``, ``_moves`` and ``_without_rows``.
 
     Each table is filled once, on first use, and ``simulations_run`` counts
     the rosters the fill simulated. The shaped rewards for any (alpha, beta)
@@ -195,14 +195,6 @@ class EquilibriumAnalyzer:
         return rows // self._strides % self._sizes
 
     @cached_property
-    def _routes(self) -> np.ndarray:
-        """Each profile's AV routes, profiles x AVs: what every fill's rosters take."""
-        routes = np.empty_like(self._digits)
-        for k, space in enumerate(self.spaces):
-            routes[:, k] = np.take(space, self._digits[:, k])
-        return routes
-
-    @cached_property
     def _moves(self) -> tuple[np.ndarray, np.ndarray]:
         """Profiles x moves (int32): the row each unilateral move leads to; and each move's slot.
 
@@ -251,7 +243,7 @@ class EquilibriumAnalyzer:
 
     def _passes(self, profile: np.ndarray, absent: np.ndarray):
         """The fill's rosters as passes of at most ``ROSTER_LANES``, each written over
-        the last: the humans' routes stay, the AVs' come from ``_routes``."""
+        the last: the humans' routes stay, the AVs' come from each profile's digits."""
         n = len(self._ids)
         template = self.scenario.routes_of(self.full_action(self.profile_at(0)))
         routes = np.tile(template, (min(len(profile), ROSTER_LANES), 1))
@@ -259,8 +251,10 @@ class EquilibriumAnalyzer:
         slots = np.arange(n)
         for start in range(0, len(profile), ROSTER_LANES):
             lanes = slice(start, start + ROSTER_LANES)
-            width = len(profile[lanes])
-            routes[:width, self._av_columns] = self._routes[profile[lanes]]
+            rows = profile[lanes]
+            width = len(rows)
+            for column, space, stride in zip(self._av_columns, self.spaces, self._strides):
+                routes[:width, column] = np.take(space, rows // stride % len(space))
             np.not_equal(slots, absent[lanes, None], out=present[:width])
             yield routes[:width], present[:width]
 

@@ -24,17 +24,13 @@ agents are present. ``Scenario`` rejects a sigma at or above the shortest
 pre-merge time, since such jitter could put a merge arrival before its
 departure.
 
-Two draw paths, one per traffic shape, make the same draws bit for bit.
-``_arrival_noise`` makes one day's from the C generator, seeded once per
-agent; single days take it: ``simulate``, ``routelab simulate`` and any
-day a run did not plan. Seeding is a serial chain of about 1,250 steps per
-key, so one draw waits on latency: 7.5-8.5 µs a draw, most of it seeding.
-``_arrival_noise_days`` makes many days' at once, as numpy lanes that each
-run the seeding on one key, so a pass is bound by throughput. A run's
-warm-up and training know their day seeds in advance, and their 4,096-lane
-passes took 3.1-3.4 µs a draw, the key's sha512 included (2-vCPU shared VM,
-Python 3.11, numpy 2.4). A day alone costs the C path about 0.16 ms and a
-one-day lane pass about 3 ms, so a single day stays on the C path.
+A day's draws come from one of two makers, bit for bit alike.
+``_arrival_noise`` is the rule itself, one fresh generator per agent; it
+serves single days: ``simulate``, ``simulate_without``, the CLI's
+``simulate`` and any day a run did not plan. ``_arrival_noise_days``
+serves the days a run plans (``RewardEngine.plan``): it re-implements
+CPython's string seeding as numpy lanes, one key per lane, and so makes
+many days' draws at once.
 
 Two kernels resolve the merge, one per traffic shape, and give the same
 floats. ``simulate_slots`` serves the day loop: one roster a day, noisy or
@@ -42,10 +38,8 @@ not, plus the rosters without each AV (the counterfactuals of the shaped
 reward). ``simulate_rosters`` serves the equilibrium analyzer: thousands of
 noise-free rosters known in advance, resolved together as numpy lanes, pass
 after pass in lane buffers that last the call. A day is too small to batch:
-one roster and 10 counterfactuals of the default world took about 420 µs
-through ``simulate_rosters`` against about 35 µs through ``simulate_slots``,
-while the analyzer's 6,144 rosters took about 5.5 ms in three 2,048-lane
-passes (2-vCPU shared VM, Python 3.11, numpy 2.4).
+one roster and its counterfactuals cost far more as a pass of lanes than
+through ``simulate_slots``.
 
 Both take each departure slot's route (slot ``k`` is ``scenario.agents[k]``
 and slot order is (departure, id) order). ``simulate_slots`` draws each
@@ -69,8 +63,8 @@ vehicles with the merge free at the same time again: it comes back as the
 sparse ``{slot: travel time}`` entries it re-simulated. ``simulate_rosters``
 takes the same steps with the same float operations, one passage per roster
 per step, keeping each route's waiting vehicles as a FIFO queue (see its
-docstring). ``simulate``, ``simulate_without`` and ``simulate_batch`` are
-validated wrappers that key ``simulate_slots``' results by agent id.
+docstring). ``simulate`` and ``simulate_without`` are validated wrappers
+that key ``simulate_slots``' results by agent id.
 """
 
 from __future__ import annotations
@@ -79,11 +73,9 @@ import heapq
 import itertools
 import math
 import operator
-import threading
-from _random import Random as _Generator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from random import _sha512
+from random import Random, _sha512
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -324,37 +316,14 @@ class TravelTimeVector:
         return agent_id in self.times
 
 
-_generators = threading.local()  # .rng: the calling thread's generator for _arrival_noise
-
-
 def _arrival_noise(seed: int, agent_ids: Iterable[int], sigma: float) -> list[float]:
     """Each agent's draw of ``random.Random(f"{seed}:{agent_id}").uniform(-sigma, sigma)``.
 
-    String seeding hashes via sha512, so draws are stable across processes
-    and platforms, and independent of which other agents are simulated.
-    The draw is made the way ``random.py`` makes it, minus its Python
-    wrappers: version-2 seeding turns the string's bytes ``b`` into the int
-    ``int.from_bytes(b + sha512(b).digest(), "big")`` and hands it to the C
-    generator's ``seed``; ``uniform(a, b)`` is ``a + (b - a) * random()``.
-    ``sha512`` is ``random.py``'s own, which avoids loading OpenSSL through
-    ``hashlib``. Seeding replaces a generator's whole state, so one generator
-    re-seeded per agent draws what a fresh one each would. Each thread
-    re-seeds its own, so concurrent calls never draw from another's seed.
-    This is the single-day path; ``_arrival_noise_days`` is the other of the
-    two draw paths, for the many days a run plans.
+    String seeding hashes with sha512 (``random.py``'s own, which leaves
+    OpenSSL unloaded), so draws are stable across processes and platforms,
+    and independent of which other agents are simulated.
     """
-    try:
-        rng = _generators.rng
-    except AttributeError:
-        rng = _generators.rng = _Generator()
-    reseed, draw, lo = rng.seed, rng.random, -sigma
-    width = sigma - lo
-    draws = []
-    for agent_id in agent_ids:
-        key = f"{seed}:{agent_id}".encode()
-        reseed(int.from_bytes(key + _sha512(key).digest(), "big"))
-        draws.append(lo + width * draw())
-    return draws
+    return [Random(f"{seed}:{i}").uniform(-sigma, sigma) for i in agent_ids]
 
 
 NOISE_LANES = 4096  # draws per _arrival_noise_days pass: a pass's memory is O(lanes)
@@ -438,7 +407,8 @@ def _seeded_words(days: list[int], suffixes: list[str]) -> tuple:
     """Each lane's position, then words 1, 2, 397 and 398 of its seeded state.
 
     Each lane runs CPython's ``init_by_array`` on its key, the little-endian
-    32-bit words of ``_arrival_noise``'s int, as uint32 arithmetic. No lane
+    32-bit words of the int that ``random.Random`` seeds from the lane's
+    string (its bytes, then their sha512 digest), as uint32 arithmetic. No lane
     keeps the 624-word state: the first mixing loop runs once to reach word
     623, which the second loop needs from its first step on, then again in
     lockstep with the second loop, which reads word ``i`` of the first as it
@@ -726,36 +696,10 @@ def simulate_rosters(scenario: Scenario, passes: Iterable[tuple], times) -> None
         times[start:end] -= departure[:n]
 
 
-def simulate_batch(
-    scenario: Scenario,
-    action: Mapping[int, int],
-    removed_ids: Iterable[int] = (),
-    seed: int = 0,
-) -> list[TravelTimeVector]:
-    """The full run plus one leave-one-out run per AV in ``removed_ids``.
-
-    Every run shares the seed and the per-agent noise draws, so each
-    counterfactual differs from the full run only by the missing vehicle.
-    """
-    routes, removed_ids = scenario.routes_of(action), tuple(removed_ids)
-    not_avs = sorted(set(removed_ids).difference(scenario.av_ids))
-    if not_avs:
-        raise ConfigurationError(f"agents {not_avs} are not AVs; only AVs may be removed")
-    slots = [scenario.ids.index(j) for j in removed_ids]
-    full, counterfactuals = simulate_slots(scenario, routes, slots, seed)
-    base = dict(zip(scenario.ids, full))
-    runs = [TravelTimeVector(times=base, seed=seed)]
-    for j, sparse in zip(removed_ids, counterfactuals):
-        times = base.copy()
-        del times[j]
-        times.update((scenario.ids[k], t) for k, t in sparse.items())
-        runs.append(TravelTimeVector(times=times, seed=seed))
-    return runs
-
-
 def simulate(scenario: Scenario, action: Mapping[int, int], seed: int = 0) -> TravelTimeVector:
     """Run one episode of the merge simulation for a full joint action."""
-    return simulate_batch(scenario, action, (), seed)[0]
+    full, _ = simulate_slots(scenario, scenario.routes_of(action), (), seed)
+    return TravelTimeVector(times=dict(zip(scenario.ids, full)), seed=seed)
 
 
 def simulate_without(
@@ -769,4 +713,11 @@ def simulate_without(
     Uses the same seed, and noise draws are keyed per agent id, so the
     remaining agents see exactly the jitter they saw in the full run.
     """
-    return simulate_batch(scenario, action, (removed_agent,), seed)[1]
+    routes = scenario.routes_of(action)
+    if removed_agent not in scenario.av_ids:
+        raise ConfigurationError(f"agent {removed_agent} is not an AV; only AVs may be removed")
+    slot = scenario.ids.index(removed_agent)
+    full, (sparse,) = simulate_slots(scenario, routes, (slot,), seed)
+    times = dict(zip(scenario.ids, counterfactual_row(full, slot, sparse)))
+    del times[removed_agent]
+    return TravelTimeVector(times=times, seed=seed)

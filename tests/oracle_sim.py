@@ -2,31 +2,38 @@
 
 Deliberately written from the rules as prose, with a different structure
 from the package implementation: plain dicts, explicit blocker lists, and
-no shared helpers. Deterministic mode only (no noise).
+no shared helpers. With noise, each agent's merge arrival is moved by its
+own draw for the day, ``random.Random(f"{seed}:{id}").uniform(-sigma,
+sigma)``, whoever else is on the road.
 """
 
 from __future__ import annotations
 
-
-def oracle_travel_times(scenario, action):
-    """Independent travel-time computation for a deterministic scenario."""
-    assert scenario.noise_sigma == 0, "oracle covers deterministic mode only"
-    return oracle_subset_times(scenario, action, [a.id for a in scenario.agents])
+import random
 
 
-def oracle_subset_times(scenario, action, agent_ids):
+def oracle_travel_times(scenario, action, seed=0):
+    """Independent travel-time computation for a scenario on the day of ``seed``."""
+    return oracle_subset_times(scenario, action, [a.id for a in scenario.agents], seed)
+
+
+def oracle_subset_times(scenario, action, agent_ids, seed=0):
     """Same rules restricted to a subset of the roster (counterfactual runs)."""
     net = scenario.network
+    sigma = scenario.noise_sigma
     todo = []
     for agent in scenario.agents:
         if agent.id not in agent_ids:
             continue
         route = net.routes[action[agent.id]]
+        jitter = 0.0
+        if sigma > 0:
+            jitter = random.Random(f"{seed}:{agent.id}").uniform(-sigma, sigma)
         todo.append(
             {
                 "id": agent.id,
                 "departure": agent.departure_time,
-                "arrival": agent.departure_time + route.pre_merge_time,
+                "arrival": agent.departure_time + route.pre_merge_time + jitter,
                 "priority": route.has_priority,
             }
         )

@@ -6,8 +6,8 @@ recorded here. ``config.json`` is pinned by its own run, whose output
 directory is relative. A refactor that claims "same results" keeps these unchanged;
 a change that alters results on purpose must say so and record new digests.
 The stochastic run guards how noisy 17-digit floats are written. The kernel
-digest pins the raw travel times of ``simulate_batch`` (full run and every
-leave-one-out run) on generated worlds beyond the default scenario.
+digest pins the raw travel times of ``simulate`` and of ``simulate_without``
+for every AV on generated worlds beyond the default scenario.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 import random
 
-from routelab import AgentSpec, NetworkConfig, RouteSpec, Scenario, simulate_batch
+from routelab import AgentSpec, NetworkConfig, RouteSpec, Scenario, simulate, simulate_without
 from routelab.harness import RunConfig, equilibrium_grid, run_experiment
 from routelab.rewards import RewardConfig
 from routelab.scenarios import two_route_yield_network, two_route_yield_scenario
@@ -195,7 +195,9 @@ def kernel_worlds(n_worlds=10, days=20):
 def test_kernel_travel_times_digest():
     digest = hashlib.sha256()
     for scenario, action, seed in kernel_worlds():
-        for run in simulate_batch(scenario, action, scenario.av_ids, seed):
+        runs = [simulate(scenario, action, seed)]
+        runs += [simulate_without(scenario, action, j, seed) for j in scenario.av_ids]
+        for run in runs:
             for agent in scenario.agents:
                 if agent.id in run:
                     digest.update(f"{agent.id}:{run[agent.id]!r};".encode())

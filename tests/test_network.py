@@ -137,8 +137,8 @@ def test_noise_draws_keyed_by_agent_id():
 
 
 def test_noisy_simulate_from_many_threads_matches_sequential_runs(default_scenario):
-    # simulate is public and pure. Each agent's draw seeds a generator and then
-    # draws from it, so threads sharing one could swap draws between agents.
+    # simulate is public and pure. Each agent's draw comes from a generator of
+    # its own, so no thread can take a draw seeded for another's day.
     scenario = default_scenario.with_noise(2.0)
     rng = random.Random(3)
     jobs = [

@@ -10,9 +10,10 @@ counts the calls each day loop makes through them, and a tiny traced
 equilibrium grid counts the analyses it runs through them.
 
 The benchmark also records peak RSS, which loading OpenSSL (through
-``hashlib``) raised by 3.6 MB on the noisy training workload, so a tiny
-noisy run must not load it, on the path its days take: their noise drawn
-in lanes, as every planned noisy run draws it.
+``hashlib``) raised by 3.6 MB on the noisy training workload, so neither
+noise path may load it: a tiny noisy run's days, drawn in lanes as every
+planned noisy run draws them, and then one noisy ``simulate`` day, drawn
+alone by ``random.Random``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ NOISY_RUN = (
     "n._arrival_noise = lambda *a: calls.append('alone') or alone(*a); "
     "h.run_experiment(h.RunConfig(reward=RewardConfig(beta=200.0), warmup_days=2, "
     "train_episodes=3, eval_episodes=2, seeds=(0,), mode='stochastic', out_dir=sys.argv[1])); "
-    "print('_hashlib' in sys.modules, calls.count('lanes'), calls.count('alone'))"
+    "report = lambda: print('_hashlib' in sys.modules, calls.count('lanes'), calls.count('alone')); "
+    "report(); import routelab as r; world = r.two_route_yield_scenario().with_noise(2.0); "
+    "r.simulate(world, {i: i % 2 for i in world.ids}, 7); report()"
 )
 
 
@@ -93,5 +96,5 @@ def test_traced_grid_goes_through_the_wrapped_bindings(tmp_path):
 
 def test_noisy_run_leaves_openssl_unloaded(tmp_path):
     # One lane pass for the warm-up's days, one for training's and evaluation's,
-    # and no day drawn alone: the planned path is the one that must stay lean.
-    assert run_fresh(NOISY_RUN, str(tmp_path / "run")) == "False 2 0\n"
+    # and no day drawn alone; then the single day, drawn alone.
+    assert run_fresh(NOISY_RUN, str(tmp_path / "run")) == "False 2 0\nFalse 2 1\n"

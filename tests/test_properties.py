@@ -6,9 +6,9 @@ are distinct draws from range(100) in any order, so a mix-up of ids and
 departure slots, or noise keyed by slot, shows. Times are
 drawn partly from a coarse grid, so arrivals and passage times tie often,
 and partly from arbitrary floats. The simulator must agree exactly with the
-independent oracle in ``oracle_sim.py``, and the batched leave-one-out runs
-with runs of the reduced roster simulated from scratch. The analyzer's
-roster kernel must give ``simulate_slots``' floats and the oracle's on
+independent oracle in ``oracle_sim.py``, noisy or not, and each
+leave-one-out run with the reduced roster simulated from scratch. The
+analyzer's roster kernel must give ``simulate_slots``' floats and the oracle's on
 batches that mix full rosters with rosters short of one slot, and the noise
 draws those of a fresh generator per agent.
 
@@ -52,7 +52,6 @@ from routelab import (
     intrinsic_reward,
     run_warmup,
     simulate,
-    simulate_batch,
     simulate_without,
     run_episode,
     train,
@@ -163,33 +162,30 @@ def without(scenario: Scenario, removed: int) -> Scenario:
 
 
 @PROPERTY_SETTINGS
-@given(cases())
+@given(st.one_of(cases(), cases(noisy=True)))
 def test_simulate_matches_oracle(case):
     scenario, action, seed = case
-    assert simulate(scenario, action, seed).times == oracle_travel_times(scenario, action)
-
-
-@PROPERTY_SETTINGS
-@given(cases())
-def test_batch_rows_match_oracle_rosters(case):
-    scenario, action, seed = case
-    ids = [a.id for a in scenario.agents]
-    base, *rows = simulate_batch(scenario, action, scenario.av_ids, seed)
-    assert base.times == oracle_travel_times(scenario, action)
-    for j, row in zip(scenario.av_ids, rows):
-        kept = [i for i in ids if i != j]
-        assert row.times == oracle_subset_times(scenario, action, kept)
+    assert simulate(scenario, action, seed).times == oracle_travel_times(scenario, action, seed)
 
 
 @PROPERTY_SETTINGS
 @given(st.one_of(cases(), cases(noisy=True)))
-def test_batch_rows_match_single_runs(case):
+def test_batch_rows_match_oracle_rosters(case):
+    # A counterfactual keeps every remaining agent's jitter.
     scenario, action, seed = case
-    removed = scenario.av_ids * 2  # a repeated id gets its own, equal row
-    base, *rows = simulate_batch(scenario, action, removed, seed)
-    assert base.times == simulate(scenario, action, seed).times
-    for j, row in zip(removed, rows):
-        assert row.times == simulate_without(scenario, action, j, seed).times
+    ids = [a.id for a in scenario.agents]
+    for j in scenario.av_ids:
+        kept = [i for i in ids if i != j]
+        row = simulate_without(scenario, action, j, seed)
+        assert row.times == oracle_subset_times(scenario, action, kept, seed)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cases(), cases(noisy=True)))
+def test_simulate_without_matches_the_reduced_roster(case):
+    scenario, action, seed = case
+    for j in scenario.av_ids:
+        row = simulate_without(scenario, action, j, seed)
         if len(scenario.agents) > 1:
             # Noise is keyed by (seed, agent id): a roster simulated from
             # scratch without j sees the same jitter.
