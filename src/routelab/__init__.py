@@ -8,7 +8,7 @@ equilibrium analysis, tied together by an experiment CLI.
 
 from .episode import EpisodeLog, run_episode
 from .equilibrium import EquilibriumAnalyzer, EquilibriumReport, beta_max
-from .humans import HumanState, freeze_all, initial_human_states, run_warmup
+from .humans import HumanState, freeze_all, run_warmup
 from .learners import (
     FixedLearner,
     PolicyGradientLearner,

@@ -187,10 +187,13 @@ def config_from_dict(doc: Mapping, base_dir: Path | None = None) -> RunConfig:
 
 
 def _learner_id(key) -> int:
-    """An agent id from a ``learners`` object key, which JSON makes a string."""
-    if isinstance(key, str) and key.isdecimal():
+    """An agent id from a ``learners`` object key, which JSON makes a string.
+
+    Only an id's own ASCII spelling is read, so no two keys name one agent.
+    """
+    if isinstance(key, str) and key.isascii() and key.isdecimal() and key == str(int(key)):
         return int(key)
-    raise ConfigurationError(f"learners: cannot read {key!r} as an agent id")
+    raise ConfigurationError(f"learners: cannot read {key!r} as an agent id (no leading zeros)")
 
 
 def load_config(path: str | Path) -> RunConfig:

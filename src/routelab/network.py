@@ -27,10 +27,10 @@ departure.
 A day's draws come from one of two makers, bit for bit alike.
 ``_arrival_noise`` is the rule itself, one fresh generator per agent; it
 serves single days: ``simulate``, ``simulate_without``, the CLI's
-``simulate`` and any day a run did not plan. ``_arrival_noise_days``
-serves the days a run plans (``RewardEngine.plan``): it re-implements
-CPython's string seeding as numpy lanes, one key per lane, and so makes
-many days' draws at once.
+``simulate``, any day a run did not plan and any day whose keys pass 624
+words. ``_arrival_noise_days`` serves the other days a run plans
+(``RewardEngine.plan``): it re-implements CPython's string seeding as numpy
+lanes, one key per lane, and so makes many days' draws at once.
 
 Two kernels resolve the merge, one per traffic shape, and give the same
 floats. ``simulate_slots`` serves the day loop: one roster a day, noisy or
@@ -345,14 +345,21 @@ def _arrival_noise_days(
 
     lo = -sigma
     width = sigma - lo
+    agent_ids = list(agent_ids)
     suffixes = [f":{i}" for i in agent_ids]
+    # init_by_array mixes max(624, key words) times and a lane 624 times, so a
+    # day with a key over 624 words (text and 64-byte digest) is drawn alone.
+    longest = 4 * 624 - 64 - max(map(len, suffixes), default=0)
     seeds = iter(seeds)
     while days := list(itertools.islice(seeds, max(1, NOISE_LANES // max(1, len(suffixes))))):
-        draws = _first_random(days, suffixes) if suffixes else np.empty(0)
+        fits = [len(str(s)) <= longest for s in days]
+        lane_days = list(itertools.compress(days, fits))
+        draws = _first_random(lane_days, suffixes) if suffixes and lane_days else np.empty(0)
         draws *= width
         draws += lo
-        for day in draws.reshape(len(days), len(suffixes)):
-            yield day.tolist()
+        rows = iter(draws.reshape(len(lane_days), len(suffixes)))
+        for seed, fit in zip(days, fits):
+            yield next(rows).tolist() if fit else _arrival_noise(seed, agent_ids, sigma)
 
 
 def _first_random(days: list[int], suffixes: list[str]):
@@ -429,7 +436,7 @@ def _seeded_words(days: list[int], suffixes: list[str]) -> tuple:
     # A key is its lane's text and a 64-byte digest. The text starts with a
     # digit or '-', so the key's int has all its bytes, in ceil(bytes / 4) words.
     sizes = [len(suffix) + 64 + 3 for suffix in suffixes]
-    n_words = np.array([(len(str(s)) + size) // 4 for s in days for size in sizes], np.uint8)
+    n_words = np.array([(len(str(s)) + size) // 4 for s in days for size in sizes], np.int32)
     n = len(n_words)
     # Words as [x | y]: the first loop's state in x, the second's in y.
     state, scratch, factor = np.empty(2 * n, u32), np.empty(2 * n, u32), np.empty(2 * n, u32)

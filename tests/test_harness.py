@@ -278,6 +278,12 @@ def test_cli_rejects_repeated_seeds(tmp_path, capsys, doc, flags):
         ({"learner": {"algorithm": "dqn"}}, "unknown algorithm 'dqn'"),
         ({"learners": {"1": {"algorithm": "q", "epsilon": 0.1}}}, "unknown q learner key"),
         ({"learners": {"1": {"algorithm": "ucb", "c": "wide"}}}, "ucb learner c"),
+        # "01" and "1" would name one AV, the later spec silently winning
+        (
+            {"learners": {"1": {"algorithm": "ucb", "c": 1.0}, "01": {"algorithm": "q"}}},
+            "cannot read '01' as an agent id",
+        ),
+        ({"learners": {"\u0661": {"algorithm": "q"}}}, "cannot read '\u0661' as an agent id"),
     ],
 )
 def test_bad_learner_spec_fails_at_load(doc, named):

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from routelab import ConfigurationError, HumanState, freeze_all, run_warmup
-from routelab.humans import initial_human_states
+from routelab import HumanState, freeze_all, run_warmup
 
 from conftest import id_view
 
@@ -17,13 +16,6 @@ def fresh_state(estimates=(50.0, 60.0), smoothing=0.1, epsilon=0.0):
         smoothing=smoothing,
         epsilon=epsilon,
     )
-
-
-def test_frozen_state_returns_frozen_action():
-    state = fresh_state()
-    state.frozen = True
-    state.frozen_action = 0
-    assert state.choose(random.Random(0)) == 0
 
 
 def test_greedy_choice_is_argmin():
@@ -63,32 +55,25 @@ def test_repeated_updates_decay_geometrically():
         assert target - state.estimates[0] == pytest.approx(expected_gap)
 
 
-def test_update_on_frozen_state_errors():
-    state = fresh_state()
-    state.freeze()
-    with pytest.raises(ConfigurationError):
-        state.update(0, 50.0)
-
-
 def test_freeze_picks_argmin_with_tie_to_lowest():
     state = fresh_state((50.0, 60.0))
-    state.freeze()
-    assert state.frozen_action == 0
-    assert state.epsilon == 0.0
+    assert state.best_route() == 0
     tied = fresh_state((55.0, 55.0))
-    tied.freeze()
-    assert tied.frozen_action == 0
+    assert tied.best_route() == 0
 
 
 def test_freeze_all_returns_profile():
-    humans = {0: fresh_state((50.0, 60.0)), 1: fresh_state((70.0, 60.0))}
+    humans = {0: fresh_state((50.0, 60.0), epsilon=0.3), 1: fresh_state((70.0, 60.0))}
     profile = freeze_all(humans)
     assert profile == {0: 0, 1: 1}
-    assert all(state.frozen for state in humans.values())
+    assert humans[0].estimates == [50.0, 60.0] and humans[0].epsilon == 0.3
+    assert humans[1].estimates == [70.0, 60.0] and humans[1].epsilon == 0.0
 
 
 def test_initial_estimates_are_free_flow(default_scenario):
-    states = initial_human_states(default_scenario)
+    states, logs = run_warmup(default_scenario, days=0, seed=0)
+    assert logs == []
+    assert list(states) == [agent.id for agent in default_scenario.agents]
     assert states[0].estimates == [50.0, 60.0]
 
 

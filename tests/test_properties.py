@@ -38,7 +38,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routelab import (
@@ -225,6 +225,7 @@ KEY_WORD_EDGES = ("1:23", "12:3", "-1:2", "1:234", "12:34", "-1:23", "123:4")
             st.integers(-(2**63), 2**63),
             st.integers(2**64, 10**40),
             st.integers(-(10**40), -(2**64)),
+            st.integers(10**999, 10**2400),  # keys of 267 to 619 words
         ),
         min_size=1,
         max_size=4,
@@ -234,6 +235,9 @@ KEY_WORD_EDGES = ("1:23", "12:3", "-1:2", "1:234", "12:34", "-1:23", "123:4")
     st.integers(1, 4),
     st.integers(1, 9),
 )
+# init_by_array mixes max(624, key words) times: "{seed}:{id}" of 2,432
+# characters makes a key of 624 words, and one more character a 625th.
+@example([10**2429 - 1, 10**2429, -(10**2429), 5, 10**2500, 1 - 10**2999], [0, 3, 10], 2.0, 2, 9)
 def test_lane_noise_matches_one_fresh_generator_per_agent_and_day(
     seeds, ids, sigma, days_per_pass, key_block
 ):

@@ -293,8 +293,10 @@ PLAN = [7, 8, 9, 10, 11]
         (PLAN, []),
         ([7, 8, 99, 9, 10, 11], [99]),
         ([7, 8, [20, 21, 22], 20, 21, 9, 22], [9]),  # abandoned halfway
+        # a 2,501-digit seed's keys pass init_by_array's 624 words
+        ([[7, 10**1000, 10**2500, 8], 7, 10**1000, 10**2500, 8], [10**2500]),
     ],
-    ids=["in plan order", "seed outside the plan", "plan abandoned halfway"],
+    ids=["in plan order", "seed outside the plan", "plan abandoned halfway", "very long seeds"],
 )
 def test_planned_noisy_days_match_unplanned_ones(
     default_scenario, monkeypatch, played, drawn_alone
