@@ -39,7 +39,6 @@ simulates one roster per profile.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,7 +110,10 @@ class EquilibriumReport:
     beta: float
     scope: str
     equilibria: list[tuple[int, ...]]
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.equilibria)
 
 
 def encode_action(action: tuple[int, ...]) -> str:
@@ -156,7 +158,8 @@ class EquilibriumAnalyzer:
             if human not in self.humans_profile:
                 raise ConfigurationError(f"no frozen route for human {human}")
         self.av_ids = scenario.av_ids
-        self.spaces = [scenario.agent(av).action_space for av in self.av_ids]
+        self._av_columns = scenario.av_slots
+        self.spaces = [scenario.agents[slot].action_space for slot in self._av_columns]
         self.space_size = enumeration_size(self.spaces)
         # Mixed-radix place values; int32 holds every index below ENUMERATION_BOUND.
         sizes = [len(space) for space in self.spaces]
@@ -165,16 +168,12 @@ class EquilibriumAnalyzer:
         self._strides = np.array(strides, dtype=np.int32)
         self.simulations_run = 0  # the rosters the table fill simulated
         self._ids = scenario.ids
-        self._av_columns = [self._ids.index(av) for av in self.av_ids]
         self._full: np.ndarray | None = None  # travel times, profiles x agents
         self._withouts: np.ndarray | None = None  # runs without one AV slot, x agents
         self._without_rows: np.ndarray | None = None  # profile, AV slot -> row of _withouts
         self._m: dict[tuple[str, float, bool], np.ndarray] = {}
 
     # -- joint-action plumbing -------------------------------------------
-
-    def profiles(self):
-        return itertools.product(*self.spaces)
 
     def full_action(self, action: tuple[int, ...]) -> dict[int, int]:
         return {**self.humans_profile, **dict(zip(self.av_ids, action))}
@@ -336,13 +335,7 @@ class EquilibriumAnalyzer:
         moves, slots = self._moves
         gains = rewards[moves, slots] > rewards[:, slots] + tolerance
         equilibria = [self.profile_at(p) for p in np.flatnonzero(~gains.any(axis=1)).tolist()]
-        return EquilibriumReport(
-            alpha=config.alpha,
-            beta=config.beta,
-            scope=config.scope,
-            equilibria=equilibria,
-            count=len(equilibria),
-        )
+        return EquilibriumReport(config.alpha, config.beta, config.scope, equilibria)
 
     def system_optimum(self) -> tuple[list[tuple[int, ...]], float]:
         """All joint actions minimising the total travel time of all drivers.

@@ -15,9 +15,12 @@ Deterministic runs are byte-reproducible: same config, same files. CSV
 lines end in CRLF; floats are written as their shortest round-trip ``repr``.
 A failed run writes no ``config.json``, ``run_meta.json`` or aggregate
 file, though a seed that finished may have written its ``seed_<s>`` file.
+Every ``seed_<s>`` directory is made before any seed trains.
 
-One writer derives the last three files from the seed runs; ``routelab
-report`` rebuilds the seed runs from a run's files and calls it again.
+A seed run is built whole by ``run_seed``, in the process that runs the
+seed: warm-up, training, the system optimum and the proportions. One writer
+derives the last three files from the seed runs; ``routelab report`` reads
+the seed runs back from a run's files and calls it again.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import pickle
 import shutil
 import signal
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
@@ -97,6 +100,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("deterministic", "stochastic"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if self.noise_sigma is not None and not 0 <= self.noise_sigma < math.inf:
+            raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.mode == "stochastic" and self.noise_sigma == 0:
             raise ConfigurationError("stochastic mode needs noise_sigma > 0")
         for name in ("warmup_days", "train_episodes", "eval_episodes"):
@@ -199,7 +204,11 @@ def _learner_id(key) -> int:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
-        return config_from_dict(json.load(handle), base_dir=path.parent)
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:  # not JSON, or an int past Python's int-string digit limit
+            raise ConfigurationError(f"{path}: {exc}") from None
+    return config_from_dict(doc, base_dir=path.parent)
 
 
 # -- single-seed pipeline ---------------------------------------------------
@@ -207,31 +216,32 @@ def load_config(path: str | Path) -> RunConfig:
 
 @dataclass
 class SeedRun:
+    """One seed's run, built whole by ``run_seed`` or read back by ``report``.
+
+    ``proportions`` holds ``proportion_rows``: one (episode, phase, fraction
+    of AVs on their optimal route) row per train and eval day.
+    """
+
     seed: int
-    scenario: Scenario
     warmup_logs: list[EpisodeLog]
     result: TrainResult
     frozen_profile: dict[int, int]
-    optimal_actions: dict[int, int] = field(default_factory=dict)  # set by run_experiment
-    _proportions: list | None = field(default=None, init=False, repr=False, compare=False)
+    optimal_actions: dict[int, int]
+    proportions: list[tuple[int, str, float]]
 
     @property
     def all_logs(self) -> list[EpisodeLog]:
         return self.warmup_logs + self.result.train_logs + self.result.eval_logs
 
-    def proportions(self) -> list[tuple[int, str, float]]:
-        """(episode, phase, fraction of AVs on their optimal action) rows,
-        computed on the first call, so set ``optimal_actions`` before it."""
-        if self._proportions is None:
-            ids = self.scenario.ids
-            targets = [(ids.index(av), route) for av, route in self.optimal_actions.items()]
-            train_eval = (("train", self.result.train_logs), ("eval", self.result.eval_logs))
-            self._proportions = [
-                (log.episode, phase, proportion_optimal(log.routes, targets))
-                for phase, logs in train_eval
-                for log in logs
-            ]
-        return self._proportions
+
+def proportion_rows(scenario: Scenario, optimal: Mapping[int, int], result: TrainResult) -> list:
+    """``SeedRun.proportions``: each train and eval day's share of AVs on their optimal route."""
+    targets = [(slot, optimal[av]) for av, slot in zip(scenario.av_ids, scenario.av_slots)]
+    return [
+        (log.episode, phase, proportion_optimal(log.routes, targets))
+        for phase, logs in (("train", result.train_logs), ("eval", result.eval_logs))
+        for log in logs
+    ]
 
 
 def proportion_optimal(routes: Sequence[int], targets: Collection[tuple[int, int]]) -> float:
@@ -260,6 +270,7 @@ def freeze_humans(scenario: Scenario, days: int, seed: int) -> tuple[dict, list[
 
 
 def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
+    """One seed's warm-up, training, optimum and proportions, in that order."""
     frozen_humans, warmup_logs = freeze_humans(scenario, config.warmup_days, seed)
     result = train(
         scenario,
@@ -271,7 +282,9 @@ def run_seed(config: RunConfig, scenario: Scenario, seed: int) -> SeedRun:
         frozen_humans,
         episode_offset=config.warmup_days,
     )
-    return SeedRun(seed, scenario, warmup_logs, result, frozen_humans)
+    optimal = _optimal_actions(scenario, frozen_humans)
+    proportions = proportion_rows(scenario, optimal, result)
+    return SeedRun(seed, warmup_logs, result, frozen_humans, optimal, proportions)
 
 
 # -- forked workers -----------------------------------------------------------
@@ -371,21 +384,16 @@ class ExperimentResult:
             for group, t in (("avs", pooled["av"]), ("humans", pooled["human"]))
         ]
 
-    @cached_property
-    def proportions(self) -> list[list[tuple[int, str, float]]]:
-        """Each seed run's ``SeedRun.proportions`` rows, computed once."""
-        return [run.proportions() for run in self.seed_runs]
-
     def eval_proportion_optimal(self) -> float:
-        values = [p for rows in self.proportions for (_, phase, p) in rows if phase == "eval"]
+        values = [p for run in self.seed_runs for _, phase, p in run.proportions if phase == "eval"]
         return float(np.mean(values)) if values else math.nan
 
     @cached_property
     def mean_proportions(self) -> list[float]:
         """Each train, then eval, episode's mean over seeds of ``proportions``, computed once."""
         # Every seed has the same episodes: one row per episode, one column per seed.
-        rows = [[p for (_, _, p) in points] for points in zip(*self.proportions)]
-        return np.array(rows).reshape(len(rows), len(self.proportions)).mean(axis=1).tolist()
+        rows = [[p for _, _, p in day] for day in zip(*(run.proportions for run in self.seed_runs))]
+        return np.array(rows).reshape(len(rows), len(self.seed_runs)).mean(axis=1).tolist()
 
     def first_convergence_episode(self) -> int | None:
         """First training episode whose trailing ``CONVERGENCE_WINDOW`` mean
@@ -406,14 +414,15 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     if not scenario.av_ids:
         raise ConfigurationError("training needs at least one AV in the scenario")
     enumeration_size([scenario.agent(av).action_space for av in scenario.av_ids])
-    # Seeds mostly freeze the same humans: one optimum per frozen profile and process.
-    optimum = cache(lambda profile: _optimal_actions(scenario, dict(profile)))
+    for seed in config.seeds if write else ():  # before any seed trains: making one can fail
+        try:
+            (config.out_dir / f"seed_{seed}").mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"seed {seed} has no usable directory: {exc.strerror}") from None
 
     def run_share_seed(seed: int) -> SeedRun:
-        # In the process that runs this seed's share: the run, its optimum and proportions.
+        # In the process that runs this seed's share: the run, then its episode file.
         run = run_seed(config, scenario, seed)
-        run.optimal_actions = optimum(tuple(run.frozen_profile.items()))
-        run.proportions()
         if write:
             with _open_csv(config.out_dir / f"seed_{seed}" / "episodes.csv") as handle:
                 handle.write(_line(EPISODE_CSV_HEADER))
@@ -507,10 +516,10 @@ def _write_derived(result: ExperimentResult) -> None:
 
     with _open_csv(out / "convergence.csv") as handle:
         handle.write(_line(CONVERGENCE_CSV_HEADER))
-        for run, points in zip(result.seed_runs, result.proportions):
-            handle.writelines(f"{e},{run.seed},{phase},{p!r}\r\n" for e, phase, p in points)
+        for run in result.seed_runs:
+            handle.writelines(f"{e},{run.seed},{phase},{p!r}\r\n" for e, phase, p in run.proportions)
 
-    svg = convergence_svg(result.proportions, result.mean_proportions)
+    svg = convergence_svg([run.proportions for run in result.seed_runs], result.mean_proportions)
     (out / "convergence.svg").write_text(svg, encoding="utf-8")
 
 
@@ -705,7 +714,8 @@ def regenerate_report(run_dir: str | Path) -> None:
             frozen, optimal, simulated = _seed_meta(meta, seed, scenario)
             logs = _read_days(rows, days, seed, scenario, config.reward)
             trained = TrainResult(seed, logs[train_start:eval_start], logs[eval_start:], simulated)
-            seed_runs.append(SeedRun(seed, scenario, logs[:train_start], trained, frozen, optimal))
+            points = proportion_rows(scenario, optimal, trained)
+            seed_runs.append(SeedRun(seed, logs[:train_start], trained, frozen, optimal, points))
         if next(rows, None) is not None:
             raise ConfigurationError("episodes.csv has rows beyond the run_meta.json phases")
     _write_derived(ExperimentResult(config, scenario, seed_runs))

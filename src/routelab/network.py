@@ -307,7 +307,6 @@ class TravelTimeVector:
     """Per-agent experienced travel time (seconds) for one simulation run."""
 
     times: dict[int, float]
-    seed: int
 
     def __getitem__(self, agent_id: int) -> float:
         return self.times[agent_id]
@@ -706,7 +705,7 @@ def simulate_rosters(scenario: Scenario, passes: Iterable[tuple], times) -> None
 def simulate(scenario: Scenario, action: Mapping[int, int], seed: int = 0) -> TravelTimeVector:
     """Run one episode of the merge simulation for a full joint action."""
     full, _ = simulate_slots(scenario, scenario.routes_of(action), (), seed)
-    return TravelTimeVector(times=dict(zip(scenario.ids, full)), seed=seed)
+    return TravelTimeVector(dict(zip(scenario.ids, full)))
 
 
 def simulate_without(
@@ -727,4 +726,4 @@ def simulate_without(
     full, (sparse,) = simulate_slots(scenario, routes, (slot,), seed)
     times = dict(zip(scenario.ids, counterfactual_row(full, slot, sparse)))
     del times[removed_agent]
-    return TravelTimeVector(times=times, seed=seed)
+    return TravelTimeVector(times)

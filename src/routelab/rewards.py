@@ -85,7 +85,7 @@ class RewardConfig:
             raise ConfigurationError(f"unknown scope {self.scope!r}; use one of {SCOPES}")
         if not self.tanh_scale > 0:
             raise ConfigurationError("tanh_scale must be > 0")
-        for name in ("alpha", "beta"):
+        for name in ("alpha", "beta", "tanh_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
 
@@ -101,8 +101,6 @@ class MarginalCostMatrix:
     row_ids: tuple[int, ...]  # all active agents, departure order
     col_ids: tuple[int, ...]  # AVs, departure order
     values: np.ndarray  # shape (len(row_ids), len(col_ids)), seconds
-    action: dict[int, int]
-    seed: int
     _row_index: dict[int, int] = field(init=False, repr=False)
     _col_index: dict[int, int] = field(init=False, repr=False)
 
@@ -245,13 +243,7 @@ class RewardEngine:
         # An agent missing from either run (the removed AV in its own column
         # included) contributes 0.
         values[np.isnan(values)] = 0.0
-        return MarginalCostMatrix(
-            row_ids=self.scenario.ids,
-            col_ids=self.scenario.av_ids,
-            values=values,
-            action=dict(action),
-            seed=seed,
-        )
+        return MarginalCostMatrix(self.scenario.ids, self.scenario.av_ids, values)
 
     def evaluate(
         self, routes: tuple[int, ...], seed: int

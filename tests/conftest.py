@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -77,7 +78,7 @@ def id_view(log, scenario: Scenario) -> SimpleNamespace:
     return SimpleNamespace(
         episode=log.episode,
         action=dict(zip(ids, log.routes, strict=True)),
-        times=TravelTimeVector(times=dict(zip(ids, log.times)), seed=log.seed),
+        times=TravelTimeVector(times=dict(zip(ids, log.times))),
         extrinsic=extrinsic,
         intrinsic=intrinsic,
         shaped={i: config.alpha * extrinsic[i] + config.beta * intrinsic[i] for i in ids},
@@ -98,7 +99,7 @@ def deviation_rows(analyzer, table) -> list[DeviationRow]:
     profile by profile, then AV by AV: the order of deviations.csv."""
     return [
         DeviationRow(action, av, *table.pairs[i], table.thresholds[i])
-        for action, row in zip(analyzer.profiles(), table.index.tolist())
+        for action, row in zip(itertools.product(*analyzer.spaces), table.index.tolist())
         for av, i in zip(analyzer.av_ids, row)
     ]
 

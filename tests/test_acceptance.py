@@ -221,7 +221,7 @@ def test_spec_example_selfish_ucb_nonconvergence():
     selfish = experiment("ucb", "stochastic", 0.0, "none", 1100)
     per_seed = []
     for run in selfish.seed_runs:
-        props = [p for (_, phase, p) in run.proportions() if phase == "eval"]
+        props = [p for (_, phase, p) in run.proportions if phase == "eval"]
         per_seed.append(float(np.mean(props)))
     incomplete = sum(1 for p in per_seed if p < 1.0)
     report(
@@ -314,9 +314,7 @@ def test_criterion_7_intrinsic_bounds():
             values = -np.abs(values)  # all entries share the negative sign
         elif k % 3 == 2:
             values = np.abs(values)
-        matrix = MarginalCostMatrix(
-            row_ids=row_ids, col_ids=col_ids, values=values, action={}, seed=0
-        )
+        matrix = MarginalCostMatrix(row_ids=row_ids, col_ids=col_ids, values=values)
         for j in col_ids:
             for scope, size in (("system", len(row_ids)), ("av-group", len(col_ids))):
                 value = intrinsic_reward(matrix, j, RewardConfig(scope=scope))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -187,7 +188,7 @@ def test_aligned_externality_keeps_deviation_sign_constant():
     analyzer = EquilibriumAnalyzer(scenario, humans)
     config = RewardConfig(alpha=1.0, beta=1.0, scope="av-group")
     aligned = 0
-    for action in analyzer.profiles():
+    for action in itertools.product(*analyzer.spaces):
         for slot, av in enumerate(analyzer.av_ids):
             delta_seconds, delta_score = deviation_terms(analyzer, action, av, config)
             delta_reward = -delta_seconds
@@ -329,7 +330,7 @@ BRUTE_FORCE_CONFIGS = (
 def test_vectorised_nash_matches_brute_force(game):
     scenario, humans = small_game(n_av=3) if game == "binary-3av" else mixed_radix_game()
     analyzer = EquilibriumAnalyzer(scenario, humans)
-    profiles = list(analyzer.profiles())
+    profiles = list(itertools.product(*analyzer.spaces))
     assert [analyzer.profile_at(p) for p in range(len(profiles))] == profiles
     moves, slots = analyzer._moves
     for a, row in zip(profiles, moves.tolist()):
@@ -357,7 +358,7 @@ def test_reward_table_rows_equal_per_profile_rewards(scope):
     for alpha, beta in ((1.0, 0.0), (1.0, 0.3), (1.0, 1.0), (0.5, 10.0), (1.0, -2.0)):
         config = RewardConfig(alpha=alpha, beta=beta, scope=scope)
         table = analyzer.reward_table(config)
-        for p, action in enumerate(analyzer.profiles()):
+        for p, action in enumerate(itertools.product(*analyzer.spaces)):
             per_profile = analyzer.rewards(action, config)
             assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
 
@@ -514,7 +515,7 @@ def test_generated_reward_tables_equal_per_profile_rewards(game):
     selfish.reward_table(TABLE_CONFIGS[0])
     assert selfish.simulations_run == budget
     for config, table in zip(configs, tables):
-        for p, action in enumerate(analyzer.profiles()):
+        for p, action in enumerate(itertools.product(*analyzer.spaces)):
             per_profile = analyzer.rewards(action, config)
             assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
 
@@ -533,7 +534,7 @@ def test_reward_tables_equal_per_profile_rewards_beyond_64_agents():
     tables = [analyzer.reward_table(config) for config in configs]
     assert analyzer.simulations_run == 16 + 4 * 8
     for config, table in zip(configs, tables):
-        for p, action in enumerate(analyzer.profiles()):
+        for p, action in enumerate(itertools.product(*analyzer.spaces)):
             per_profile = analyzer.rewards(action, config)
             assert table[p].tolist() == [per_profile[av] for av in analyzer.av_ids]
     assert len({row.tobytes() for row in tables[1]}) > 1  # the scores differ, so the check bites
@@ -567,7 +568,7 @@ def test_generated_deviation_records_hold_no_negative_zero(game):
 def test_generated_deviation_tables_index_each_cells_deltas(game):
     scenario, humans = game
     analyzer = EquilibriumAnalyzer(scenario, humans)
-    rows = {action: p for p, action in enumerate(analyzer.profiles())}
+    rows = {action: p for p, action in enumerate(itertools.product(*analyzer.spaces))}
     times = analyzer._full_runs()[:, analyzer._av_columns].tolist()
     for config in (RewardConfig(alpha=-2.0, beta=1.0, scope="system"), *TABLE_CONFIGS):
         table = analyzer.deviation_records(config)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -188,6 +189,14 @@ def test_stochastic_mode_without_noise_rejected():
         config_from_dict({"mode": "stochastic", "noise_sigma": 0.0})
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+def test_negative_or_non_finite_noise_sigma_rejected(mode, sigma):
+    # Deterministic mode ignores noise_sigma, but config.json would record it.
+    with pytest.raises(ConfigurationError, match="noise_sigma must be finite and >= 0"):
+        config_from_dict({"mode": mode, "noise_sigma": sigma})
+
+
 @pytest.mark.parametrize("command", [["train"], ["sweep-beta", "--beta", "0,1"]])
 def test_cli_rejects_stochastic_mode_without_noise(tmp_path, capsys, command):
     scenario_path = write_default_scenario(tmp_path)
@@ -249,6 +258,18 @@ def run_train_cli(tmp_path, doc: dict, *flags: str) -> int:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return main(["train", "--config", str(path), *flags, "--out", str(tmp_path / "out")])
+
+
+def test_cli_config_seed_past_the_int_digit_limit_exits_2(tmp_path, capsys):
+    # json.load raises ValueError for an int of more than 4,300 digits.
+    path = tmp_path / "config.json"
+    path.write_text('{"seeds": [' + "7" * 5000 + "]}", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="config.json: Exceeds the limit"):
+        load_config(path)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_learners_for_ids_that_are_not_avs(tmp_path, capsys):
@@ -462,6 +483,21 @@ def test_optimal_actions_take_first_tied_optimum():
     optima, _ = EquilibriumAnalyzer(scenario, {}).system_optimum()
     assert optima == [(1, 0, 1), (1, 1, 0), (1, 1, 1)]
     assert _optimal_actions(scenario, {}) == {0: 1, 1: 0, 2: 1}
+
+
+def test_run_seed_returns_a_finished_record(tmp_path):
+    config = small_config(tmp_path)
+    scenario = config.effective_scenario()
+    run = harness.run_seed(config, scenario, 1)
+    optima, _ = EquilibriumAnalyzer(scenario, run.frozen_profile).system_optimum()
+    assert run.optimal_actions == dict(zip(scenario.av_ids, optima[0]))
+    targets = [(scenario.ids.index(av), route) for av, route in run.optimal_actions.items()]
+    assert run.proportions == [
+        (log.episode, phase, harness.proportion_optimal(log.routes, targets))
+        for phase, logs in (("train", run.result.train_logs), ("eval", run.result.eval_logs))
+        for log in logs
+    ]
+    assert [e for e, _, _ in run.proportions] == list(range(30, 30 + 40 + 10))
 
 
 def test_train_without_an_enumerable_optimum_exits_2(tmp_path, capsys, monkeypatch):
@@ -784,7 +820,7 @@ def test_jobs_parallel_matches_serial(tmp_path, monkeypatch):
         assert parallel_run.all_logs == serial_run.all_logs
         assert parallel_run.frozen_profile == serial_run.frozen_profile
         assert parallel_run.optimal_actions == serial_run.optimal_actions
-        assert parallel_run.proportions() == serial_run.proportions()
+        assert parallel_run.proportions == serial_run.proportions
         assert parallel_run.result.simulations_run == serial_run.result.simulations_run
 
 
@@ -873,6 +909,28 @@ def test_a_child_exception_is_raised_again_with_its_type_and_message(tmp_path, m
         assert run_train_cli(cli_dir, small_train_doc(seeds=[0, 1]), "--jobs", str(jobs)) == 2
         assert_no_child_left()
         assert_no_run_files(cli_dir / "out")
+
+
+def test_a_seed_too_long_for_a_directory_name_exits_2_untrained(tmp_path, capsys, monkeypatch):
+    # seed_<s> for a 301-digit seed is longer than a file name may be; 240 digits fit.
+    def fail():
+        raise AssertionError("seed 0 trained")
+
+    fail_on_seed(monkeypatch, 0, fail)
+    small = ["--warmup-days", "2", "--episodes", "3", "--eval-episodes", "1"]
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs_{jobs}"
+        argv = ["train", "--seeds", f"0,{10**300}", *small, "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed {10**300} has no usable directory")
+        assert "Traceback" not in err
+        assert_no_run_files(out)
+        assert_no_child_left()
+    monkeypatch.undo()
+    argv = ["train", "--seeds", str(10**239), *small, "--out", str(tmp_path / "fits")]
+    assert main(argv) == 0
+    assert (tmp_path / "fits" / f"seed_{10**239}" / "episodes.csv").is_file()
 
 
 def test_a_child_that_exits_without_a_result_is_named(tmp_path, monkeypatch):
@@ -1257,7 +1315,8 @@ def test_deviations_csv_codes_are_dashed_where_a_route_has_two_digits(tmp_path):
     equilibrium_grid(config, [1.0], [0.0, 1.0], "av-group")
     codes = [row[0] for row in read_csv(tmp_path / "eq" / "deviations.csv")[1:]]
     analyzer = EquilibriumAnalyzer(scenario, dict.fromkeys(scenario.human_ids, 0))
-    assert codes == [encode_action(a) for a in analyzer.profiles() for _ in analyzer.av_ids]
+    profiles = itertools.product(*analyzer.spaces)
+    assert codes == [encode_action(a) for a in profiles for _ in analyzer.av_ids]
     assert codes[:3] == ["000"] * 3  # every AV on route 0: one digit each, no dashes
     assert all(("-" in code) == ("10" in code) for code in codes)
     assert "0-10-0" in codes
@@ -1272,13 +1331,15 @@ def test_convergence_svg_means_are_per_episode_np_mean(monkeypatch, n_seeds):
         [(e, "train" if e < 10 else "eval", rng.random()) for e in episodes]
         for _ in range(n_seeds)
     ]
-    # The seed-mean series is ExperimentResult's, computed once from its
-    # proportions rows; convergence_svg plots it as given.
-    result = harness.ExperimentResult(config=None, scenario=None, seed_runs=[])
-    result.proportions = proportions
+    # The seed-mean series is ExperimentResult's, computed once from its seed
+    # runs' proportions rows; convergence_svg plots it as given.
+    seed_runs = [
+        harness.SeedRun(seed, [], None, {}, {}, points) for seed, points in enumerate(proportions)
+    ]
+    result = harness.ExperimentResult(config=None, scenario=None, seed_runs=seed_runs)
     plotted = []
     monkeypatch.setattr(harness, "line_plot", lambda series, **_: plotted.append(series) or "")
-    convergence_svg(result.proportions, result.mean_proportions)
+    convergence_svg(proportions, result.mean_proportions)
     (series,) = plotted
     mean = series[-1]
     assert mean.xs == [float(e) for e in episodes]

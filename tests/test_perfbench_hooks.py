@@ -83,6 +83,7 @@ def test_traced_train_days_go_through_the_wrapped_bindings(tmp_path):
     calls = json.loads(run_fresh(TRAIN, str(tmp_path / "run")))
     assert calls["episode.run_episode"] == (5 + 7 + 3) * 2  # every day of both seeds
     assert calls["humans.run_warmup"] == calls["learners.train"] == 2
+    assert calls["equilibrium.system_optimum"] == 2  # one per seed, inside harness.run_seed
     assert calls["humans.choose_update"] > 0
     assert calls["learners.select_update"] > 0
 

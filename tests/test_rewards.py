@@ -107,8 +107,6 @@ def zero_matrix(row_ids, col_ids):
         row_ids=tuple(row_ids),
         col_ids=tuple(col_ids),
         values=np.zeros((len(row_ids), len(col_ids))),
-        action={},
-        seed=0,
     )
 
 
@@ -181,6 +179,8 @@ def test_reward_config_validation():
         RewardConfig(scope="everyone")
     with pytest.raises(ConfigurationError):
         RewardConfig(tanh_scale=0.0)
+    with pytest.raises(ConfigurationError, match="tanh_scale must be finite"):
+        RewardConfig(tanh_scale=math.inf)  # every tanh term would be tanh(±0.0)
 
 
 def test_cache_hit_avoids_simulation(default_scenario):
